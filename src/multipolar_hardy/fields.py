@@ -100,15 +100,10 @@ def weight_value(x, cfg: PoleConfig, w: WeightSpec):
     Raises AtPole only when mu is actually singular there (gamma != 0); the
     Unit weight evaluates to 1 everywhere including at the poles.
     """
-    pts, _, dist, single = _pole_frame(x, cfg, guarded=_weight_is_singular(w))
     if w.is_unit:
+        pts, single = _as_batch(x, cfg.dim)
         return _maybe_scalar(np.ones(pts.shape[0]), single)
-    log_mu = np.zeros(pts.shape[0])
-    if w.gamma != 0.0:
-        log_mu -= w.gamma * np.sum(np.log(dist), axis=1)
-    if w.delta > 0.0:
-        log_mu -= w.delta * np.sum(dist**w.m, axis=1)
-    return _maybe_scalar(np.exp(log_mu), single)
+    return np.exp(weight_log_value(x, cfg, w))
 
 
 def weight_log_value(x, cfg: PoleConfig, w: WeightSpec):

@@ -15,8 +15,7 @@ and summed with compensated summation in a fixed order:
 
 (b) the bounded complement B(0, far_radius) minus the pole balls, by
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
-    with antithetic pairs and Neyman (pilot-variance proportional) sample
-    allocation.
+    with antithetic pairs and the pair budget split evenly over the cells.
 
 (c) the far field beyond far_radius: importance-sampled Monte Carlo with
     density proportional to |x|^-(N+tail_exponent) for integrands of
@@ -33,6 +32,14 @@ region boundaries would put an O(1) discontinuity into the Monte Carlo
 integrand and dominate its variance; with the blended split every MC
 integrand is as smooth as the field itself, and the deterministic rules
 absorb the collars exactly.
+
+Each region's geometry -- nodes, quadrature weights, partition-of-unity
+weights and the pole-core mask of region (b) -- is built once per
+integrate_many call and shared by every integrand of the batch; the work
+per integrand is evaluation at the stored nodes plus the reduction.  The
+deterministic rules (pole balls, far shells, integrate_radial_annulus)
+estimate their error as the difference between a high and a low order
+of the same rule.
 
 Determinism: all Monte Carlo streams are Philox counter-based substreams
 derived from (seed, region), partial sums are reduced in a fixed order
@@ -82,11 +89,18 @@ _REGION_POLE, _REGION_MID, _REGION_TAIL = 11, 13, 17
 
 
 def worker_count() -> int:
-    """Worker threads for evaluation chunks (MHARDY_WORKERS, default 1)."""
+    """Worker threads for evaluation chunks (MHARDY_WORKERS, default 1).
+
+    A value that is not a positive integer raises ConfigError.
+    """
+    raw = os.environ.get("MHARDY_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MHARDY_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MHARDY_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -365,13 +379,23 @@ def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
     return inner, 0.5 * abs(inner), False
 
 
+def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = None):
+    """Run a deterministic product rule at a high and a derived low order.
+
+    rule(radial_order, angular_order) returns (sums, nodes).  The low level
+    drops three radial points and a third of the angular order; callers
+    take the hi-minus-lo difference as the rule's error estimate.  Returns
+    (hi_sums, lo_sums, nodes of both levels).
+    """
+    order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
+    hi, n_hi = rule(radial_order, order_hi)
+    lo, n_lo = rule(max(4, radial_order - 3), max(3, (2 * order_hi) // 3))
+    return hi, lo, n_hi + n_lo
+
+
 def _pole_region(integrands, cfg, spec):
     """Region (a): all pole balls, with a two-level error estimate."""
     dim = cfg.dim
-    order_hi = _ANGULAR_ORDER.get(dim, 4)
-    order_lo = max(3, (2 * order_hi) // 3)
-    q_hi = spec.radial_order
-    q_lo = max(4, q_hi - 3)
     K = len(integrands)
     values = np.zeros(K)
     truncs = np.zeros(K)
@@ -379,13 +403,14 @@ def _pole_region(integrands, cfg, spec):
     cells = 0
     for i in range(cfg.n_poles):
         center = cfg.poles[i]
-        hi, n_hi = _pole_ball_pass(
-            integrands, cfg, center, spec.pole_radius, spec.radial_levels, q_hi, order_hi
+        hi, lo, n = _two_level(
+            lambda q, order: _pole_ball_pass(
+                integrands, cfg, center, spec.pole_radius, spec.radial_levels, q, order
+            ),
+            dim,
+            spec.radial_order,
         )
-        lo, n_lo = _pole_ball_pass(
-            integrands, cfg, center, spec.pole_radius, spec.radial_levels, q_lo, order_lo
-        )
-        cells += n_hi + n_lo
+        cells += n
         for k, f in enumerate(integrands):
             p = float(f.pole_exponents[i])
             borderline = p >= dim - 1e-9
@@ -407,25 +432,45 @@ def _strata_grid(dim: int, mc_samples: int):
     return int(np.clip(s, 2, cap))
 
 
-def _mid_region(integrands, cfg, spec):
-    """Region (b): stratified MC over the blended bounded complement.
+def _mid_partition(pts, cfg, spec):
+    """Mid-region partition weight at box points, kept where it is nonzero.
 
-    Samples come in antithetic pairs (u, 1-u) within each cell, which
-    cancels the linear part of smooth integrands; the variance estimate
-    treats pair averages as the iid unit.  The pair budget is split evenly
-    over the cells, so the node set is a pure function of the spec and the
-    geometry -- in particular it does not depend on which integrands share
-    the batch, and Gram-type computations reuse identical nodes across
-    runs with different batch compositions.
+    Returns (mask, pts[mask], weight[mask]); the mask drops the pole cores
+    (where the pole weight is 1) and every point of zero weight.
+    """
+    r0 = np.linalg.norm(pts, axis=1)
+    weight = 1.0 - _tail_partition_weight(r0, spec.far_radius)
+    # One pole at a time: an (n, P, N) difference array would set the peak
+    # memory of the whole integrate_many call.
+    dist = np.empty((pts.shape[0], cfg.n_poles))
+    for i, pole in enumerate(cfg.poles):
+        dist[:, i] = np.linalg.norm(pts - pole, axis=1)
+    weight = weight - _pole_partition_weight(dist, spec.pole_radius).sum(axis=1)
+    core = _POLE_FADE_START * spec.pole_radius
+    mask = (np.min(dist, axis=1) > core) & (weight != 0.0)
+    return mask, pts[mask], weight[mask]
+
+
+def _mid_rule(cfg, spec):
+    """Node set of region (b), built once per integrate_many call.
+
+    Samples come in antithetic pairs (u, 1-u) within each cell.  The pair
+    budget is split evenly over the cells, so the node set is a pure
+    function of the spec and the geometry -- in particular it does not
+    depend on which integrands share the batch, and Gram-type computations
+    reuse identical nodes across runs with different batch compositions.
+
+    Returns (reps, halves, cells, pairs, cell_vol): reps maps each pair to
+    its cell index in range(cells), and halves holds the _mid_partition of
+    the u points and of the 1-u points.  Only the masked points and
+    weights are kept; the offsets and full-size temporaries are released
+    once both halves are built.
     """
     dim = cfg.dim
     R = spec.far_radius
-    K = len(integrands)
     s = _strata_grid(dim, spec.mc_samples)
     C = s**dim
-    lo_corner = -R
     h = 2.0 * R / s
-    cell_vol = h**dim
 
     # Cell index -> integer grid coordinates, fixed C-order.
     grid = np.stack(
@@ -434,33 +479,30 @@ def _mid_region(integrands, cfg, spec):
 
     pairs = max(2, spec.mc_samples // (2 * C))
     rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
-
-    core = _POLE_FADE_START * spec.pole_radius
-
-    def region_values(f, pts):
-        """Evaluate f times the mid-region partition weight."""
-        r0 = np.linalg.norm(pts, axis=1)
-        weight = 1.0 - _tail_partition_weight(r0, R)
-        dist = np.linalg.norm(pts[:, None, :] - cfg.poles[None, :, :], axis=2)
-        weight = weight - _pole_partition_weight(dist, spec.pole_radius).sum(axis=1)
-        mask = (np.min(dist, axis=1) > core) & (weight != 0.0)
-        out = np.zeros(pts.shape[0])
-        if np.any(mask):
-            out[mask] = _eval_chunks(f.func, pts[mask]) * weight[mask]
-        return out
-
-    def pair_values(f, reps, u):
-        """Antithetic pair averages for cells reps with offsets u."""
-        a = region_values(f, lo_corner + (grid[reps] + u) * h)
-        b = region_values(f, lo_corner + (grid[reps] + (1.0 - u)) * h)
-        return 0.5 * (a + b)
-
     u = rng.random((C * pairs, dim))
     reps = np.repeat(np.arange(C), pairs)
+    first = _mid_partition(-R + (grid[reps] + u) * h, cfg, spec)
+    np.subtract(1.0, u, out=u)
+    second = _mid_partition(-R + (grid[reps] + u) * h, cfg, spec)
+    return reps, (first, second), C, pairs, h**dim
+
+
+def _mid_region(integrands, cfg, spec):
+    """Region (b): stratified MC over the blended bounded complement.
+
+    Antithetic pairs cancel the linear part of smooth integrands; the
+    variance estimate treats pair averages as the iid unit.  Every
+    integrand is evaluated on the one node set of _mid_rule.
+    """
+    reps, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
+    K = len(integrands)
     values = np.zeros(K)
     stderrs = np.zeros(K)
     for k, f in enumerate(integrands):
-        vals = pair_values(f, reps, u)
+        half_vals = np.zeros((2, reps.shape[0]))
+        for out, (mask, pts, weight) in zip(half_vals, halves):
+            out[mask] = _eval_chunks(f.func, pts) * weight
+        vals = 0.5 * (half_vals[0] + half_vals[1])
         sums = np.bincount(reps, weights=vals, minlength=C)
         sumsq = np.bincount(reps, weights=vals**2, minlength=C)
         mean = sums / pairs
@@ -583,23 +625,17 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             pieces = [(r_t, min(support, spec.far_radius), rise)]
             if support > spec.far_radius:
                 pieces.append((spec.far_radius, support, None))
-            order_hi = _ANGULAR_ORDER.get(dim, 4)
-            order_lo = max(3, (2 * order_hi) // 3)
-            q_lo = max(4, spec.radial_order - 3)
-            far_vals = np.zeros(len(integrands))
-            far_truncs = np.zeros(len(integrands))
             for r_in, r_out, wgt in pieces:
-                hi, n_hi = _far_shells(
-                    integrands, dim, r_in, r_out, spec.radial_order, order_hi,
-                    radial_weight=wgt,
-                )
-                lo, n_lo = _far_shells(
-                    integrands, dim, r_in, r_out, q_lo, order_lo,
-                    radial_weight=wgt,
+                hi, lo, n = _two_level(
+                    lambda q, order: _far_shells(
+                        integrands, dim, r_in, r_out, q, order, radial_weight=wgt
+                    ),
+                    dim,
+                    spec.radial_order,
                 )
                 far_vals += hi
                 far_truncs += np.abs(hi - lo)
-                cells_c += n_hi + n_lo
+                cells_c += n
     else:
         far_vals, far_errs, cells_c = _tail_region(integrands, cfg, spec)
 
@@ -641,17 +677,18 @@ def integrate_radial_annulus(
     """
     if not 0 < r_in < r_out:
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
-    order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
     f = Integrand(func=func, pole_exponents=[])
-    hi, n_hi = _far_shells([f], dim, r_in, r_out, radial_order, order_hi)
-    lo, n_lo = _far_shells(
-        [f], dim, r_in, r_out, max(4, radial_order - 3), max(3, (2 * order_hi) // 3)
+    hi, lo, n = _two_level(
+        lambda q, order: _far_shells([f], dim, r_in, r_out, q, order),
+        dim,
+        radial_order,
+        angular_order,
     )
     return IntegralResult(
         value=float(hi[0]),
         stderr=0.0,
         trunc_bound=float(abs(hi[0] - lo[0])),
-        cells=n_hi + n_lo,
+        cells=n,
     )
 
 

@@ -154,6 +154,12 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_OK
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_bad_worker_count_is_config_error(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("MHARDY_WORKERS", raw)
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -25,6 +25,7 @@ from multipolar_hardy import (
     resolution_guard,
     vector_field_f,
     weight_log_grad,
+    weight_log_value,
     weight_value,
 )
 
@@ -203,6 +204,13 @@ class TestWeight:
             fp = np.log(weight_value(pts + e, three_poles_n4, w))
             fm = np.log(weight_value(pts - e, three_poles_n4, w))
             np.testing.assert_allclose(grad[:, k], (fp - fm) / (2 * h), atol=1e-5)
+
+    def test_value_is_exp_of_log_value_bitwise(self, two_poles_n3):
+        w = WeightSpec.polyexp(gamma=0.7, delta=0.4, m=1.5)
+        pts = points_off_poles(two_poles_n3, 50)
+        vals = weight_value(pts, two_poles_n3, w)
+        assert vals.tolist() == np.exp(weight_log_value(pts, two_poles_n3, w)).tolist()
+        assert weight_value(pts[0], two_poles_n3, w) == vals[0]
 
 
 # --------------------------------------------------------------------------

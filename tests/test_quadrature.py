@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from multipolar_hardy import quadrature
 from multipolar_hardy.quadrature import worker_count
 from multipolar_hardy import (
     BudgetExceeded,
@@ -28,6 +29,7 @@ from multipolar_hardy import (
     sphere_flux,
     sphere_surface_measure,
     unit_sphere_rule,
+    weight_value,
 )
 
 
@@ -264,6 +266,12 @@ class TestIntegrateMany:
         monkeypatch.setenv("MHARDY_WORKERS", "1")
         assert res.value == integrate(gaussian, two_poles_n3, lean_spec).value
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_worker_count_rejects_bad_env(self, raw, monkeypatch):
+        monkeypatch.setenv("MHARDY_WORKERS", raw)
+        with pytest.raises(ConfigError, match=f"MHARDY_WORKERS.*'{raw}'"):
+            worker_count()
+
     def test_linearity_within_rounding(self, two_poles_n3, lean_spec):
         def f(pts):
             return np.exp(-np.sum(pts * pts, axis=1))
@@ -388,3 +396,151 @@ class TestSpecValidation:
         )
         with pytest.raises(ConfigError, match="guard"):
             integrate(gaussian, two_poles_n3, spec)
+
+
+# --------------------------------------------------------------------------
+# mid region: one node set per integrate_many call
+# --------------------------------------------------------------------------
+
+
+def reference_mid_region(integrands, cfg, spec):
+    """Region (b) with the node geometry rebuilt for every integrand and
+    antithetic half: the per-integrand loop the shared node set replaced."""
+    dim = cfg.dim
+    R = spec.far_radius
+    K = len(integrands)
+    s = quadrature._strata_grid(dim, spec.mc_samples)
+    C = s**dim
+    lo_corner = -R
+    h = 2.0 * R / s
+    cell_vol = h**dim
+    grid = np.stack(
+        np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    pairs = max(2, spec.mc_samples // (2 * C))
+    rng = np.random.Generator(
+        np.random.Philox(key=spec.seed ^ quadrature._REGION_MID)
+    )
+    core = quadrature._POLE_FADE_START * spec.pole_radius
+
+    def region_values(f, pts):
+        r0 = np.linalg.norm(pts, axis=1)
+        weight = 1.0 - quadrature._tail_partition_weight(r0, R)
+        dist = np.linalg.norm(pts[:, None, :] - cfg.poles[None, :, :], axis=2)
+        weight = weight - quadrature._pole_partition_weight(
+            dist, spec.pole_radius
+        ).sum(axis=1)
+        mask = (np.min(dist, axis=1) > core) & (weight != 0.0)
+        out = np.zeros(pts.shape[0])
+        if np.any(mask):
+            out[mask] = quadrature._eval_chunks(f.func, pts[mask]) * weight[mask]
+        return out
+
+    u = rng.random((C * pairs, dim))
+    reps = np.repeat(np.arange(C), pairs)
+    values = np.zeros(K)
+    stderrs = np.zeros(K)
+    for k, f in enumerate(integrands):
+        a = region_values(f, lo_corner + (grid[reps] + u) * h)
+        b = region_values(f, lo_corner + (grid[reps] + (1.0 - u)) * h)
+        vals = 0.5 * (a + b)
+        sums = np.bincount(reps, weights=vals, minlength=C)
+        sumsq = np.bincount(reps, weights=vals**2, minlength=C)
+        mean = sums / pairs
+        var = np.maximum(0.0, sumsq / pairs - mean**2)
+        var_mean = var / (pairs - 1)
+        values[k] = cell_vol * math.fsum(mean)
+        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_mean))
+    return values, stderrs, int(2 * C * pairs)
+
+
+def weighted_bumps(cfg, w, count):
+    """`count` integrands mu(x) * bump(x), one with an odd linear factor."""
+    gamma = 0.0 if w.is_unit else w.gamma
+    out = []
+    for k in range(count):
+        center = np.zeros(cfg.dim)
+        center[:3] = [0.4 * k - 0.3, 0.2 * k, -0.1 * k]
+        width = 0.6 + 0.15 * k
+
+        def func(pts, center=center, width=width, k=k):
+            d2 = np.sum((pts - center) ** 2, axis=1)
+            bump = np.exp(-d2 / width**2) * (1.0 + k * pts[:, 0])
+            return bump * weight_value(pts, cfg, w)
+
+        out.append(Integrand(func=func, pole_exponents=[gamma] * cfg.n_poles))
+    return out
+
+
+def assert_same_region(new, ref):
+    assert new[0].tolist() == ref[0].tolist()
+    assert new[1].tolist() == ref[1].tolist()
+    assert new[2] == ref[2]
+
+
+class TestMidRegionNodeSet:
+    @pytest.mark.parametrize("weight", ["unit_weight", "power_weight"])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_matches_per_integrand_reference(
+        self, two_poles_n3, lean_spec, weight, count, request
+    ):
+        """The shared node set gives the per-integrand loop's values and
+        standard errors bit for bit."""
+        w = request.getfixturevalue(weight)
+        integrands = weighted_bumps(two_poles_n3, w, count)
+        assert_same_region(
+            quadrature._mid_region(integrands, two_poles_n3, lean_spec),
+            reference_mid_region(integrands, two_poles_n3, lean_spec),
+        )
+
+    def test_matches_reference_with_three_poles(self, three_poles_n4, power_weight):
+        spec = QuadratureSpec(
+            pole_radius=0.6, far_radius=5.0, radial_levels=10,
+            mc_samples=80_000, seed=3,
+        )
+        integrands = weighted_bumps(three_poles_n4, power_weight, 3)
+        assert_same_region(
+            quadrature._mid_region(integrands, three_poles_n4, spec),
+            reference_mid_region(integrands, three_poles_n4, spec),
+        )
+
+    def test_matches_reference_across_worker_counts(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        import dataclasses
+
+        spec = dataclasses.replace(lean_spec, mc_samples=600_000)
+        _, halves, _, _, _ = quadrature._mid_rule(two_poles_n3, spec)
+        assert all(pts.shape[0] > quadrature.CHUNK for _, pts, _ in halves)
+        integrands = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])]
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MHARDY_WORKERS", workers)
+            new = quadrature._mid_region(integrands, two_poles_n3, spec)
+            assert_same_region(
+                new, reference_mid_region(integrands, two_poles_n3, spec)
+            )
+            runs.append(new)
+        assert_same_region(*runs)
+
+    def test_geometry_is_built_once_per_call(
+        self, two_poles_n3, lean_spec, unit_weight, monkeypatch
+    ):
+        calls = []
+        original = quadrature._tail_partition_weight
+
+        def counted(r, far_radius):
+            calls.append(r.shape)
+            return original(r, far_radius)
+
+        monkeypatch.setattr(quadrature, "_tail_partition_weight", counted)
+        counts = []
+        for count in (1, 6):
+            calls.clear()
+            integrate_many(
+                weighted_bumps(two_poles_n3, unit_weight, count),
+                two_poles_n3,
+                lean_spec,
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
