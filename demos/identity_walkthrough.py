@@ -52,7 +52,7 @@ def main() -> int:
     print(f"weight {w.kind}, K_mu = {p.k_mu:g}, c_N_mu = {p.c_n_mu:g}")
     for name, res in rows:
         print(f"  {name:<10} {res.value:14.8f}  "
-              f"+- {res.stderr + res.trunc_bound:.2e}")
+              f"+- {res.error:.2e}")
     print(f"identity residual  {identity_residual(rep, p):+.3e}  "
           f"(zero up to quadrature error)")
     ratio = hardy_ratio(rep)

@@ -1,4 +1,4 @@
-"""Command-line front end: config ingestion, experiment orchestration, reports.
+"""Command-line front end: config ingestion, report rendering, exit codes.
 
 Subcommands
 -----------
@@ -24,6 +24,11 @@ so bodies from identical config + seed are byte-identical) and JSON
 summaries.  Exit codes: 0 all checks passed, 1 a numerical check failed,
 2 usage or config error.  The environment variable MHARDY_WORKERS
 overrides the evaluation worker count.
+
+The experiment subcommands compute their records and pass/fail verdicts
+with `multipolar_hardy.experiments`; this module only reads their config
+blocks, renders the records as report rows and maps the verdict to an
+exit code.
 """
 
 from __future__ import annotations
@@ -53,37 +58,39 @@ from .errors import (
     ConfigError,
     MultipolarHardyError,
     UnboundedSuspected,
-    ZeroVMass,
 )
 from .fields import (
     cross_term_identity_gap,
     hardy_factor,
     laplacian_ratio,
     potential_v,
-    vector_field_f,
 )
 from .functionals import (
     CutoffTheta,
     GaussianBump,
     OptimalityPhi,
-    energy_report,
-    hardy_ratio,
-    identity_residual,
+    energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
 )
 from .experiments import (
+    Verdict,
     beta_sweep,
+    beta_sweep_verdict,
+    certify_verdict,
     h2_certify,
     h3_h4_certify,
-    h4_local_exponent,
     optimality_sweep,
+    optimality_verdict,
     spectral_bound,
+    spectral_verdict,
+    verify_identity,
+    verify_verdict,
 )
 from .quadrature import (
     Integrand,
     QuadratureSpec,
     integrate_many,
     integrate_pole_ball,
-    sphere_flux,
+    sphere_flux,  # unused here; mhbench/tracer.py rebinds this module attribute
     sphere_surface_measure,
 )
 
@@ -92,8 +99,6 @@ __all__ = ["RunConfig", "ReportTable", "load_run_config", "main"]
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
-
-_H4_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -120,11 +125,11 @@ class ReportTable:
     """One experiment's report: long-format rows plus a summary.
 
     Every numeric column is paired with an ``<name>_error`` column holding
-    its error estimate or the marker ``exact``.
+    its error estimate or the marker ``exact``.  The columns are the keys
+    of the first row, in order.
     """
 
     experiment: str
-    columns: tuple[str, ...]
     rows: list[dict]
     summary: dict
     passed: bool
@@ -161,7 +166,27 @@ def _parse_weight(node, path: str) -> WeightSpec:
     raise ConfigError(f"{path}.kind must be 'unit' or 'polyexp', got {kind!r}")
 
 
-_EXPERIMENT_KEYS = {"verify", "optimality", "beta_sweep", "spectral", "certify"}
+#: Keys of each ``experiments.<name>`` block with their defaults.  A float
+#: or bool default also sets the type a given value is converted to.
+_BLOCK_DEFAULTS = {
+    "verify": {"functions": None, "residual_tol": 1e-3, "ratio_slack": 0.02},
+    "optimality": {
+        "eps_list": None,
+        "R": None,
+        "slope_band": 0.15,
+        "ratio_band": 0.10,
+        "r2_min": 0.98,
+    },
+    "beta_sweep": {"beta_list": None, "function": None, "residual_tol": 1e-2},
+    "spectral": {
+        "basis": None,
+        "prefix_sizes": None,
+        "allow_truncation": False,
+        "lower_slack": 0.02,
+        "upper_band": None,
+    },
+    "certify": {"beta": None},
+}
 
 _QUAD_FIELDS = {f.name for f in dataclasses.fields(QuadratureSpec)}
 
@@ -205,7 +230,7 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
         raise ConfigError(f"bad quadrature block: {exc}") from exc
 
     experiments = _mapping(data.get("experiments", {}), "experiments")
-    _check_keys(experiments, _EXPERIMENT_KEYS, "experiments")
+    _check_keys(experiments, set(_BLOCK_DEFAULTS), "experiments")
 
     output = _mapping(data.get("output", {}), "output")
     _check_keys(output, {"directory", "formats"}, "output")
@@ -227,10 +252,8 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
     )
 
 
-def load_run_config(
-    path: str, *, seed: int | None = None, out_dir: str | None = None
-) -> RunConfig:
-    """Load a JSON run config from disk, applying CLI overrides."""
+def load_run_config(path: str, *, seed: int | None = None) -> RunConfig:
+    """Load a JSON run config from disk, applying the seed override."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -241,10 +264,7 @@ def load_run_config(
     if seed is not None:
         data = dict(_mapping(data, "<top-level>"))
         data["seed"] = seed
-    run = parse_run_config(data, source=path)
-    if out_dir is not None:
-        run.out_dir = out_dir
-    return run
+    return parse_run_config(data, source=path)
 
 
 def _parse_function(node, run: RunConfig, path: str):
@@ -300,42 +320,38 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_report(table: ReportTable, run: RunConfig | None, args) -> None:
+def write_report(table: ReportTable, run: RunConfig, args) -> None:
     """Write <experiment>.csv and <experiment>_summary.json under the out dir."""
-    out_dir = args.out or (run.out_dir if run is not None else "out")
-    formats = run.formats if run is not None else ("csv", "json")
+    out_dir = args.out or run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if "csv" in formats:
+    if "csv" in run.formats:
         path = os.path.join(out_dir, f"{table.experiment}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# command: {table.experiment}\n")
-            if run is not None:
-                fh.write(f"# config: {run.source}\n")
-                fh.write(f"# seed: {run.quadrature.seed}\n")
+            fh.write(f"# config: {run.source}\n")
+            fh.write(f"# seed: {run.quadrature.seed}\n")
             fh.write(f"# generated: {stamp}\n")
             fh.write(f"# wall_time_s: {table.wall_time_s:.3f}\n")
-            fh.write(",".join(table.columns) + "\n")
+            columns = tuple(table.rows[0])
+            fh.write(",".join(columns) + "\n")
             for row in table.rows:
-                fh.write(",".join(_fmt(row[c]) for c in table.columns) + "\n")
-        if not args.quiet:
-            print(f"wrote {path}")
-    if "json" in formats:
+                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        _emit(args, f"wrote {path}")
+    if "json" in run.formats:
         payload = {
             "command": table.experiment,
             "pass": table.passed,
             "wall_time_s": round(table.wall_time_s, 3),
             **table.summary,
+            "config": run.source,
+            "seed": run.quadrature.seed,
         }
-        if run is not None:
-            payload["config"] = run.source
-            payload["seed"] = run.quadrature.seed
         path = os.path.join(out_dir, f"{table.experiment}_summary.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
-        if not args.quiet:
-            print(f"wrote {path}")
+        _emit(args, f"wrote {path}")
 
 
 def _json_default(obj):
@@ -570,203 +586,127 @@ def cmd_selftest(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# verify
+# Experiment subcommands: compute with the library, gate with its verdicts,
+# render the records
 # --------------------------------------------------------------------------
 
-_VERIFY_COLUMNS = (
-    "function",
-    "dirichlet",
-    "dirichlet_error",
-    "v_mass",
-    "v_mass_error",
-    "w_mass",
-    "w_mass_error",
-    "l2_mass",
-    "l2_mass_error",
-    "remainder",
-    "remainder_error",
-    "flux",
-    "flux_error",
-    "identity_residual",
-    "identity_residual_error",
-    "hardy_ratio",
-    "hardy_ratio_error",
-    "truncated",
-    "residual_pass",
-    "ratio_pass",
-)
+def _load(args, name: str, *, required: bool = True) -> tuple[RunConfig, dict]:
+    """The run config and its ``experiments.<name>`` block, defaults filled in.
+
+    Unknown keys are rejected; a missing block is a config error unless
+    the subcommand needs no settings (`required` False).
+    """
+    run = load_run_config(args.config, seed=args.seed)
+    path = f"experiments.{name}"
+    if required and name not in run.experiments:
+        raise ConfigError(f"config has no {path!r} block")
+    node = _mapping(run.experiments.get(name, {}), path)
+    defaults = _BLOCK_DEFAULTS[name]
+    _check_keys(node, set(defaults), path)
+    block = {}
+    for key, default in defaults.items():
+        value = node.get(key, default)
+        if isinstance(default, (bool, float)):
+            value = type(default)(value)
+        block[key] = value
+    return run, block
 
 
-def _result_err(res) -> float:
-    return res.stderr + res.trunc_bound
+def _nonempty(block: dict, name: str, key: str) -> list:
+    if not block[key]:
+        raise ConfigError(f"experiments.{name}.{key} must be a nonempty list")
+    return block[key]
+
+
+def _finish(args, run, experiment, rows, summary, verdict: Verdict, t0, detail) -> int:
+    """Write the report, print the progress line, return the exit code."""
+    table = ReportTable(
+        experiment=experiment,
+        rows=rows,
+        summary={**summary, **verdict.summary},
+        passed=verdict.passed,
+        wall_time_s=time.perf_counter() - t0,
+    )
+    write_report(table, run, args)
+    label = experiment.replace("_", "-")
+    _emit(args, f"{label}: {'PASS' if verdict.passed else 'FAIL'} ({detail})")
+    return EXIT_OK if verdict.passed else EXIT_NUMERICAL
 
 
 def cmd_verify(args) -> int:
     """Check the integral identity and the ratio bound over a corpus."""
-    run = load_run_config(args.config, seed=args.seed, out_dir=None)
-    block = _mapping(run.experiments.get("verify"), "experiments.verify")
-    _check_keys(
-        block, {"functions", "residual_tol", "ratio_slack"}, "experiments.verify"
-    )
-    nodes = block.get("functions")
-    if not nodes:
-        raise ConfigError("experiments.verify.functions must be a nonempty list")
-    residual_tol = float(block.get("residual_tol", 1e-3))
-    ratio_slack = float(block.get("ratio_slack", 0.02))
+    run, block = _load(args, "verify")
+    nodes = _nonempty(block, "verify", "functions")
     pattern = (args.filter or "").lower()
+    functions = []
+    for idx, node in enumerate(nodes):
+        phi = _parse_function(node, run, f"experiments.verify.functions[{idx}]")
+        if pattern in _function_label(phi).lower():
+            functions.append(phi)
+    if not functions:
+        raise ConfigError(f"no verify function matches filter {args.filter!r}")
 
-    cfg, w, p, spec = run.cfg, run.weight, run.params, run.quadrature
+    cfg, p = run.cfg, run.params
     t0 = time.perf_counter()
+    records = verify_identity(cfg, run.weight, p, functions, run.quadrature)
+    verdict = verify_verdict(
+        records, p, block["residual_tol"], block["ratio_slack"]
+    )
     rows = []
-    all_ok = True
     notes = []
     if cfg.n_poles < 2:
         notes.append("single pole: V vanishes identically, ratio rows skipped")
-    for idx, node in enumerate(nodes):
-        phi = _parse_function(node, run, f"experiments.verify.functions[{idx}]")
-        label = _function_label(phi)
-        if pattern and pattern not in label.lower():
-            continue
-        borderline = (
-            isinstance(phi, OptimalityPhi)
-            and h4_local_exponent(cfg, w, p.k_mu) >= cfg.dim - _H4_TOL
-        )
-        rep = energy_report(phi, cfg, w, p, spec, allow_truncation=borderline)
-        truncated = rep.v_mass.truncated or rep.dirichlet.truncated
-        residual = identity_residual(rep, p)
-        flux, flux_err = 0.0, 0.0
-        if truncated:
-            order = 2 * cfg.dim + 6
-
-            def field(x, phi=phi):
-                v = phi.value(x)
-                return (v * v)[:, None] * vector_field_f(x, cfg, w, p.beta)
-
-            eta = rep.v_mass.eta
-            lo = sum(
-                sphere_flux(field, cfg.poles[i], eta, cfg.dim, angular_order=order)
-                for i in range(cfg.n_poles)
-            )
-            hi = sum(
-                sphere_flux(field, cfg.poles[i], eta, cfg.dim, angular_order=order + 4)
-                for i in range(cfg.n_poles)
-            )
-            flux, flux_err = hi, abs(hi - lo)
-            residual -= flux / max(rep.dirichlet.value, 1.0)
-        scale = max(rep.dirichlet.value, 1.0)
-        residual_err = (
-            _result_err(rep.dirichlet)
-            + _result_err(rep.remainder)
-            + p.c_n_mu * _result_err(rep.v_mass)
-            + _result_err(rep.w_mass)
-            + flux_err
-        ) / scale
-        residual_ok = abs(residual) <= max(residual_tol, 3.0 * residual_err)
-        try:
-            ratio = hardy_ratio(rep)
-            energy = rep.dirichlet.value + rep.w_mass.value
-            ratio_err = abs(ratio) * (
-                (_result_err(rep.dirichlet) + _result_err(rep.w_mass)) / abs(energy)
-                + _result_err(rep.v_mass) / rep.v_mass.value
-            )
-            ratio_ok = ratio >= p.c_n_mu * (1.0 - ratio_slack) - 3.0 * ratio_err
-            ratio_cell, ratio_err_cell = ratio, ratio_err
-            ratio_flag = "true" if ratio_ok else "false"
-        except ZeroVMass:
-            ratio_cell, ratio_err_cell = "nan", "nan"
-            ratio_flag = "skipped"
-            ratio_ok = True
-            if cfg.n_poles >= 2:
-                notes.append(f"{label}: V-mass indistinguishable from zero")
-        all_ok = all_ok and residual_ok and ratio_ok
+    for phi, rec, flags in zip(functions, records, verdict.rows):
+        row = {"function": _function_label(phi)}
+        for name in ("dirichlet", "v_mass", "w_mass", "l2_mass", "remainder"):
+            res = getattr(rec.report, name)
+            row[name] = res.value
+            row[f"{name}_error"] = res.error
+        zero_v = rec.hardy_ratio is None
+        if zero_v and cfg.n_poles >= 2:
+            notes.append(f"{row['function']}: V-mass indistinguishable from zero")
         rows.append(
             {
-                "function": label,
-                "dirichlet": rep.dirichlet.value,
-                "dirichlet_error": _result_err(rep.dirichlet),
-                "v_mass": rep.v_mass.value,
-                "v_mass_error": _result_err(rep.v_mass),
-                "w_mass": rep.w_mass.value,
-                "w_mass_error": _result_err(rep.w_mass),
-                "l2_mass": rep.l2_mass.value,
-                "l2_mass_error": _result_err(rep.l2_mass),
-                "remainder": rep.remainder.value,
-                "remainder_error": _result_err(rep.remainder),
-                "flux": flux,
-                "flux_error": flux_err if truncated else "exact",
-                "identity_residual": residual,
-                "identity_residual_error": residual_err,
-                "hardy_ratio": ratio_cell,
-                "hardy_ratio_error": ratio_err_cell,
-                "truncated": truncated,
-                "residual_pass": "true" if residual_ok else "false",
-                "ratio_pass": ratio_flag,
+                **row,
+                "flux": rec.flux,
+                "flux_error": rec.flux_error if rec.truncated else "exact",
+                "identity_residual": rec.residual,
+                "identity_residual_error": rec.residual_error,
+                "hardy_ratio": "nan" if zero_v else rec.hardy_ratio,
+                "hardy_ratio_error": "nan" if zero_v else rec.ratio_error,
+                "truncated": rec.truncated,
+                **flags,
             }
         )
-    if not rows:
-        raise ConfigError(f"no verify function matches filter {args.filter!r}")
-    table = ReportTable(
-        experiment="verify",
-        columns=_VERIFY_COLUMNS,
-        rows=rows,
-        summary={
-            "functions": len(rows),
-            "residual_tol": residual_tol,
-            "ratio_floor": p.c_n_mu * (1.0 - ratio_slack),
-            "c_n_mu": p.c_n_mu,
-            "worst_abs_residual": max(abs(r["identity_residual"]) for r in rows),
-            "notes": notes,
-        },
-        passed=all_ok,
-        wall_time_s=time.perf_counter() - t0,
+    summary = {
+        "functions": len(rows),
+        "residual_tol": block["residual_tol"],
+        "c_n_mu": p.c_n_mu,
+        "worst_abs_residual": max(abs(r.residual) for r in records),
+        "notes": notes,
+    }
+    return _finish(
+        args, run, "verify", rows, summary, verdict, t0, f"{len(rows)} functions"
     )
-    write_report(table, run, args)
-    _emit(args, f"verify: {'PASS' if all_ok else 'FAIL'} ({len(rows)} functions)")
-    return EXIT_OK if all_ok else EXIT_NUMERICAL
-
-
-# --------------------------------------------------------------------------
-# optimality
-# --------------------------------------------------------------------------
-
-_OPTIMALITY_COLUMNS = (
-    "eps",
-    "eps_error",
-    "remainder",
-    "remainder_error",
-    "hardy_ratio",
-    "hardy_ratio_error",
-    "deficit",
-    "deficit_error",
-    "flux",
-    "flux_error",
-    "truncated",
-)
 
 
 def cmd_optimality(args) -> int:
     """Sharpness sweep: remainder decay rate and terminal Hardy ratio."""
-    run = load_run_config(args.config, seed=args.seed, out_dir=None)
-    block = _mapping(run.experiments.get("optimality"), "experiments.optimality")
-    _check_keys(
-        block,
-        {"eps_list", "R", "slope_band", "ratio_band", "r2_min"},
-        "experiments.optimality",
-    )
-    eps_list = block.get("eps_list")
-    radius = block.get("R")
-    slope_band = float(block.get("slope_band", 0.15))
-    ratio_band = float(block.get("ratio_band", 0.10))
-    r2_min = float(block.get("r2_min", 0.98))
+    run, block = _load(args, "optimality")
+    radius = block["R"]
+    p = run.params
 
     t0 = time.perf_counter()
     records, fit = optimality_sweep(
         run.cfg,
         run.weight,
-        run.params,
-        eps_list,
+        p,
+        block["eps_list"],
         run.quadrature,
         R=None if radius is None else float(radius),
+    )
+    verdict = optimality_verdict(
+        records, fit, p, block["slope_band"], block["ratio_band"], block["r2_min"]
     )
     rows = [
         {
@@ -784,293 +724,132 @@ def cmd_optimality(args) -> int:
         }
         for r in records
     ]
-    p = run.params
-    finite = math.isfinite(fit.predicted_slope)
-    if finite:
-        tol = slope_band * max(abs(fit.predicted_slope), 1.0)
-        slope_ok = abs(fit.slope - fit.predicted_slope) <= tol
-        r2_ok = fit.r_squared >= r2_min
-    else:
-        slope_ok = r2_ok = True
     last = records[-1]
-    ratio_ok = (
-        last.hardy_ratio <= p.c_n_mu * (1.0 + ratio_band) + 3.0 * last.ratio_error
-        and last.hardy_ratio >= p.c_n_mu * (1.0 - 0.02) - 3.0 * last.ratio_error
+    finite = math.isfinite(fit.predicted_slope)
+    summary = {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "r_squared": fit.r_squared,
+        "predicted_slope": fit.predicted_slope if finite else "inf",
+        "points_used": fit.points_used,
+        "ratio_at_smallest_eps": last.hardy_ratio,
+        "c_n_mu": p.c_n_mu,
+    }
+    detail = (
+        f"slope {fit.slope:.4g} vs {fit.predicted_slope:.4g}, "
+        f"ratio {last.hardy_ratio:.6g} vs c {p.c_n_mu:.6g}"
     )
-    passed = slope_ok and r2_ok and ratio_ok
-    table = ReportTable(
-        experiment="optimality",
-        columns=_OPTIMALITY_COLUMNS,
-        rows=rows,
-        summary={
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "predicted_slope": fit.predicted_slope if finite else "inf",
-            "points_used": fit.points_used,
-            "slope_pass": slope_ok if finite else "skipped",
-            "r2_pass": r2_ok if finite else "skipped",
-            "ratio_at_smallest_eps": last.hardy_ratio,
-            "c_n_mu": p.c_n_mu,
-            "ratio_pass": ratio_ok,
-        },
-        passed=passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_report(table, run, args)
-    _emit(
-        args,
-        f"optimality: {'PASS' if passed else 'FAIL'} "
-        f"(slope {fit.slope:.4g} vs {fit.predicted_slope:.4g}, "
-        f"ratio {last.hardy_ratio:.6g} vs c {p.c_n_mu:.6g})",
-    )
-    return EXIT_OK if passed else EXIT_NUMERICAL
-
-
-# --------------------------------------------------------------------------
-# beta-sweep
-# --------------------------------------------------------------------------
-
-_BETA_COLUMNS = (
-    "beta",
-    "beta_error",
-    "coefficient",
-    "coefficient_error",
-    "identity_residual",
-    "identity_residual_error",
-    "residual_pass",
-)
+    return _finish(args, run, "optimality", rows, summary, verdict, t0, detail)
 
 
 def cmd_beta_sweep(args) -> int:
     """General-exponent identity residuals and the companion vertex."""
-    run = load_run_config(args.config, seed=args.seed, out_dir=None)
-    block = _mapping(run.experiments.get("beta_sweep"), "experiments.beta_sweep")
-    _check_keys(
-        block, {"beta_list", "function", "residual_tol"}, "experiments.beta_sweep"
-    )
-    betas = block.get("beta_list")
-    if not betas:
-        raise ConfigError("experiments.beta_sweep.beta_list must be a nonempty list")
-    phi = _parse_function(
-        block.get("function"), run, "experiments.beta_sweep.function"
-    )
-    residual_tol = float(block.get("residual_tol", 1e-2))
+    run, block = _load(args, "beta_sweep")
+    betas = _nonempty(block, "beta_sweep", "beta_list")
+    phi = _parse_function(block["function"], run, "experiments.beta_sweep.function")
+    residual_tol = block["residual_tol"]
+    k_mu = run.params.k_mu
 
     t0 = time.perf_counter()
-    result = beta_sweep(
-        run.cfg, run.weight, run.params.k_mu, betas, phi, run.quadrature
-    )
-    rows = []
-    residual_ok = True
-    for rec in result.records:
-        ok = abs(rec.residual) <= residual_tol
-        residual_ok = residual_ok and ok
-        rows.append(
-            {
-                "beta": rec.beta,
-                "beta_error": "exact",
-                "coefficient": rec.coefficient,
-                "coefficient_error": "exact",
-                "identity_residual": rec.residual,
-                "identity_residual_error": residual_tol,
-                "residual_pass": "true" if ok else "false",
-            }
-        )
-    grid = sorted(r.beta for r in result.records)
-    step = max(
-        (b2 - b1 for b1, b2 in zip(grid, grid[1:])), default=0.0
-    )
-    argmax_ok = abs(result.argmax_beta - result.vertex_beta) <= step + 1e-12
-    n = run.cfg.n_poles
-    shift = run.cfg.dim + run.params.k_mu - 2.0
-    vertex_formula = shift * shift / (4.0 * n)
-    vertex_ok = abs(result.vertex_value - vertex_formula) <= 1e-12
-    passed = residual_ok and argmax_ok and vertex_ok
-    table = ReportTable(
-        experiment="beta_sweep",
-        columns=_BETA_COLUMNS,
-        rows=rows,
-        summary={
-            "argmax_beta": result.argmax_beta,
-            "vertex_beta": result.vertex_beta,
-            "grid_step": step,
-            "argmax_within_one_step": argmax_ok,
-            "max_coefficient": result.max_coefficient,
-            "vertex_value": result.vertex_value,
-            "vertex_formula_gap": abs(result.vertex_value - vertex_formula),
-            "residual_tol": residual_tol,
-            "residuals_pass": residual_ok,
-        },
-        passed=passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_report(table, run, args)
-    _emit(
-        args,
-        f"beta-sweep: {'PASS' if passed else 'FAIL'} "
-        f"(argmax {result.argmax_beta:.6g}, vertex {result.vertex_beta:.6g})",
-    )
-    return EXIT_OK if passed else EXIT_NUMERICAL
-
-
-# --------------------------------------------------------------------------
-# spectral
-# --------------------------------------------------------------------------
-
-_SPECTRAL_COLUMNS = (
-    "basis_size",
-    "basis_size_error",
-    "rank",
-    "rank_error",
-    "lambda_min",
-    "lambda_min_error",
-    "lambda_over_c",
-    "lambda_over_c_error",
-)
+    result = beta_sweep(run.cfg, run.weight, k_mu, betas, phi, run.quadrature)
+    verdict = beta_sweep_verdict(result, run.cfg, k_mu, residual_tol)
+    rows = [
+        {
+            "beta": rec.beta,
+            "beta_error": "exact",
+            "coefficient": rec.coefficient,
+            "coefficient_error": "exact",
+            "identity_residual": rec.residual,
+            "identity_residual_error": residual_tol,
+            **flags,
+        }
+        for rec, flags in zip(result.records, verdict.rows)
+    ]
+    summary = {
+        "argmax_beta": result.argmax_beta,
+        "vertex_beta": result.vertex_beta,
+        "max_coefficient": result.max_coefficient,
+        "vertex_value": result.vertex_value,
+        "residual_tol": residual_tol,
+    }
+    detail = f"argmax {result.argmax_beta:.6g}, vertex {result.vertex_beta:.6g}"
+    return _finish(args, run, "beta_sweep", rows, summary, verdict, t0, detail)
 
 
 def cmd_spectral(args) -> int:
     """Finite-span spectral bound over growing basis prefixes."""
-    run = load_run_config(args.config, seed=args.seed, out_dir=None)
-    block = _mapping(run.experiments.get("spectral"), "experiments.spectral")
-    _check_keys(
-        block,
-        {"basis", "prefix_sizes", "allow_truncation", "lower_slack", "upper_band"},
-        "experiments.spectral",
-    )
-    nodes = block.get("basis")
-    if not nodes:
-        raise ConfigError("experiments.spectral.basis must be a nonempty list")
+    run, block = _load(args, "spectral")
     basis = [
         _parse_function(node, run, f"experiments.spectral.basis[{i}]")
-        for i, node in enumerate(nodes)
+        for i, node in enumerate(_nonempty(block, "spectral", "basis"))
     ]
-    sizes = block.get("prefix_sizes") or [len(basis)]
-    sizes = sorted({int(s) for s in sizes})
+    sizes = sorted({int(s) for s in block["prefix_sizes"] or [len(basis)]})
     if sizes[0] < 1 or sizes[-1] > len(basis):
         raise ConfigError(
             f"prefix_sizes must lie in 1..{len(basis)}, got {sizes}"
         )
-    allow_truncation = bool(block.get("allow_truncation", False))
-    lower_slack = float(block.get("lower_slack", 0.02))
-    upper_band = block.get("upper_band")
 
     cfg, w, p, spec = run.cfg, run.weight, run.params, run.quadrature
     t0 = time.perf_counter()
-    rows = []
-    monotone = True
-    prev = None
-    last = None
-    for size in sizes:
-        res = spectral_bound(
-            cfg, w, p, basis[:size], spec, allow_truncation=allow_truncation
+    results = [
+        spectral_bound(
+            cfg, w, p, basis[:size], spec, allow_truncation=block["allow_truncation"]
         )
-        if prev is not None and res.lambda_min > prev + 1e-10:
-            monotone = False
-        prev = res.lambda_min
-        last = res
-        rows.append(
-            {
-                "basis_size": res.basis_size,
-                "basis_size_error": "exact",
-                "rank": res.rank,
-                "rank_error": "exact",
-                "lambda_min": res.lambda_min,
-                "lambda_min_error": res.lambda_error,
-                "lambda_over_c": res.lambda_min / p.c_n_mu,
-                "lambda_over_c_error": res.lambda_error / p.c_n_mu,
-            }
-        )
-    lower_ok = last.lambda_min >= p.c_n_mu * (1.0 - lower_slack) - 3.0 * last.lambda_error
-    upper_ok = True
-    if upper_band is not None:
-        upper_ok = last.lambda_min <= p.c_n_mu * (1.0 + float(upper_band)) + (
-            3.0 * last.lambda_error
-        )
-    passed = monotone and lower_ok and upper_ok
-    table = ReportTable(
-        experiment="spectral",
-        columns=_SPECTRAL_COLUMNS,
-        rows=rows,
-        summary={
-            "lambda_min": last.lambda_min,
-            "lambda_error": last.lambda_error,
-            "c_n_mu": p.c_n_mu,
-            "lambda_over_c": last.lambda_min / p.c_n_mu,
-            "rank": last.rank,
-            "monotone": monotone,
-            "lower_pass": lower_ok,
-            "upper_pass": upper_ok if upper_band is not None else "skipped",
-            "witness": [float(v) for v in last.witness],
-        },
-        passed=passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_report(table, run, args)
-    _emit(
-        args,
-        f"spectral: {'PASS' if passed else 'FAIL'} "
-        f"(lambda_min {last.lambda_min:.6g}, c {p.c_n_mu:.6g})",
-    )
-    return EXIT_OK if passed else EXIT_NUMERICAL
-
-
-# --------------------------------------------------------------------------
-# certify
-# --------------------------------------------------------------------------
-
-_CERTIFY_COLUMNS = (
-    "record",
-    "pole",
-    "parameter",
-    "value",
-    "value_error",
-    "status",
-)
+        for size in sizes
+    ]
+    verdict = spectral_verdict(results, p, block["lower_slack"], block["upper_band"])
+    rows = [
+        {
+            "basis_size": res.basis_size,
+            "basis_size_error": "exact",
+            "rank": res.rank,
+            "rank_error": "exact",
+            "lambda_min": res.lambda_min,
+            "lambda_min_error": res.lambda_error,
+            "lambda_over_c": res.lambda_min / p.c_n_mu,
+            "lambda_over_c_error": res.lambda_error / p.c_n_mu,
+        }
+        for res in results
+    ]
+    last = results[-1]
+    summary = {
+        "lambda_min": last.lambda_min,
+        "lambda_error": last.lambda_error,
+        "c_n_mu": p.c_n_mu,
+        "lambda_over_c": last.lambda_min / p.c_n_mu,
+        "rank": last.rank,
+        "witness": [float(v) for v in last.witness],
+    }
+    detail = f"lambda_min {last.lambda_min:.6g}, c {p.c_n_mu:.6g}"
+    return _finish(args, run, "spectral", rows, summary, verdict, t0, detail)
 
 
 def cmd_certify(args) -> int:
     """Certify the weight hypotheses for the configured problem."""
-    run = load_run_config(args.config, seed=args.seed, out_dir=None)
-    block = _mapping(run.experiments.get("certify", {}), "experiments.certify")
-    _check_keys(block, {"beta"}, "experiments.certify")
+    run, block = _load(args, "certify", required=False)
     cfg, w, p = run.cfg, run.weight, run.params
-    beta = float(block.get("beta", p.beta))
+    beta = p.beta if block["beta"] is None else float(block["beta"])
 
     t0 = time.perf_counter()
-    rows = []
-    h2_ok = True
     h2_note = ""
-    c_mu_est = None
-    max_point = None
+    c_mu_est = max_point = None
     try:
         c_mu_est, max_point = h2_certify(cfg, w, beta, p.k_mu, run.quadrature)
-        rows.append(
-            {
-                "record": "h2_c_mu",
-                "pole": "",
-                "parameter": beta,
-                "value": c_mu_est,
-                "value_error": 0.05 * abs(c_mu_est),
-                "status": "bounded",
-            }
-        )
     except UnboundedSuspected as exc:
-        h2_ok = False
         h2_note = str(exc)
-        rows.append(
-            {
-                "record": "h2_c_mu",
-                "pole": "",
-                "parameter": beta,
-                "value": "nan",
-                "value_error": "nan",
-                "status": "unbounded_suspected",
-            }
-        )
-
+    unbounded = c_mu_est is None
+    rows = [
+        {
+            "record": "h2_c_mu",
+            "pole": "",
+            "parameter": beta,
+            "value": "nan" if unbounded else c_mu_est,
+            "value_error": "nan" if unbounded else 0.05 * abs(c_mu_est),
+            "status": "unbounded_suspected" if unbounded else "bounded",
+        }
+    ]
     report = h3_h4_certify(cfg, w, p.k_mu)
+    verdict = certify_verdict(c_mu_est, report)
     for i in range(cfg.n_poles):
         for k, delta in enumerate(report.h3_deltas):
             rows.append(
@@ -1103,42 +882,22 @@ def cmd_certify(args) -> int:
             "status": "bounded" if report.h4ii_pass else "fail",
         }
     )
-    passed = (
-        h2_ok
-        and report.h3_pass
-        and report.h4i_status in ("strict", "borderline")
-        and report.h4ii_pass
-    )
     summary = {
         "beta": beta,
         "k_mu": p.k_mu,
-        "c_mu_estimate": c_mu_est if h2_ok else "nan",
-        "h2_pass": h2_ok,
+        "c_mu_estimate": "nan" if unbounded else c_mu_est,
         "h2_note": h2_note,
-        "h3_pass": report.h3_pass,
         "h4i_status": report.h4i_status,
         "h4i_exponent": report.h4i_exponent,
-        "h4ii_pass": report.h4ii_pass,
         "h4ii_decay": report.h4ii_decay,
     }
     if max_point is not None:
         summary["h2_argmax_point"] = [float(v) for v in max_point]
-    table = ReportTable(
-        experiment="certify",
-        columns=_CERTIFY_COLUMNS,
-        rows=rows,
-        summary=summary,
-        passed=passed,
-        wall_time_s=time.perf_counter() - t0,
+    detail = (
+        f"C_mu {summary['c_mu_estimate']}, H3 {report.h3_pass}, "
+        f"H4i {report.h4i_status}, H4ii {report.h4ii_pass}"
     )
-    write_report(table, run, args)
-    _emit(
-        args,
-        f"certify: {'PASS' if passed else 'FAIL'} "
-        f"(C_mu {summary['c_mu_estimate']}, H3 {report.h3_pass}, "
-        f"H4i {report.h4i_status}, H4ii {report.h4ii_pass})",
-    )
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    return _finish(args, run, "certify", rows, summary, verdict, t0, detail)
 
 
 # --------------------------------------------------------------------------

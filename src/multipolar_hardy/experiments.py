@@ -1,7 +1,9 @@
 """Headline experiments: sharpness sweeps, identity surfaces, spectra.
 
-Four families of runnable evidence:
+Five families of runnable evidence:
 
+* `verify_identity` measures the integral identity and the Hardy ratio
+  over a corpus of test functions;
 * `optimality_sweep` drives the near-optimal test functions toward the
   sharp constant and fits the decay rate of the remainder;
 * `beta_sweep` traces the general-exponent identity and the concave
@@ -11,6 +13,11 @@ Four families of runnable evidence:
 * `h2_certify` / `h3_h4_certify` sample the weight hypotheses that the
   theorems assume, since the underlying constants are not tabulated
   anywhere and must be validated per configuration.
+
+Each family has a verdict function (`verify_verdict`,
+`optimality_verdict`, `beta_sweep_verdict`, `spectral_verdict`,
+`certify_verdict`) that applies the pass/fail gates to the records above,
+so every caller reads the same gates.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import (
     SinglePole,
     SingularGram,
     UnboundedSuspected,
+    ZeroVMass,
 )
 from .fields import potential_v, potential_w, vector_field_f, weight_value
 from .functionals import (
@@ -58,20 +66,29 @@ from .quadrature import (
 )
 
 __all__ = [
+    "IdentityRecord",
     "SweepRecord",
     "RateFit",
     "BetaRecord",
     "BetaSweepResult",
     "SpectralResult",
     "HypothesisReport",
+    "Verdict",
     "DEFAULT_EPS_GRID",
     "h4_local_exponent",
+    "h4i_status",
+    "verify_identity",
     "fit_remainder_rate",
     "optimality_sweep",
     "beta_sweep",
     "spectral_bound",
     "h2_certify",
     "h3_h4_certify",
+    "verify_verdict",
+    "optimality_verdict",
+    "beta_sweep_verdict",
+    "spectral_verdict",
+    "certify_verdict",
 ]
 
 #: Geometric cutoff-parameter grid, intersected with the admissibility
@@ -83,6 +100,25 @@ DEFAULT_EPS_GRID = tuple(0.4 * 2.0**-k for k in range(6))
 _REGION_CERTIFY = 29
 
 _H4_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class IdentityRecord:
+    """Energies of one test function with its identity residual and ratio.
+
+    `flux` closes the identity when the energies were truncated (it is 0
+    otherwise); `hardy_ratio` and `ratio_error` are None when the V-mass
+    is indistinguishable from zero.
+    """
+
+    report: EnergyReport
+    residual: float
+    residual_error: float
+    flux: float
+    flux_error: float
+    truncated: bool
+    hardy_ratio: float | None
+    ratio_error: float | None
 
 
 @dataclass(frozen=True)
@@ -223,8 +259,26 @@ def h4_local_exponent(cfg: PoleConfig, w: WeightSpec, k_mu: float) -> float:
     return (2.0 / n) * (cfg.dim + k_mu - 2.0) + 2.0 + gamma
 
 
-def _result_error(res) -> float:
-    return res.stderr + res.trunc_bound
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one experiment's gates: whether all passed, the global
+    gates by name (``"skipped"`` where one does not apply), and one dict
+    of per-record flags for each record."""
+
+    passed: bool
+    summary: dict
+    rows: tuple[dict, ...] = ()
+
+
+def h4i_status(cfg: PoleConfig, w: WeightSpec, k_mu: float) -> str:
+    """H4 i) from the margin ``N - p`` of the local exponent: ``"strict"``,
+    ``"borderline"`` (equality up to rounding) or ``"fail"``."""
+    margin = cfg.dim - h4_local_exponent(cfg, w, k_mu)
+    if margin > _H4_TOL:
+        return "strict"
+    if margin >= -_H4_TOL:
+        return "borderline"
+    return "fail"
 
 
 def _sweep_flux(phi: OptimalityPhi, cfg, w, beta, eta) -> tuple[float, float]:
@@ -250,6 +304,58 @@ def _sweep_flux(phi: OptimalityPhi, cfg, w, beta, eta) -> tuple[float, float]:
         for i in range(cfg.n_poles)
     ]
     return math.fsum(hi), abs(math.fsum(hi) - math.fsum(lo))
+
+
+def verify_identity(
+    cfg: PoleConfig, w: WeightSpec, p: HardyParams, functions, spec: QuadratureSpec
+) -> list[IdentityRecord]:
+    """Energy report, identity residual and Hardy ratio of each function.
+
+    Optimality candidates on a configuration that does not satisfy H4 i)
+    strictly are integrated with inner truncation; the identity is then
+    closed by the outward flux through the excised pole spheres.
+    """
+    truncate = h4i_status(cfg, w, p.k_mu) != "strict"
+    records = []
+    for phi in functions:
+        allow = truncate and isinstance(phi, OptimalityPhi)
+        rep = energy_report(phi, cfg, w, p, spec, allow_truncation=allow)
+        truncated = rep.v_mass.truncated or rep.dirichlet.truncated
+        residual = identity_residual(rep, p)
+        flux, flux_error = 0.0, 0.0
+        if truncated:
+            flux, flux_error = _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
+            residual -= flux / max(rep.dirichlet.value, 1.0)
+        residual_error = (
+            rep.dirichlet.error
+            + rep.remainder.error
+            + p.c_n_mu * rep.v_mass.error
+            + rep.w_mass.error
+            + flux_error
+        ) / max(rep.dirichlet.value, 1.0)
+        try:
+            ratio = hardy_ratio(rep)
+        except ZeroVMass:
+            ratio = ratio_error = None
+        else:
+            energy = rep.dirichlet.value + rep.w_mass.value
+            ratio_error = abs(ratio) * (
+                (rep.dirichlet.error + rep.w_mass.error) / abs(energy)
+                + rep.v_mass.error / rep.v_mass.value
+            )
+        records.append(
+            IdentityRecord(
+                report=rep,
+                residual=residual,
+                residual_error=residual_error,
+                flux=flux,
+                flux_error=flux_error,
+                truncated=truncated,
+                hardy_ratio=ratio,
+                ratio_error=ratio_error,
+            )
+        )
+    return records
 
 
 def optimality_sweep(
@@ -315,22 +421,19 @@ def optimality_sweep(
     if sorted(eps_values, reverse=True) != eps_values:
         raise ConfigError("eps_list must be decreasing")
 
-    pexp = h4_local_exponent(cfg, w, p.k_mu)
-    if pexp > cfg.dim + _H4_TOL:
+    if h4i_status(cfg, w, p.k_mu) == "fail":
+        pexp = h4_local_exponent(cfg, w, p.k_mu)
         raise NonIntegrableSingularity(
             f"optimality candidate has local exponent {pexp:.6g} > N = "
             f"{cfg.dim}; hypothesis H4 i) fails for this configuration"
         )
-    borderline = pexp >= cfg.dim - _H4_TOL
 
+    phis = [OptimalityPhi(cfg=cfg, R=R, eps=eps, beta=p.beta) for eps in eps_values]
     records = []
-    for eps in eps_values:
-        phi = OptimalityPhi(cfg=cfg, R=R, eps=eps, beta=p.beta)
-        rep = energy_report(phi, cfg, w, p, spec, allow_truncation=borderline)
-        truncated = rep.v_mass.truncated or rep.dirichlet.truncated
-        flux, flux_error = 0.0, 0.0
-        if truncated:
-            flux, flux_error = _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
+    for eps, rec in zip(eps_values, verify_identity(cfg, w, p, phis, spec)):
+        if rec.hardy_ratio is None:
+            raise ZeroVMass(f"optimality candidate at eps = {eps:g} has no V-mass")
+        rep = rec.report
         deficit = math.fsum(
             [
                 rep.dirichlet.value,
@@ -339,29 +442,20 @@ def optimality_sweep(
             ]
         )
         deficit_error = (
-            _result_error(rep.dirichlet)
-            + _result_error(rep.w_mass)
-            + p.c_n_mu * _result_error(rep.v_mass)
-        )
-        ratio = hardy_ratio(rep)
-        energy = rep.dirichlet.value + rep.w_mass.value
-        ratio_error = abs(ratio) * (
-            (_result_error(rep.dirichlet) + _result_error(rep.w_mass))
-            / abs(energy)
-            + _result_error(rep.v_mass) / rep.v_mass.value
+            rep.dirichlet.error + rep.w_mass.error + p.c_n_mu * rep.v_mass.error
         )
         records.append(
             SweepRecord(
                 eps=eps,
                 remainder=rep.remainder.value,
-                remainder_error=_result_error(rep.remainder),
-                hardy_ratio=ratio,
-                ratio_error=ratio_error,
+                remainder_error=rep.remainder.error,
+                hardy_ratio=rec.hardy_ratio,
+                ratio_error=rec.ratio_error,
                 deficit=deficit,
                 deficit_error=deficit_error,
-                flux=flux,
-                flux_error=flux_error,
-                truncated=truncated,
+                flux=rec.flux,
+                flux_error=rec.flux_error,
+                truncated=rec.truncated,
             )
         )
 
@@ -535,8 +629,8 @@ def spectral_bound(
         ra, rb = results[2 * k], results[2 * k + 1]
         a_mat[i, j] = a_mat[j, i] = ra.value
         b_mat[i, j] = b_mat[j, i] = rb.value
-        a_err[i, j] = a_err[j, i] = ra.stderr + ra.trunc_bound
-        b_err[i, j] = b_err[j, i] = rb.stderr + rb.trunc_bound
+        a_err[i, j] = a_err[j, i] = ra.error
+        b_err[i, j] = b_err[j, i] = rb.error
 
     evals, evecs = scipy.linalg.eigh(b_mat)
     top = evals[-1]
@@ -695,7 +789,7 @@ def h3_h4_certify(
                 exponent=max(gamma, 0.0),
             )
             values[i, k] = res.value / d**2
-            errors[i, k] = (res.stderr + res.trunc_bound) / d**2
+            errors[i, k] = res.error / d**2
     # The scaled masses behave like delta^(N - 2 - gamma); demand strict
     # decrease plus real progress over the seven halvings (the progress
     # factor 0.9 tolerates exponents as small as 0.02).
@@ -706,13 +800,6 @@ def h3_h4_certify(
 
     # --- H4 i): local exponent bookkeeping -------------------------------
     pexp = h4_local_exponent(cfg, w, k_mu)
-    margin = dim - pexp
-    if margin > _H4_TOL:
-        h4i_status = "strict"
-    elif margin >= -_H4_TOL:
-        h4i_status = "borderline"
-    else:
-        h4i_status = "fail"
 
     # --- H4 ii): far-field power domination ------------------------------
     decay = far_field_decay_exponent(cfg, w)
@@ -747,9 +834,110 @@ def h3_h4_certify(
         h3_values=values,
         h3_errors=errors,
         h4i_exponent=pexp,
-        h4i_margin=margin,
-        h4i_status=h4i_status,
+        h4i_margin=dim - pexp,
+        h4i_status=h4i_status(cfg, w, k_mu),
         h4ii_pass=h4ii_pass,
         h4ii_decay=decay,
         h4ii_sup=h4ii_sup,
     )
+
+
+# --------------------------------------------------------------------------
+# Verdicts: the pass/fail gates of each experiment.  Every gate widens its
+# tolerance by three combined error bars where an error estimate exists.
+# --------------------------------------------------------------------------
+
+
+def verify_verdict(records, p: HardyParams, residual_tol, ratio_slack) -> Verdict:
+    """Per record: residual within ``max(residual_tol, 3 err)``; Hardy ratio
+    above ``c (1 - ratio_slack)``, skipped where the V-mass is zero."""
+    floor = p.c_n_mu * (1.0 - ratio_slack)
+    rows = []
+    for rec in records:
+        residual_ok = abs(rec.residual) <= max(residual_tol, 3.0 * rec.residual_error)
+        ratio_ok = "skipped"
+        if rec.hardy_ratio is not None:
+            ratio_ok = rec.hardy_ratio >= floor - 3.0 * rec.ratio_error
+        rows.append({"residual_pass": residual_ok, "ratio_pass": ratio_ok})
+    passed = all(r["residual_pass"] and r["ratio_pass"] for r in rows)
+    return Verdict(passed, {"ratio_floor": floor}, tuple(rows))
+
+
+def optimality_verdict(
+    records, fit: RateFit, p: HardyParams, slope_band, ratio_band, r2_min
+) -> Verdict:
+    """Fitted slope within ``slope_band * max(|predicted|, 1)`` and
+    ``r^2 >= r2_min`` (both skipped without a finite predicted rate);
+    ratio at the smallest eps in ``[c (1 - 0.02), c (1 + ratio_band)]``."""
+    finite = math.isfinite(fit.predicted_slope)
+    if finite:
+        tol = slope_band * max(abs(fit.predicted_slope), 1.0)
+        slope_ok = abs(fit.slope - fit.predicted_slope) <= tol
+        r2_ok = fit.r_squared >= r2_min
+    else:
+        slope_ok = r2_ok = True
+    last = records[-1]
+    ratio_ok = (
+        last.hardy_ratio <= p.c_n_mu * (1.0 + ratio_band) + 3.0 * last.ratio_error
+        and last.hardy_ratio >= p.c_n_mu * (1.0 - 0.02) - 3.0 * last.ratio_error
+    )
+    summary = {
+        "slope_pass": slope_ok if finite else "skipped",
+        "r2_pass": r2_ok if finite else "skipped",
+        "ratio_pass": ratio_ok,
+    }
+    return Verdict(slope_ok and r2_ok and ratio_ok, summary)
+
+
+def beta_sweep_verdict(result: BetaSweepResult, cfg, k_mu, residual_tol) -> Verdict:
+    """Every residual within `residual_tol`; grid argmax within one grid step
+    of the vertex; vertex value ``(N + K_mu - 2)^2 / (4n)`` to 1e-12."""
+    rows = tuple(
+        {"residual_pass": bool(abs(rec.residual) <= residual_tol)}
+        for rec in result.records
+    )
+    residual_ok = all(r["residual_pass"] for r in rows)
+    grid = sorted(r.beta for r in result.records)
+    step = max((b2 - b1 for b1, b2 in zip(grid, grid[1:])), default=0.0)
+    argmax_ok = abs(result.argmax_beta - result.vertex_beta) <= step + 1e-12
+    shift = cfg.dim + k_mu - 2.0
+    gap = abs(result.vertex_value - shift * shift / (4.0 * cfg.n_poles))
+    summary = {
+        "grid_step": step,
+        "argmax_within_one_step": argmax_ok,
+        "vertex_formula_gap": gap,
+        "residuals_pass": residual_ok,
+    }
+    return Verdict(residual_ok and argmax_ok and gap <= 1e-12, summary, rows)
+
+
+def spectral_verdict(results, p: HardyParams, lower_slack, upper_band) -> Verdict:
+    """Bounds non-increasing along the prefixes (to 1e-10); last bound above
+    ``c (1 - lower_slack)`` and, if `upper_band` is set, below
+    ``c (1 + upper_band)``."""
+    monotone = not any(
+        b.lambda_min > a.lambda_min + 1e-10 for a, b in zip(results, results[1:])
+    )
+    last = results[-1]
+    lower = p.c_n_mu * (1.0 - lower_slack) - 3.0 * last.lambda_error
+    lower_ok = last.lambda_min >= lower
+    upper_ok = True
+    if upper_band is not None:
+        upper_ok = last.lambda_min <= p.c_n_mu * (1.0 + float(upper_band)) + (
+            3.0 * last.lambda_error
+        )
+    summary = {
+        "monotone": monotone,
+        "lower_pass": lower_ok,
+        "upper_pass": upper_ok if upper_band is not None else "skipped",
+    }
+    return Verdict(monotone and lower_ok and upper_ok, summary)
+
+
+def certify_verdict(c_mu_estimate, report: HypothesisReport) -> Verdict:
+    """H2 (`c_mu_estimate` is None when W looked unbounded), H3, H4 i)
+    strict or borderline, and H4 ii)."""
+    h2_ok = c_mu_estimate is not None
+    h3_ok, h4ii_ok = report.h3_pass, report.h4ii_pass
+    passed = h2_ok and h3_ok and report.h4i_status != "fail" and h4ii_ok
+    return Verdict(passed, {"h2_pass": h2_ok, "h3_pass": h3_ok, "h4ii_pass": h4ii_ok})

@@ -163,6 +163,11 @@ class IntegralResult:
     truncated: bool = False
     eta: float = 0.0
 
+    @property
+    def error(self) -> float:
+        """Combined error estimate ``stderr + trunc_bound``."""
+        return self.stderr + self.trunc_bound
+
 
 def sphere_surface_measure(dim: int) -> float:
     """Surface measure of the unit sphere: omega_N = 2 pi^(N/2) / Gamma(N/2)."""

@@ -8,13 +8,22 @@ config, every numeric column has a ``*_error`` companion, and floats carry
 """
 
 import json
+import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from multipolar_hardy import ConfigError
+from multipolar_hardy import (
+    ConfigError,
+    PoleConfig,
+    QuadratureSpec,
+    WeightSpec,
+    derive_params,
+    optimality_sweep,
+)
 from multipolar_hardy.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -22,6 +31,9 @@ from multipolar_hardy.cli import (
     main,
     parse_run_config,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def base_config(tmp_path, **overrides) -> dict:
@@ -144,11 +156,17 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["verify", "--config", str(path)]) == EXIT_USAGE
 
-    def test_missing_experiment_block(self, tmp_path):
+    def test_missing_experiment_block(self, tmp_path, capsys):
         data = base_config(tmp_path)
         del data["experiments"]["verify"]
         path = write_config(tmp_path, data)
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
+        # the shipped poly-exponential config has no spectral block
+        shipped = str(REPO / "configs" / "polyexp_n3_two_poles.json")
+        capsys.readouterr()
+        assert main(["spectral", "--config", shipped, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config has no 'experiments.spectral' block" in err
 
     def test_verify_passes_on_valid_config(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))
@@ -259,6 +277,58 @@ class TestReports:
         assert any("single pole" in note for note in summary["notes"])
         body = csv_body(tmp_path / "out" / "verify.csv")
         assert "skipped" in body
+
+    def test_truncated_flux_matches_the_sweep(self, tmp_path):
+        """A borderline optimality candidate in verify is closed by the same
+        flux, and carries the same ratio, as the sharpness sweep's record."""
+        data = base_config(tmp_path)
+        data["quadrature"].update(radial_levels=20, mc_samples=20_000, seed=1234)
+        data["experiments"]["verify"]["functions"] = [
+            {"kind": "optimality_phi", "R": 1.0, "eps": 0.2}
+        ]
+        path = write_config(tmp_path, data)
+        main(["verify", "--config", path, "--quiet"])
+        header, cells = csv_body(tmp_path / "out" / "verify.csv").splitlines()
+        row = dict(zip(header.split(","), cells.split(",")))
+        assert row["truncated"] == "true"
+
+        cfg = PoleConfig(dim=3, poles=data["problem"]["poles"])
+        spec = QuadratureSpec(**data["quadrature"])
+        p = derive_params(cfg, 0.0)
+        (rec,), _ = optimality_sweep(
+            cfg, WeightSpec.unit(), p, [0.2], spec, R=1.0, fit=False
+        )
+        assert float(row["flux"]) == rec.flux
+        assert float(row["flux_error"]) == rec.flux_error
+        assert float(row["hardy_ratio"]) == rec.hardy_ratio
+        assert float(row["hardy_ratio_error"]) == rec.ratio_error
+
+    @pytest.mark.parametrize("command", ["verify", "certify"])
+    @pytest.mark.parametrize(
+        "config, reports",
+        [("unit_n3_two_poles", "unit_n3"), ("polyexp_n3_two_poles", "polyexp_n3")],
+    )
+    def test_shipped_reports_match(self, tmp_path, command, config, reports):
+        """The committed reports under out/ are what the code writes now."""
+        path = str(REPO / "configs" / f"{config}.json")
+        assert main([command, "--config", path, "--quiet", "--out", str(tmp_path)]) \
+            == EXIT_OK
+        fresh = csv_body(tmp_path / f"{command}.csv").splitlines()
+        committed = csv_body(REPO / "out" / reports / f"{command}.csv").splitlines()
+        assert len(fresh) == len(committed)
+        for new_line, old_line in zip(fresh, committed):
+            new_cells, old_cells = new_line.split(","), old_line.split(",")
+            assert len(new_cells) == len(old_cells)
+            for new, old in zip(new_cells, old_cells):
+                try:
+                    old_value = float(old)
+                except ValueError:
+                    old_value = math.nan
+                if math.isnan(old_value):
+                    assert new == old
+                else:
+                    tol = 1e-9 * max(1.0, abs(old_value))
+                    assert abs(float(new) - old_value) <= tol, (new, old)
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))

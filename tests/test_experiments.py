@@ -35,6 +35,21 @@ from multipolar_hardy import (
     spectral_bound,
     sphere_surface_measure,
 )
+from multipolar_hardy.experiments import (
+    BetaRecord,
+    BetaSweepResult,
+    HypothesisReport,
+    IdentityRecord,
+    RateFit,
+    SpectralResult,
+    SweepRecord,
+    beta_sweep_verdict,
+    certify_verdict,
+    h4i_status,
+    optimality_verdict,
+    spectral_verdict,
+    verify_verdict,
+)
 
 
 def bump_basis(count: int, dim: int, seed: int = 3) -> list[GaussianBump]:
@@ -334,3 +349,181 @@ class TestH3H4Certify:
         assert h4_local_exponent(
             three_poles_n4, WeightSpec.unit(), 0.0
         ) == pytest.approx((2 / 3) * 2 + 2)
+
+
+# --------------------------------------------------------------------------
+# verdicts: the gates on hand-built records (no quadrature)
+# --------------------------------------------------------------------------
+
+
+class TestVerdicts:
+    """Each verdict passes on good records and fails when one gate breaks."""
+
+    @pytest.fixture
+    def p(self, two_poles_n3):
+        return derive_params(two_poles_n3, 0.0)  # c = 1/4
+
+    @staticmethod
+    def identity(residual=0.0, residual_error=1e-4, ratio=0.3, ratio_error=1e-3):
+        return IdentityRecord(
+            report=None,
+            residual=residual,
+            residual_error=residual_error,
+            flux=0.0,
+            flux_error=0.0,
+            truncated=False,
+            hardy_ratio=ratio,
+            ratio_error=None if ratio is None else ratio_error,
+        )
+
+    def test_verify(self, p):
+        good = verify_verdict([self.identity(), self.identity(5e-4)], p, 1e-3, 0.02)
+        assert good.passed
+        assert good.summary == {"ratio_floor": 0.25 * 0.98}
+        assert good.rows == (
+            {"residual_pass": True, "ratio_pass": True},
+            {"residual_pass": True, "ratio_pass": True},
+        )
+        # the residual tolerance widens to three error bars
+        assert verify_verdict([self.identity(2e-3, 1e-3)], p, 1e-3, 0.02).passed
+        bad_residual = verify_verdict([self.identity(2e-3)], p, 1e-3, 0.02)
+        assert not bad_residual.passed
+        assert bad_residual.rows[0]["residual_pass"] is False
+        bad_ratio = verify_verdict([self.identity(ratio=0.2)], p, 1e-3, 0.02)
+        assert not bad_ratio.passed
+        assert bad_ratio.rows[0] == {"residual_pass": True, "ratio_pass": False}
+
+    def test_verify_zero_v_mass_is_skipped(self, p):
+        verdict = verify_verdict([self.identity(ratio=None)], p, 1e-3, 0.02)
+        assert verdict.passed
+        assert verdict.rows[0]["ratio_pass"] == "skipped"
+
+    @staticmethod
+    def sweep(ratio, ratio_error=1e-3):
+        return SweepRecord(
+            eps=0.05,
+            remainder=1e-3,
+            remainder_error=1e-6,
+            hardy_ratio=ratio,
+            ratio_error=ratio_error,
+            deficit=1e-3,
+            deficit_error=1e-6,
+        )
+
+    def test_optimality(self, p):
+        fit = RateFit(
+            slope=1.05, intercept=0.0, r_squared=0.99, predicted_slope=1.0,
+            points_used=5,
+        )
+        records = [self.sweep(0.3), self.sweep(0.26)]
+        good = optimality_verdict(records, fit, p, 0.15, 0.10, 0.98)
+        assert good.passed
+        assert good.summary == {
+            "slope_pass": True, "r2_pass": True, "ratio_pass": True
+        }
+        steep = dataclasses.replace(fit, slope=1.3)
+        assert optimality_verdict(records, steep, p, 0.15, 0.10, 0.98).summary[
+            "slope_pass"
+        ] is False
+        loose = dataclasses.replace(fit, r_squared=0.9)
+        assert not optimality_verdict(records, loose, p, 0.15, 0.10, 0.98).passed
+        # the terminal ratio must land in [c (1 - 0.02), c (1 + ratio_band)]
+        for ratio in (0.3, 0.244):
+            verdict = optimality_verdict(
+                [self.sweep(ratio, 1e-4)], fit, p, 0.15, 0.10, 0.98
+            )
+            assert verdict.summary["ratio_pass"] is False
+            assert not verdict.passed
+
+    def test_optimality_infinite_rate_is_skipped(self, p):
+        fit = RateFit(
+            slope=40.0, intercept=0.0, r_squared=0.1, predicted_slope=math.inf,
+            points_used=4,
+        )
+        verdict = optimality_verdict([self.sweep(0.26)], fit, p, 0.15, 0.10, 0.98)
+        assert verdict.passed
+        assert verdict.summary["slope_pass"] == "skipped"
+        assert verdict.summary["r2_pass"] == "skipped"
+
+    def test_beta_sweep(self, two_poles_n3):
+        # N = 3, K = 0, n = 2: vertex at 1/4 with value 1/8
+        records = tuple(
+            BetaRecord(beta=b, coefficient=b - 2 * b * b, residual=1e-3)
+            for b in (0.1, 0.2, 0.3, 0.4)
+        )
+        result = BetaSweepResult(
+            records=records, argmax_beta=0.3, max_coefficient=0.12,
+            vertex_beta=0.25, vertex_value=0.125,
+        )
+        good = beta_sweep_verdict(result, two_poles_n3, 0.0, 1e-2)
+        assert good.passed
+        assert good.rows == ({"residual_pass": True},) * 4
+        assert good.summary["argmax_within_one_step"] is True
+        assert good.summary["grid_step"] == pytest.approx(0.1)
+        assert good.summary["vertex_formula_gap"] == 0.0
+        loud = dataclasses.replace(records[3], residual=0.5)
+        noisy = dataclasses.replace(result, records=records[:3] + (loud,))
+        bad = beta_sweep_verdict(noisy, two_poles_n3, 0.0, 1e-2)
+        assert not bad.passed and bad.rows[3] == {"residual_pass": False}
+        assert bad.summary["residuals_pass"] is False
+        far = dataclasses.replace(result, argmax_beta=0.4)
+        assert not beta_sweep_verdict(far, two_poles_n3, 0.0, 1e-2).passed
+        off = dataclasses.replace(result, vertex_value=0.125 + 1e-9)
+        off_verdict = beta_sweep_verdict(off, two_poles_n3, 0.0, 1e-2)
+        assert not off_verdict.passed
+        assert off_verdict.summary["residuals_pass"] is True
+
+    @staticmethod
+    def spectral(lam, err=1e-4):
+        return SpectralResult(
+            basis_size=1, lambda_min=lam, lambda_error=err,
+            witness=np.ones(1), rank=1,
+        )
+
+    def test_spectral(self, p):
+        good = spectral_verdict(
+            [self.spectral(0.30), self.spectral(0.27)], p, 0.02, 0.15
+        )
+        assert good.passed
+        assert good.summary == {
+            "monotone": True, "lower_pass": True, "upper_pass": True
+        }
+        rising = spectral_verdict(
+            [self.spectral(0.27), self.spectral(0.28)], p, 0.02, 0.15
+        )
+        assert not rising.passed and rising.summary["monotone"] is False
+        low = spectral_verdict([self.spectral(0.24)], p, 0.02, 0.15)
+        assert not low.passed and low.summary["lower_pass"] is False
+        high = spectral_verdict([self.spectral(0.30)], p, 0.02, 0.15)
+        assert not high.passed and high.summary["upper_pass"] is False
+
+    def test_spectral_without_upper_band_is_skipped(self, p):
+        verdict = spectral_verdict([self.spectral(0.30)], p, 0.02, None)
+        assert verdict.passed
+        assert verdict.summary["upper_pass"] == "skipped"
+
+    def test_certify(self):
+        report = HypothesisReport(
+            h3_pass=True, h3_deltas=np.ones(1), h3_values=np.ones((2, 1)),
+            h3_errors=np.zeros((2, 1)), h4i_exponent=3.0, h4i_margin=0.0,
+            h4i_status="borderline", h4ii_pass=True, h4ii_decay=0.0, h4ii_sup=1.0,
+        )
+        good = certify_verdict(0.0, report)
+        assert good.passed
+        assert good.summary == {"h2_pass": True, "h3_pass": True, "h4ii_pass": True}
+        strict = dataclasses.replace(report, h4i_status="strict")
+        assert certify_verdict(0.0, strict).passed
+        unbounded = certify_verdict(None, report)
+        assert not unbounded.passed and unbounded.summary["h2_pass"] is False
+        for change in (
+            {"h3_pass": False}, {"h4i_status": "fail"}, {"h4ii_pass": False}
+        ):
+            broken = dataclasses.replace(report, **change)
+            assert not certify_verdict(0.0, broken).passed
+
+    def test_h4i_status(self, two_poles_n3, three_poles_n4):
+        unit, power = WeightSpec.unit(), WeightSpec.polyexp(gamma=0.5)
+        assert h4i_status(two_poles_n3, unit, 0.0) == "borderline"
+        assert h4i_status(two_poles_n3, power, -0.6) == "strict"
+        assert h4i_status(two_poles_n3, unit, 0.5) == "fail"
+        assert h4i_status(three_poles_n4, unit, 0.0) == "strict"
