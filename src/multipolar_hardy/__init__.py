@@ -91,6 +91,7 @@ from .functionals import (
     energy_report,
     hardy_ratio,
     identity_residual,
+    identity_residual_error,
     max_admissible_eps,
 )
 from .experiments import (
@@ -172,6 +173,7 @@ __all__ = [
     "max_admissible_eps",
     "energy_report",
     "identity_residual",
+    "identity_residual_error",
     "hardy_ratio",
     "beta_identity_check",
     # experiments

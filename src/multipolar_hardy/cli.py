@@ -150,6 +150,21 @@ def _mapping(node, path: str) -> dict:
     return node
 
 
+_REQUIRED = object()
+
+
+def _number(node: dict, key: str, path: str, default=_REQUIRED):
+    """``node[key]`` as a float, or `default` when the key is absent."""
+    value = node.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required key '{path}.{key}'")
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{path}.{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_weight(node, path: str) -> WeightSpec:
     node = _mapping(node, path)
     kind = node.get("kind")
@@ -159,15 +174,16 @@ def _parse_weight(node, path: str) -> WeightSpec:
     if kind == "polyexp":
         _check_keys(node, {"kind", "gamma", "delta", "m"}, path)
         return WeightSpec.polyexp(
-            gamma=float(node.get("gamma", 0.0)),
-            delta=float(node.get("delta", 0.0)),
-            m=float(node.get("m", 2.0)),
+            gamma=_number(node, "gamma", path, 0.0),
+            delta=_number(node, "delta", path, 0.0),
+            m=_number(node, "m", path, 2.0),
         )
     raise ConfigError(f"{path}.kind must be 'unit' or 'polyexp', got {kind!r}")
 
 
 #: Keys of each ``experiments.<name>`` block with their defaults.  A float
-#: or bool default also sets the type a given value is converted to.
+#: or bool default also sets the type a given value must have; the keys in
+#: `_OPTIONAL_NUMBERS` must be numbers when they are given.
 _BLOCK_DEFAULTS = {
     "verify": {"functions": None, "residual_tol": 1e-3, "ratio_slack": 0.02},
     "optimality": {
@@ -187,6 +203,7 @@ _BLOCK_DEFAULTS = {
     },
     "certify": {"beta": None},
 }
+_OPTIONAL_NUMBERS = {"R", "upper_band", "beta"}
 
 _QUAD_FIELDS = {f.name for f in dataclasses.fields(QuadratureSpec)}
 
@@ -215,8 +232,8 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
     cfg = PoleConfig(dim=dim, poles=poles)
     weight = _parse_weight(prob.get("weight", {"kind": "unit"}), "problem.weight")
     validate_config(cfg, weight)
-    k_mu = float(prob["k_mu"])
-    c_mu = float(prob.get("c_mu", 0.0))
+    k_mu = _number(prob, "k_mu", "problem")
+    c_mu = _number(prob, "c_mu", "problem", 0.0)
     params = derive_params(cfg, k_mu, c_mu)
 
     quad = dict(_mapping(data["quadrature"], "quadrature"))
@@ -274,21 +291,20 @@ def _parse_function(node, run: RunConfig, path: str):
     cfg, p = run.cfg, run.params
     if kind == "gaussian_bump":
         _check_keys(node, {"kind", "center", "width"}, path)
-        center = np.asarray(node["center"], dtype=float)
+        center = np.asarray(node.get("center"), dtype=float)
         if center.shape != (cfg.dim,):
             raise ConfigError(f"{path}.center must have length {cfg.dim}")
-        return GaussianBump(center=center, width=float(node["width"]))
+        return GaussianBump(center=center, width=_number(node, "width", path))
     if kind == "cutoff_theta":
         _check_keys(node, {"kind", "R", "eps"}, path)
-        return CutoffTheta(R=float(node["R"]), eps=float(node["eps"]))
+        return CutoffTheta(R=_number(node, "R", path), eps=_number(node, "eps", path))
     if kind == "optimality_phi":
         _check_keys(node, {"kind", "R", "eps", "beta"}, path)
-        if "R" in node:
-            radius = float(node["R"])
-        else:
+        radius = _number(node, "R", path, None)
+        if radius is None:
             radius = enclosing_radius(cfg, min_pole_gap(cfg))
-        beta = float(node.get("beta", p.beta))
-        return OptimalityPhi(cfg=cfg, R=radius, eps=float(node["eps"]), beta=beta)
+        eps, beta = _number(node, "eps", path), _number(node, "beta", path, p.beta)
+        return OptimalityPhi(cfg=cfg, R=radius, eps=eps, beta=beta)
     raise ConfigError(
         f"{path}.kind must be gaussian_bump/cutoff_theta/optimality_phi, got {kind!r}"
     )
@@ -606,8 +622,11 @@ def _load(args, name: str, *, required: bool = True) -> tuple[RunConfig, dict]:
     block = {}
     for key, default in defaults.items():
         value = node.get(key, default)
-        if isinstance(default, (bool, float)):
-            value = type(default)(value)
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"'{path}.{key}' must be a boolean, got {value!r}")
+        elif isinstance(default, float) or key in _OPTIONAL_NUMBERS:
+            value = _number(node, key, path, default)
         block[key] = value
     return run, block
 
@@ -693,7 +712,6 @@ def cmd_verify(args) -> int:
 def cmd_optimality(args) -> int:
     """Sharpness sweep: remainder decay rate and terminal Hardy ratio."""
     run, block = _load(args, "optimality")
-    radius = block["R"]
     p = run.params
 
     t0 = time.perf_counter()
@@ -703,7 +721,7 @@ def cmd_optimality(args) -> int:
         p,
         block["eps_list"],
         run.quadrature,
-        R=None if radius is None else float(radius),
+        R=block["R"],
     )
     verdict = optimality_verdict(
         records, fit, p, block["slope_band"], block["ratio_band"], block["r2_min"]
@@ -760,7 +778,7 @@ def cmd_beta_sweep(args) -> int:
             "coefficient": rec.coefficient,
             "coefficient_error": "exact",
             "identity_residual": rec.residual,
-            "identity_residual_error": residual_tol,
+            "identity_residual_error": rec.residual_error,
             **flags,
         }
         for rec, flags in zip(result.records, verdict.rows)
@@ -783,7 +801,12 @@ def cmd_spectral(args) -> int:
         _parse_function(node, run, f"experiments.spectral.basis[{i}]")
         for i, node in enumerate(_nonempty(block, "spectral", "basis"))
     ]
-    sizes = sorted({int(s) for s in block["prefix_sizes"] or [len(basis)]})
+    sizes = block["prefix_sizes"] or [len(basis)]
+    if not isinstance(sizes, list) or not all(type(s) is int for s in sizes):
+        raise ConfigError(
+            f"'experiments.spectral.prefix_sizes' must be integers, got {sizes!r}"
+        )
+    sizes = sorted(set(sizes))
     if sizes[0] < 1 or sizes[-1] > len(basis):
         raise ConfigError(
             f"prefix_sizes must lie in 1..{len(basis)}, got {sizes}"
@@ -828,7 +851,7 @@ def cmd_certify(args) -> int:
     """Certify the weight hypotheses for the configured problem."""
     run, block = _load(args, "certify", required=False)
     cfg, w, p = run.cfg, run.weight, run.params
-    beta = p.beta if block["beta"] is None else float(block["beta"])
+    beta = p.beta if block["beta"] is None else block["beta"]
 
     t0 = time.perf_counter()
     h2_note = ""
@@ -848,7 +871,7 @@ def cmd_certify(args) -> int:
             "status": "unbounded_suspected" if unbounded else "bounded",
         }
     ]
-    report = h3_h4_certify(cfg, w, p.k_mu)
+    report = h3_h4_certify(cfg, w, p.k_mu, run.quadrature.seed)
     verdict = certify_verdict(c_mu_est, report)
     for i in range(cfg.n_poles):
         for k, delta in enumerate(report.h3_deltas):

@@ -55,6 +55,7 @@ from .functionals import (
     energy_report,
     hardy_ratio,
     identity_residual,
+    identity_residual_error,
     max_admissible_eps,
 )
 from .quadrature import (
@@ -166,11 +167,13 @@ class RateFit:
 
 @dataclass(frozen=True)
 class BetaRecord:
-    """One row of the general-exponent sweep."""
+    """One row of the general-exponent sweep: the inverse-square
+    coefficient, and the identity residual with its error estimate."""
 
     beta: float
     coefficient: float
     residual: float
+    residual_error: float
 
 
 @dataclass(frozen=True)
@@ -322,17 +325,13 @@ def verify_identity(
         rep = energy_report(phi, cfg, w, p, spec, allow_truncation=allow)
         truncated = rep.v_mass.truncated or rep.dirichlet.truncated
         residual = identity_residual(rep, p)
+        residual_error = identity_residual_error(rep, p)
         flux, flux_error = 0.0, 0.0
         if truncated:
             flux, flux_error = _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
-            residual -= flux / max(rep.dirichlet.value, 1.0)
-        residual_error = (
-            rep.dirichlet.error
-            + rep.remainder.error
-            + p.c_n_mu * rep.v_mass.error
-            + rep.w_mass.error
-            + flux_error
-        ) / max(rep.dirichlet.value, 1.0)
+            scale = max(rep.dirichlet.value, 1.0)
+            residual -= flux / scale
+            residual_error += flux_error / scale
         try:
             ratio = hardy_ratio(rep)
         except ZeroVMass:
@@ -507,10 +506,9 @@ def beta_sweep(
     Every ``beta > 0`` satisfies the identity; the interesting structure
     is the concave coefficient of the inverse-square mass, whose vertex
     yields the companion constant.  The residual column demonstrates the
-    identity numerically at each grid point.
+    identity numerically at each grid point, from the energy report at
+    that exponent.
     """
-    from .functionals import beta_identity_check
-
     validate_config(cfg, w)
     betas = [float(b) for b in beta_list]
     if not betas:
@@ -521,8 +519,15 @@ def beta_sweep(
     records = []
     for b in betas:
         coeff = b * shift - n * b * b
-        residual = beta_identity_check(phi, b, cfg, w, p, spec)
-        records.append(BetaRecord(beta=b, coefficient=coeff, residual=residual))
+        rep = energy_report(phi, cfg, w, p, spec, beta=b)
+        records.append(
+            BetaRecord(
+                beta=b,
+                coefficient=coeff,
+                residual=identity_residual(rep, p),
+                residual_error=identity_residual_error(rep, p),
+            )
+        )
     best = max(records, key=lambda r: r.coefficient)
     return BetaSweepResult(
         records=tuple(records),
@@ -756,7 +761,7 @@ def h2_certify(
 
 
 def h3_h4_certify(
-    cfg: PoleConfig, w: WeightSpec, k_mu: float
+    cfg: PoleConfig, w: WeightSpec, k_mu: float, seed: int
 ) -> HypothesisReport:
     """Certify the density hypothesis H3 and the optimality pair H4.
 
@@ -764,6 +769,7 @@ def h3_h4_certify(
     quadratic rescaling decays; H4 i) is exponent bookkeeping at the
     poles; H4 ii) bounds the weight by a power far from the poles and
     checks the exponent inequality that the sharpness proof consumes.
+    The H4 ii) sample directions are drawn from a stream keyed by `seed`.
     """
     validate_config(cfg, w)
     gamma = 0.0 if w.is_unit else w.gamma
@@ -814,7 +820,7 @@ def h3_h4_certify(
         # radii beyond twice the outermost pole, where the cutoff annulus
         # lives.  The sup must stabilize across the outer decades.
         rng = np.random.Generator(
-            np.random.Philox(key=np.uint64(7 ^ _REGION_CERTIFY))
+            np.random.Philox(key=np.uint64(seed ^ _REGION_CERTIFY))
         )
         base = 2.0 * max(float(np.max(np.linalg.norm(cfg.poles, axis=1))), 1.0)
         radii = base * np.logspace(0.0, 6.0, 400)

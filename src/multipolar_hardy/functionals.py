@@ -1,20 +1,26 @@
-"""Test functions and energy functionals for the multipolar Hardy identity.
+"""Test functions and the energy ledger for the multipolar Hardy identity.
 
 This module supplies the concrete test functions the identity is probed
 with (smooth bumps, radial cutoffs, and the near-optimal singular family)
-and computes the five energy integrals
+and one energy ledger, `energy_report`, which computes at an exponent
+``beta > 0`` of the comparison factor ``f = prod_i |x - a_i|^-beta``
 
-    dirichlet = integral |grad phi|^2 dmu      v_mass = integral V phi^2 dmu
-    w_mass    = integral W phi^2 dmu           l2_mass = integral phi^2 dmu
-    remainder = integral |grad(phi/f)|^2 f^2 dmu
+    dirichlet   = integral |grad phi|^2 dmu     v_mass  = integral V phi^2 dmu
+    w_mass      = integral W_beta phi^2 dmu     l2_mass = integral phi^2 dmu
+    remainder   = integral |grad(phi/f)|^2 f^2 dmu
+    inv_sq_mass = integral sum_i |x - a_i|^-2 phi^2 dmu
 
-on shared quadrature nodes, together with the residual of the exact
+on shared quadrature nodes.  Every ``beta > 0`` satisfies the general
 integral identity
 
-    dirichlet = remainder + c * v_mass - w_mass
+    dirichlet = remainder + [beta (N + K_mu - 2) - n beta^2] * inv_sq_mass
+                + beta^2 * v_mass - w_mass,
 
-that holds at the optimal exponent beta = (N + K_mu - 2)/n, and its
-general-beta extension.
+whose bracket vanishes at the optimal exponent ``beta = (N + K_mu - 2)/n``;
+there the identity reads ``dirichlet = remainder + c * v_mass - w_mass``
+and the inverse-square mass is not integrated.  `identity_residual` and
+`identity_residual_error` evaluate the identity and its error estimate
+from the ledger alone.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HardyParams, PoleConfig, WeightSpec, validate_config
-from .errors import ConfigError, EpsilonInadmissible, ZeroVMass
+from .errors import ConfigError, EpsilonInadmissible, NonpositiveBeta, ZeroVMass
 from .fields import (
     _as_batch,
     hardy_factor,
@@ -50,6 +56,7 @@ __all__ = [
     "EnergyReport",
     "energy_report",
     "identity_residual",
+    "identity_residual_error",
     "hardy_ratio",
     "beta_identity_check",
     "max_admissible_eps",
@@ -238,7 +245,7 @@ def max_admissible_eps(cfg: PoleConfig, R: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """The five energy integrals of one test function, with error estimates.
+    """The energy integrals of one test function at one exponent.
 
     Attributes
     ----------
@@ -247,12 +254,20 @@ class EnergyReport:
     v_mass : IntegralResult
         ``integral V phi^2 dmu``; zero when there is a single pole.
     w_mass : IntegralResult
-        ``integral W phi^2 dmu``.
+        ``integral W phi^2 dmu`` with W built at `beta`.
     l2_mass : IntegralResult
         ``integral phi^2 dmu``.
     remainder : IntegralResult
-        ``integral |grad(phi/f)|^2 f^2 dmu``, the nonnegative defect that
-        closes the integral identity.
+        ``integral |grad(phi/f)|^2 f^2 dmu`` with ``f`` at exponent
+        `beta`, the nonnegative defect that closes the integral identity.
+    beta : float
+        Exponent of the comparison factor ``f = prod_i |x - a_i|^-beta``.
+    inv_sq_coefficient : float
+        ``beta (N + K_mu - 2) - n beta^2``, the weight of `inv_sq_mass` in
+        the general identity; it vanishes at the optimal exponent.
+    inv_sq_mass : IntegralResult or None
+        ``integral sum_i |x - a_i|^-2 phi^2 dmu``; None at the optimal
+        exponent, where its coefficient vanishes.
     """
 
     dirichlet: IntegralResult
@@ -260,19 +275,59 @@ class EnergyReport:
     w_mass: IntegralResult
     l2_mass: IntegralResult
     remainder: IntegralResult
+    beta: float
+    inv_sq_coefficient: float
+    inv_sq_mass: IntegralResult | None = None
 
 
-def _mass_integrands(phi, cfg, w, p, beta):
-    """Dirichlet, V-, W-, and L2-mass integrands with pole exponents.
+def energy_report(
+    phi: TestFunction,
+    cfg: PoleConfig,
+    w: WeightSpec,
+    p: HardyParams,
+    spec: QuadratureSpec,
+    *,
+    beta: float | None = None,
+    allow_truncation: bool = False,
+) -> EnergyReport:
+    """Compute the energy integrals of `phi` at exponent `beta` on shared nodes.
 
-    The returned exponents are per-pole upper bounds on the integrand
-    singularity: phi^2 contributes ``2 sigma`` (sigma = phi's singularity
-    exponent), the gradient adds 2 when phi is singular, the potentials add
-    2, and the weight adds gamma at every pole.
+    All integrals are evaluated by one `integrate_many` call over one
+    common node set, so differences between them carry correlated rather
+    than independent quadrature noise.  The inverse-square mass is only
+    integrated away from the optimal exponent ``p.beta``, since its
+    coefficient vanishes there.  For an `OptimalityPhi` whose own exponent
+    is `beta` the remainder integrand reduces analytically to
+    ``|grad theta_eps|^2 f^2 mu`` (because phi/f is the cutoff itself),
+    which is supported on the cutoff annulus only and is integrated there
+    by a deterministic product rule.
+
+    Parameters
+    ----------
+    phi : TestFunction
+        Test function to report on.
+    cfg, w, p : PoleConfig, WeightSpec, HardyParams
+        Pole geometry, weight, and derived constants.
+    spec : QuadratureSpec
+        Quadrature discretization.
+    beta : float, optional
+        Exponent of the comparison factor ``f``; defaults to ``p.beta``.
+    allow_truncation : bool, optional
+        Permit borderline non-integrable singularities; the affected
+        integrals are then reported over the truncated domain with their
+        ``truncated`` flag set.
+
+    Raises
+    ------
+    NonpositiveBeta
+        If ``beta <= 0``.
+    NonIntegrableSingularity
+        If any integrand fails the local integrability check.
     """
-    gamma = 0.0 if w.is_unit else w.gamma
-    sigma = phi.pole_singularity
-    n = cfg.n_poles
+    beta = p.beta if beta is None else float(beta)
+    if not beta > 0:
+        raise NonpositiveBeta(f"beta must be positive, got {beta}")
+    validate_config(cfg, w)
     w_params = dataclasses.replace(p, beta=beta)
 
     def mu(x):
@@ -292,84 +347,49 @@ def _mass_integrands(phi, cfg, w, p, beta):
     def w_mass(x):
         return potential_w(x, cfg, w, w_params) * phi2_mu(x)
 
-    grad_exp = 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)
-    funcs = [dirichlet, v_mass, w_mass, phi2_mu]
-    exps = [
-        [grad_exp] * n,
-        [2.0 * sigma + 2.0 + gamma] * n,
-        [2.0 * sigma + 2.0 + gamma] * n,
-        [2.0 * sigma + gamma] * n,
+    def remainder(x):
+        g = phi.gradient(x)
+        v = phi.value(x)
+        _, grad_ratio = hardy_factor(x, cfg, beta)
+        d = g - v[:, None] * grad_ratio
+        return np.einsum("ij,ij->i", d, d) * mu(x)
+
+    def inv_sq_mass(x):
+        pts, _ = _as_batch(x, cfg.dim)
+        diffs = pts[:, None, :] - cfg.poles[None, :, :]
+        inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
+        return inv.sum(axis=1) * phi2_mu(pts)
+
+    # Per-pole singularity exponents: phi^2 contributes 2 sigma, the
+    # gradient adds 2 when phi is singular, the potentials add 2, and the
+    # weight adds gamma.
+    sigma = phi.pole_singularity
+    gamma = 0.0 if w.is_unit else w.gamma
+    mass_exp = 2.0 * sigma + 2.0 + gamma
+    table = [
+        ("dirichlet", dirichlet, 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)),
+        ("v_mass", v_mass, mass_exp),
+        ("w_mass", w_mass, mass_exp),
+        ("l2_mass", phi2_mu, 2.0 * sigma + gamma),
     ]
-    names = ["dirichlet", "v_mass", "w_mass", "l2_mass"]
-    return funcs, exps, names, phi2_mu, mu
-
-
-def energy_report(
-    phi: TestFunction,
-    cfg: PoleConfig,
-    w: WeightSpec,
-    p: HardyParams,
-    spec: QuadratureSpec,
-    *,
-    allow_truncation: bool = False,
-) -> EnergyReport:
-    """Compute all five energy integrals of `phi` on shared nodes.
-
-    The four mass integrals are evaluated by `integrate_many` over one
-    common node set, so differences between them carry correlated rather
-    than independent quadrature noise.  For `OptimalityPhi` the remainder
-    integrand reduces analytically to ``|grad theta_eps|^2 f^2 mu``
-    (because phi/f is the cutoff itself), which is supported on the cutoff
-    annulus only and is integrated there by a deterministic product rule.
-
-    Parameters
-    ----------
-    phi : TestFunction
-        Test function to report on.
-    cfg, w, p : PoleConfig, WeightSpec, HardyParams
-        Pole geometry, weight, and derived constants (``p.beta`` is the
-        exponent of the comparison factor ``f``).
-    spec : QuadratureSpec
-        Quadrature discretization.
-    allow_truncation : bool, optional
-        Permit borderline non-integrable singularities; the affected
-        integrals are then reported over the truncated domain with their
-        ``truncated`` flag set.
-
-    Raises
-    ------
-    NonIntegrableSingularity
-        If any integrand fails the local integrability check.
-    """
-    validate_config(cfg, w)
-    funcs, exps, names, phi2_mu, mu = _mass_integrands(phi, cfg, w, p, p.beta)
-
-    reduced = isinstance(phi, OptimalityPhi) and phi.beta == p.beta
+    reduced = isinstance(phi, OptimalityPhi) and phi.beta == beta
     if not reduced:
-        gamma = exps[1][0] - 2.0 * phi.pole_singularity - 2.0
-
-        def general_remainder(x):
-            g = phi.gradient(x)
-            v = phi.value(x)
-            _, grad_ratio = hardy_factor(x, cfg, p.beta)
-            d = g - v[:, None] * grad_ratio
-            return np.einsum("ij,ij->i", d, d) * mu(x)
-
-        funcs.append(general_remainder)
-        exps.append([2.0 * phi.pole_singularity + 2.0 + gamma] * cfg.n_poles)
-        names.append("remainder")
-
+        table.append(("remainder", remainder, mass_exp))
+    if beta != p.beta:
+        table.append(("inv_sq_mass", inv_sq_mass, mass_exp))
     integrands = [
         Integrand(
             func=f,
-            pole_exponents=e,
+            pole_exponents=[e] * cfg.n_poles,
             support_radius=phi.support_radius,
             allow_truncation=allow_truncation,
-            name=nm,
+            name=name,
         )
-        for f, e, nm in zip(funcs, exps, names)
+        for name, f, e in table
     ]
-    results = integrate_many(integrands, cfg, spec)
+    results = {
+        f.name: r for f, r in zip(integrands, integrate_many(integrands, cfg, spec))
+    }
 
     if reduced:
         theta = phi._theta
@@ -379,45 +399,59 @@ def energy_report(
             f, _ = hardy_factor(x, cfg, phi.beta)
             return np.einsum("ij,ij->i", g, g) * f * f * weight_value(x, cfg, w)
 
-        rem = integrate_radial_annulus(
+        results["remainder"] = integrate_radial_annulus(
             annulus_remainder,
             cfg.dim,
             phi.R / phi.eps,
             2.0 * phi.R / phi.eps,
             radial_order=spec.radial_order,
         )
-    else:
-        rem = results[4]
 
-    return EnergyReport(
-        dirichlet=results[0],
-        v_mass=results[1],
-        w_mass=results[2],
-        l2_mass=results[3],
-        remainder=rem,
-    )
+    coefficient = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
+    return EnergyReport(beta=beta, inv_sq_coefficient=coefficient, **results)
+
+
+def _identity_terms(report: EnergyReport, p: HardyParams):
+    """(coefficient, integral) pairs of ``dirichlet - right-hand side``."""
+    if report.inv_sq_mass is None:
+        middle = [(-p.c_n_mu, report.v_mass)]
+    else:
+        middle = [
+            (-report.inv_sq_coefficient, report.inv_sq_mass),
+            (-(report.beta**2), report.v_mass),
+        ]
+    return [(1.0, report.dirichlet), (-1.0, report.remainder), *middle,
+            (1.0, report.w_mass)]
 
 
 def identity_residual(report: EnergyReport, p: HardyParams) -> float:
-    """Normalized residual of the exact integral identity.
+    """Normalized residual of the general integral identity.
 
-    At the optimal exponent the identity reads
+    For every exponent ``beta > 0`` the identity
 
-        dirichlet = remainder + c * v_mass - w_mass,
+        dirichlet = remainder
+                    + [beta (N + K_mu - 2) - n beta^2] * inv_sq_mass
+                    + beta^2 * v_mass - w_mass
 
-    with ``c = p.c_n_mu``; the residual is the left-minus-right difference
-    divided by ``max(dirichlet, 1)``.  It vanishes up to quadrature error
-    for every admissible test function.
+    holds, with every term of `report` taken at ``report.beta``.  At the
+    optimal exponent the bracket vanishes and ``beta^2 = c_n_mu``, so the
+    identity reads ``dirichlet = remainder + c_n_mu * v_mass - w_mass``;
+    that form is used whenever the report carries no inverse-square mass.
+    The residual is the left-minus-right difference divided by
+    ``max(dirichlet, 1)``.  It vanishes up to quadrature error for every
+    admissible test function.
     """
-    num = math.fsum(
-        [
-            report.dirichlet.value,
-            -report.remainder.value,
-            -p.c_n_mu * report.v_mass.value,
-            report.w_mass.value,
-        ]
-    )
+    num = math.fsum([c * r.value for c, r in _identity_terms(report, p)])
     return num / max(report.dirichlet.value, 1.0)
+
+
+def identity_residual_error(report: EnergyReport, p: HardyParams) -> float:
+    """Error estimate of `identity_residual`: the same combination of the
+    integrals' ``error`` terms, with absolute coefficients."""
+    total = 0.0
+    for c, r in _identity_terms(report, p):
+        total += abs(c) * r.error
+    return total / max(report.dirichlet.value, 1.0)
 
 
 def hardy_ratio(report: EnergyReport) -> float:
@@ -449,77 +483,11 @@ def beta_identity_check(
     *,
     allow_truncation: bool = False,
 ) -> float:
-    """Residual of the general-exponent integral identity at `beta`.
+    """`identity_residual` of the energy report of `phi` at exponent `beta`.
 
-    For any ``beta > 0`` the identity
-
-        dirichlet = remainder_beta
-                    + [beta (N + K_mu - 2) - n beta^2] * inv_sq_mass
-                    + beta^2 * v_mass - w_mass(beta)
-
-    holds, where ``remainder_beta`` uses the comparison factor with
-    exponent `beta`, ``inv_sq_mass = integral sum_i |x-a_i|^-2 phi^2 dmu``
-    and ``w_mass(beta)`` is the W-mass built with the same `beta`.  Returns
-    the normalized left-minus-right residual; at
-    ``beta = (N + K_mu - 2)/n`` the bracket vanishes and this reduces to
-    `identity_residual`.
-
-    Raises
-    ------
-    NonpositiveBeta
-        If ``beta <= 0``.
-    NonIntegrableSingularity
-        If any integrand fails the local integrability check.
+    Raises `NonpositiveBeta` if ``beta <= 0``.
     """
-    from .errors import NonpositiveBeta
-
-    if not beta > 0:
-        raise NonpositiveBeta(f"beta must be positive, got {beta}")
-    validate_config(cfg, w)
-    funcs, exps, names, phi2_mu, mu = _mass_integrands(phi, cfg, w, p, beta)
-    gamma = exps[1][0] - 2.0 * phi.pole_singularity - 2.0
-
-    def inv_sq_mass(x):
-        pts, _ = _as_batch(x, cfg.dim)
-        diffs = pts[:, None, :] - cfg.poles[None, :, :]
-        inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
-        return inv.sum(axis=1) * phi2_mu(pts)
-
-    def remainder_beta(x):
-        g = phi.gradient(x)
-        v = phi.value(x)
-        _, grad_ratio = hardy_factor(x, cfg, beta)
-        d = g - v[:, None] * grad_ratio
-        return np.einsum("ij,ij->i", d, d) * mu(x)
-
-    funcs += [inv_sq_mass, remainder_beta]
-    sig = phi.pole_singularity
-    exps += [
-        [2.0 * sig + 2.0 + gamma] * cfg.n_poles,
-        [2.0 * sig + 2.0 + gamma] * cfg.n_poles,
-    ]
-    names += ["inv_sq_mass", "remainder"]
-
-    integrands = [
-        Integrand(
-            func=f,
-            pole_exponents=e,
-            support_radius=phi.support_radius,
-            allow_truncation=allow_truncation,
-            name=nm,
-        )
-        for f, e, nm in zip(funcs, exps, names)
-    ]
-    dir_r, v_r, w_r, _, inv_r, rem_r = integrate_many(integrands, cfg, spec)
-
-    coeff = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
-    num = math.fsum(
-        [
-            dir_r.value,
-            -rem_r.value,
-            -coeff * inv_r.value,
-            -(beta**2) * v_r.value,
-            w_r.value,
-        ]
+    rep = energy_report(
+        phi, cfg, w, p, spec, beta=beta, allow_truncation=allow_truncation
     )
-    return num / max(dir_r.value, 1.0)
+    return identity_residual(rep, p)

@@ -426,7 +426,7 @@ def test_09_hypothesis_certification():
         h2_certify(UNIT_CFG, w, derive_params(UNIT_CFG, 0.0).beta, 0.0,
                    sample_spec)
 
-    rep = h3_h4_certify(UNIT_CFG, WeightSpec.unit(), 0.0)
+    rep = h3_h4_certify(UNIT_CFG, WeightSpec.unit(), 0.0, sample_spec.seed)
     assert rep.h3_pass
     expected = (4.0 * math.pi / 3.0) * rep.h3_deltas
     np.testing.assert_allclose(rep.h3_values[0], expected, rtol=1e-10)

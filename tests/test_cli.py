@@ -14,14 +14,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multipolar_hardy import (
     ConfigError,
+    GaussianBump,
     PoleConfig,
     QuadratureSpec,
     WeightSpec,
     derive_params,
+    energy_report,
+    identity_residual,
+    identity_residual_error,
     optimality_sweep,
 )
 from multipolar_hardy.cli import (
@@ -172,6 +177,38 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(tmp_path))
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "command, block, key, value, where",
+        [
+            ("verify", "verify", "residual_tol", "abc",
+             "experiments.verify.residual_tol"),
+            ("verify", "verify", "functions",
+             [{"kind": "gaussian_bump", "center": [1.0, 0.0, 0.0]}],
+             "experiments.verify.functions[0].width"),
+            ("spectral", "spectral", "prefix_sizes", ["x"],
+             "experiments.spectral.prefix_sizes"),
+            ("spectral", "spectral", "allow_truncation", "false",
+             "experiments.spectral.allow_truncation"),
+            ("verify", "problem", "k_mu", "0", "problem.k_mu"),
+        ],
+        ids=["float-key", "missing-width", "prefix-sizes", "bool-key", "problem-key"],
+    )
+    def test_malformed_block_value_is_config_error(
+        self, tmp_path, capsys, command, block, key, value, where
+    ):
+        """A malformed value is reported by its key path with exit 2, and a
+        string is never coerced into a number or a boolean."""
+        data = base_config(tmp_path)
+        data["experiments"]["spectral"] = {
+            "basis": data["experiments"]["verify"]["functions"],
+        }
+        node = data["problem"] if block == "problem" else data["experiments"][block]
+        node[key] = value
+        path = write_config(tmp_path, data)
+        assert main([command, "--config", path, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
     def test_bad_worker_count_is_config_error(self, tmp_path, monkeypatch, raw):
         monkeypatch.setenv("MHARDY_WORKERS", raw)
@@ -302,6 +339,30 @@ class TestReports:
         assert float(row["flux_error"]) == rec.flux_error
         assert float(row["hardy_ratio"]) == rec.hardy_ratio
         assert float(row["hardy_ratio_error"]) == rec.ratio_error
+
+    def test_beta_sweep_error_column_is_the_ledger_error(self, tmp_path):
+        """Each beta-sweep row carries the residual and the combined error
+        of the energy report at that exponent."""
+        data = base_config(tmp_path)
+        bump = {"kind": "gaussian_bump", "center": [1.0, 0.2, 0.0], "width": 1.1}
+        data["experiments"]["beta_sweep"] = {
+            "beta_list": [0.2, 0.5, 0.7], "function": bump, "residual_tol": 1.0,
+        }
+        path = write_config(tmp_path, data)
+        assert main(["beta-sweep", "--config", path, "--quiet"]) == EXIT_OK
+        header, *lines = csv_body(tmp_path / "out" / "beta_sweep.csv").splitlines()
+        cfg = PoleConfig(dim=3, poles=data["problem"]["poles"])
+        spec = QuadratureSpec(**data["quadrature"])
+        p = derive_params(cfg, 0.0)
+        phi = GaussianBump(center=np.array(bump["center"]), width=bump["width"])
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            beta = float(row["beta"])
+            rep = energy_report(phi, cfg, WeightSpec.unit(), p, spec, beta=beta)
+            assert float(row["identity_residual"]) == identity_residual(rep, p)
+            error = float(row["identity_residual_error"])
+            assert error == identity_residual_error(rep, p)
+            assert error > 0.0
 
     @pytest.mark.parametrize("command", ["verify", "certify"])
     @pytest.mark.parametrize(

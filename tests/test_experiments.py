@@ -308,7 +308,7 @@ class TestH2Certify:
 class TestH3H4Certify:
     def test_unit_weight_closed_form(self, two_poles_n3):
         """delta^-2 |B(a_i, delta)| = (4 pi / 3) delta for the unit weight."""
-        rep = h3_h4_certify(two_poles_n3, WeightSpec.unit(), 0.0)
+        rep = h3_h4_certify(two_poles_n3, WeightSpec.unit(), 0.0, 7)
         assert rep.h3_pass
         assert rep.h3_values.shape == (2, 8)
         expected = (4.0 * math.pi / 3.0) * rep.h3_deltas
@@ -324,7 +324,7 @@ class TestH3H4Certify:
         omega_3 delta^(1-gamma) / (3-gamma)."""
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
         w = WeightSpec.polyexp(gamma=0.5)
-        rep = h3_h4_certify(cfg, w, -0.5)
+        rep = h3_h4_certify(cfg, w, -0.5, 7)
         assert rep.h3_pass
         omega = sphere_surface_measure(3)
         expected = omega * rep.h3_deltas ** 0.5 / 2.5
@@ -332,12 +332,23 @@ class TestH3H4Certify:
 
     def test_polyexp_strict_status(self, two_poles_n3):
         w = WeightSpec.polyexp(gamma=0.5)
-        rep = h3_h4_certify(two_poles_n3, w, -0.6)
+        rep = h3_h4_certify(two_poles_n3, w, -0.6, 7)
         assert rep.h3_pass
         assert rep.h4i_exponent == pytest.approx(2.9)
         assert rep.h4i_status == "strict"
         assert rep.h4ii_pass
         assert rep.h4ii_decay == pytest.approx(2 * 0.5)
+
+    def test_h4ii_sample_follows_the_seed(self, two_poles_n3):
+        """The far-field sample is drawn from the run's seed: one seed
+        repeats bitwise, another draws different directions."""
+        w = WeightSpec.polyexp(gamma=0.5)
+        first = h3_h4_certify(two_poles_n3, w, -0.6, 11)
+        again = h3_h4_certify(two_poles_n3, w, -0.6, 11)
+        other = h3_h4_certify(two_poles_n3, w, -0.6, 12345)
+        assert again.h4ii_sup == first.h4ii_sup
+        assert other.h4ii_sup != first.h4ii_sup
+        assert first.h4ii_pass and other.h4ii_pass
 
     def test_exponent_formula(self, two_poles_n3, three_poles_n4):
         assert h4_local_exponent(
@@ -448,7 +459,9 @@ class TestVerdicts:
     def test_beta_sweep(self, two_poles_n3):
         # N = 3, K = 0, n = 2: vertex at 1/4 with value 1/8
         records = tuple(
-            BetaRecord(beta=b, coefficient=b - 2 * b * b, residual=1e-3)
+            BetaRecord(
+                beta=b, coefficient=b - 2 * b * b, residual=1e-3, residual_error=1e-4
+            )
             for b in (0.1, 0.2, 0.3, 0.4)
         )
         result = BetaSweepResult(

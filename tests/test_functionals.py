@@ -29,9 +29,12 @@ from multipolar_hardy import (
     hardy_factor,
     hardy_ratio,
     identity_residual,
+    identity_residual_error,
     max_admissible_eps,
     weight_value,
 )
+from multipolar_hardy.fields import _as_batch, potential_v, potential_w
+from multipolar_hardy.quadrature import Integrand, integrate_many
 
 
 def fd_gradient(func, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -310,6 +313,70 @@ class TestEnergyReport:
 # --------------------------------------------------------------------------
 
 
+def reference_beta_identity_check(phi, beta, cfg, w, p, spec):
+    """The general-exponent residual as a standalone computation, kept as
+    the reference the single energy ledger must reproduce bitwise."""
+    gamma = 0.0 if w.is_unit else w.gamma
+    sigma = phi.pole_singularity
+    n = cfg.n_poles
+    w_params = dataclasses.replace(p, beta=beta)
+
+    def mu(x):
+        return weight_value(x, cfg, w)
+
+    def phi2_mu(x):
+        v = phi.value(x)
+        return v * v * mu(x)
+
+    def dirichlet(x):
+        g = phi.gradient(x)
+        return np.einsum("ij,ij->i", g, g) * mu(x)
+
+    def v_mass(x):
+        return potential_v(x, cfg) * phi2_mu(x)
+
+    def w_mass(x):
+        return potential_w(x, cfg, w, w_params) * phi2_mu(x)
+
+    def inv_sq_mass(x):
+        pts, _ = _as_batch(x, cfg.dim)
+        diffs = pts[:, None, :] - cfg.poles[None, :, :]
+        inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
+        return inv.sum(axis=1) * phi2_mu(pts)
+
+    def remainder_beta(x):
+        g = phi.gradient(x)
+        v = phi.value(x)
+        _, grad_ratio = hardy_factor(x, cfg, beta)
+        d = g - v[:, None] * grad_ratio
+        return np.einsum("ij,ij->i", d, d) * mu(x)
+
+    grad_exp = 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)
+    mass_exp = 2.0 * sigma + 2.0 + gamma
+    funcs = [dirichlet, v_mass, w_mass, phi2_mu, inv_sq_mass, remainder_beta]
+    exps = [grad_exp, mass_exp, mass_exp, 2.0 * sigma + gamma, mass_exp, mass_exp]
+    names = ["dirichlet", "v_mass", "w_mass", "l2_mass", "inv_sq_mass", "remainder"]
+    integrands = [
+        Integrand(
+            func=f, pole_exponents=[e] * n, support_radius=phi.support_radius,
+            name=nm,
+        )
+        for f, e, nm in zip(funcs, exps, names)
+    ]
+    dir_r, v_r, w_r, _, inv_r, rem_r = integrate_many(integrands, cfg, spec)
+    coeff = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
+    num = math.fsum(
+        [
+            dir_r.value,
+            -rem_r.value,
+            -coeff * inv_r.value,
+            -(beta**2) * v_r.value,
+            w_r.value,
+        ]
+    )
+    return num / max(dir_r.value, 1.0)
+
+
 class TestBetaIdentity:
     @pytest.fixture()
     def beta_spec(self, lean_spec):
@@ -348,6 +415,49 @@ class TestBetaIdentity:
         )
         assert via_beta == direct
 
+    @pytest.mark.parametrize("beta", [0.2, "optimal", 0.9])
+    def test_ledger_matches_reference_unit_weight(self, two_poles_n3, lean_spec, beta):
+        """The one ledger reproduces the standalone general-exponent
+        residual bitwise, including at the optimal exponent, where it skips
+        the inverse-square mass whose coefficient is exactly zero."""
+        phi = GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)
+        p = derive_params(two_poles_n3, 0.0)
+        beta = p.beta if beta == "optimal" else beta
+        w = WeightSpec.unit()
+        expected = reference_beta_identity_check(
+            phi, beta, two_poles_n3, w, p, lean_spec
+        )
+        assert beta_identity_check(phi, beta, two_poles_n3, w, p, lean_spec) == expected
+        rep = energy_report(phi, two_poles_n3, w, p, lean_spec, beta=beta)
+        assert identity_residual(rep, p) == expected
+        assert rep.beta == beta
+        assert (rep.inv_sq_mass is None) == (beta == p.beta)
+
+    def test_ledger_matches_reference_power_weight(self, two_poles_n3, lean_spec):
+        phi = GaussianBump(center=np.array([0.8, 0.0, 0.0]), width=0.9)
+        w = WeightSpec.polyexp(gamma=0.5)
+        p = derive_params(two_poles_n3, -0.6)
+        expected = reference_beta_identity_check(
+            phi, 0.35, two_poles_n3, w, p, lean_spec
+        )
+        assert beta_identity_check(phi, 0.35, two_poles_n3, w, p, lean_spec) == expected
+
+    def test_default_ledger_skips_inverse_square_mass(self, two_poles_n3, lean_spec):
+        """At the default exponent the ledger is the five integrals of the
+        exact identity; its error is the sum of their weighted errors."""
+        phi = GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)
+        p = derive_params(two_poles_n3, 0.0)
+        rep = energy_report(phi, two_poles_n3, WeightSpec.unit(), p, lean_spec)
+        assert rep.inv_sq_mass is None
+        assert rep.beta == p.beta
+        expected = (
+            rep.dirichlet.error
+            + rep.remainder.error
+            + p.c_n_mu * rep.v_mass.error
+            + rep.w_mass.error
+        ) / max(rep.dirichlet.value, 1.0)
+        assert identity_residual_error(rep, p) == expected
+
     def test_rejects_nonpositive_beta(self, two_poles_n3, lean_spec):
         phi = GaussianBump(center=np.array([1.0, 0.0, 0.0]), width=0.8)
         p = derive_params(two_poles_n3, 0.0)
@@ -355,3 +465,5 @@ class TestBetaIdentity:
             beta_identity_check(
                 phi, -0.5, two_poles_n3, WeightSpec.unit(), p, lean_spec
             )
+        with pytest.raises(NonpositiveBeta):
+            energy_report(phi, two_poles_n3, WeightSpec.unit(), p, lean_spec, beta=0.0)
