@@ -1,4 +1,4 @@
-"""Command-line front end: config ingestion, report rendering, exit codes.
+"""Command-line front end: config reading, report rendering, exit codes.
 
 Subcommands
 -----------
@@ -13,28 +13,25 @@ spectral     finite-span upper bound on the best constant via the
              generalized eigenproblem
 certify      sample-based certification of the weight hypotheses
 
-Configs are JSON files with four top-level blocks: ``problem`` (dimension,
-poles, weight, pole-strength candidate), ``quadrature`` (discretization
-parameters), ``experiments`` (one sub-block per subcommand), ``output``
-(directory and formats), plus an optional top-level ``seed`` that
-overrides the quadrature seed.  Unknown keys anywhere in the tree are
-rejected.  Reports are CSV tables (comma-separated, header row, 17
-significant digits; run metadata confined to leading ``#`` comment lines
-so bodies from identical config + seed are byte-identical) and JSON
-summaries.  Exit codes: 0 all checks passed, 1 a numerical check failed,
-2 usage or config error.  The environment variable MHARDY_WORKERS
-overrides the evaluation worker count.
+A config is a JSON file read by `_read` against one table, `_CONFIG`,
+which gives every key its kind and its default or marks it required; a
+subcommand reads its own ``experiments.<name>`` block against
+``_BLOCKS[name]``.  An unknown key, a missing required key or a wrong
+kind of value is a config error naming the key path, never converted.
+Reports are CSV tables (17 significant digits; run metadata only in the
+leading ``#`` comment lines, so the bodies from identical config + seed
+are byte-identical) and JSON summaries.  Exit codes: 0 all checks passed,
+1 a numerical check failed, 2 usage or config error.  The environment
+variable MHARDY_WORKERS overrides the evaluation worker count.
 
 The experiment subcommands compute their records and pass/fail verdicts
-with `multipolar_hardy.experiments`; this module only reads their config
-blocks, renders the records as report rows and maps the verdict to an
-exit code.
+with `multipolar_hardy.experiments`; this module only reads the config,
+renders the records as report rows and maps the verdict to an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -94,7 +91,7 @@ from .quadrature import (
     sphere_surface_measure,
 )
 
-__all__ = ["RunConfig", "ReportTable", "load_run_config", "main"]
+__all__ = ["RunConfig", "load_run_config", "main"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -120,151 +117,180 @@ class RunConfig:
     source: str
 
 
-@dataclass
-class ReportTable:
-    """One experiment's report: long-format rows plus a summary.
+_FLOAT_MAX = sys.float_info.max
 
-    Every numeric column is paired with an ``<name>_error`` column holding
-    its error estimate or the marker ``exact``.  The columns are the keys
-    of the first row, in order.
+#: Scalar kinds, named by what a value must be, with their tests.  A bool
+#: is never a number, NaN and Infinity are not finite numbers, and no
+#: value is converted to another kind.
+_SCALARS = {
+    "a finite number": lambda v: type(v) in (int, float) and abs(v) <= _FLOAT_MAX,
+    "an integer": lambda v: type(v) is int,
+    "an integer in [0, 2^64)": lambda v: type(v) is int and 0 <= v < 2**64,
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: isinstance(v, str),
+    "a mapping": lambda v: isinstance(v, dict),
+}
+NUMBER, INTEGER, SEED, BOOLEAN, STRING, MAPPING = _SCALARS
+VECTOR = "a vector"
+
+
+class _OneOf(dict):
+    """Alternative tables of a node, selected by its ``kind`` string."""
+
+
+def _value(kind, value, path: str, dim: int | None):
+    """`value` read as `kind`, else a ConfigError naming `path`.
+
+    A kind is a scalar kind, `VECTOR` (a list of `dim` numbers), a set
+    of strings to choose from, ``[kind]`` for a nonempty list of that
+    kind, a table (see `_read`) or a `_OneOf` of tables.
     """
+    if isinstance(kind, _OneOf):
+        tag = _value(MAPPING, value, path, dim).get("kind")
+        tag = _value(set(kind), tag, f"{path}.kind", dim)
+        return _read(value, {"kind": (STRING, ...), **kind[tag]}, path, dim)
+    if isinstance(kind, dict):
+        return _read(value, kind, path, dim)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{path}' must be a nonempty list, got {value!r}")
+        return [_value(kind[0], v, f"{path}[{i}]", dim) for i, v in enumerate(value)]
+    if kind is VECTOR:
+        if not isinstance(value, list) or len(value) != dim:
+            raise ConfigError(f"'{path}' must be {dim} numbers, got {value!r}")
+        return _value([NUMBER], value, path, dim)
+    if isinstance(kind, set):
+        ok, what = isinstance(value, str) and value in kind, f"one of {sorted(kind)}"
+    else:
+        ok, what = _SCALARS[kind](value), kind
+    if not ok:
+        raise ConfigError(f"'{path}' must be {what}, got {value!r}")
+    return float(value) if kind == NUMBER else value
 
-    experiment: str
-    rows: list[dict]
-    summary: dict
-    passed: bool
-    wall_time_s: float = 0.0
 
+def _read(node, table: dict, path: str = "", dim: int | None = None) -> dict:
+    """Read a config mapping against its table ``{key: (kind, default)}``.
 
-def _check_keys(node: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(node) - allowed)
+    An unknown key, a missing required key (default ``...``) or a value
+    of the wrong kind is a ConfigError naming the key path.  A missing key
+    takes its default, read as if given; a key whose default is None may
+    also be null.  Vectors have the length `dim`, or that of a ``dim`` key read
+    before them.
+    """
+    where = path or "<top-level>"
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{where}' must be a mapping, got {type(node).__name__}")
+    unknown = sorted(set(node) - set(table))
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {unknown} in {path!r} (allowed: {sorted(allowed)})"
+            f"unknown key(s) {unknown} in '{where}' (allowed: {sorted(table)})"
         )
+    out = {}
+    for key, (kind, default) in table.items():
+        sub = f"{path}.{key}" if path else key
+        value = node.get(key, default)
+        if value is ...:
+            raise ConfigError(f"missing required key '{sub}'")
+        if value is not None or default is not None:
+            value = _value(kind, value, sub, out.get("dim", dim))
+        out[key] = value
+    return out
 
 
-def _mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path!r} must be a mapping, got {type(node).__name__}")
-    return node
+_FUNCTION = _OneOf(
+    gaussian_bump={"center": (VECTOR, ...), "width": (NUMBER, ...)},
+    cutoff_theta={"R": (NUMBER, ...), "eps": (NUMBER, ...)},
+    # R defaults to the pole-ball enclosing radius, beta to the derived one.
+    optimality_phi={"R": (NUMBER, None), "eps": (NUMBER, ...), "beta": (NUMBER, None)},
+)
 
-
-_REQUIRED = object()
-
-
-def _number(node: dict, key: str, path: str, default=_REQUIRED):
-    """``node[key]`` as a float, or `default` when the key is absent."""
-    value = node.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigError(f"missing required key '{path}.{key}'")
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}.{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _parse_weight(node, path: str) -> WeightSpec:
-    node = _mapping(node, path)
-    kind = node.get("kind")
-    if kind == "unit":
-        _check_keys(node, {"kind"}, path)
-        return WeightSpec.unit()
-    if kind == "polyexp":
-        _check_keys(node, {"kind", "gamma", "delta", "m"}, path)
-        return WeightSpec.polyexp(
-            gamma=_number(node, "gamma", path, 0.0),
-            delta=_number(node, "delta", path, 0.0),
-            m=_number(node, "m", path, 2.0),
-        )
-    raise ConfigError(f"{path}.kind must be 'unit' or 'polyexp', got {kind!r}")
-
-
-#: Keys of each ``experiments.<name>`` block with their defaults.  A float
-#: or bool default also sets the type a given value must have; the keys in
-#: `_OPTIONAL_NUMBERS` must be numbers when they are given.
-_BLOCK_DEFAULTS = {
-    "verify": {"functions": None, "residual_tol": 1e-3, "ratio_slack": 0.02},
+#: Table of each ``experiments.<name>`` block, read by its subcommand only.
+_BLOCKS = {
+    "verify": {
+        "functions": ([_FUNCTION], ...),
+        "residual_tol": (NUMBER, 1e-3),
+        "ratio_slack": (NUMBER, 0.02),
+    },
     "optimality": {
-        "eps_list": None,
-        "R": None,
-        "slope_band": 0.15,
-        "ratio_band": 0.10,
-        "r2_min": 0.98,
+        "eps_list": ([NUMBER], None),
+        "R": (NUMBER, None),
+        "slope_band": (NUMBER, 0.15),
+        "ratio_band": (NUMBER, 0.10),
+        "r2_min": (NUMBER, 0.98),
     },
-    "beta_sweep": {"beta_list": None, "function": None, "residual_tol": 1e-2},
+    "beta_sweep": {
+        "beta_list": ([NUMBER], ...),
+        "function": (_FUNCTION, ...),
+        "residual_tol": (NUMBER, 1e-2),
+    },
     "spectral": {
-        "basis": None,
-        "prefix_sizes": None,
-        "allow_truncation": False,
-        "lower_slack": 0.02,
-        "upper_band": None,
+        "basis": ([_FUNCTION], ...),
+        "prefix_sizes": ([INTEGER], None),
+        "allow_truncation": (BOOLEAN, False),
+        "lower_slack": (NUMBER, 0.02),
+        "upper_band": (NUMBER, None),
     },
-    "certify": {"beta": None},
+    "certify": {"beta": (NUMBER, None)},
 }
-_OPTIONAL_NUMBERS = {"R", "upper_band", "beta"}
 
-_QUAD_FIELDS = {f.name for f in dataclasses.fields(QuadratureSpec)}
+_WEIGHT = _OneOf(
+    unit={},
+    polyexp={"gamma": (NUMBER, 0.0), "delta": (NUMBER, 0.0), "m": (NUMBER, 2.0)},
+)
+
+_PROBLEM = {
+    "dim": (INTEGER, ...),
+    "poles": ([VECTOR], ...),
+    "weight": (_WEIGHT, {"kind": "unit"}),
+    "k_mu": (NUMBER, ...),
+    "c_mu": (NUMBER, 0.0),
+}
+
+_EXPERIMENTS = {name: (MAPPING, None) for name in _BLOCKS}
+_EXPERIMENTS["certify"] = (MAPPING, {})  # the one subcommand that needs no block
+
+#: A missing optional key (default None) keeps the `QuadratureSpec` default.
+_QUADRATURE = {
+    "pole_radius": (NUMBER, ...),
+    "far_radius": (NUMBER, ...),
+    "radial_levels": (INTEGER, ...),
+    "mc_samples": (INTEGER, ...),
+    "seed": (SEED, 0),
+    "tail_exponent": (NUMBER, None),
+    "radial_order": (INTEGER, None),
+}
+
+#: The whole config; the experiments blocks are read by their subcommands.
+_CONFIG = {
+    "problem": (_PROBLEM, ...),
+    "quadrature": (_QUADRATURE, ...),
+    "experiments": (_EXPERIMENTS, {}),
+    "output": (
+        {"directory": (STRING, "out"), "formats": ([{"csv", "json"}], ["csv", "json"])},
+        {},
+    ),
+    "seed": (SEED, None),
+}
 
 
 def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
-    """Build a RunConfig from a parsed JSON tree, rejecting unknown keys."""
-    data = _mapping(data, "<top-level>")
-    _check_keys(
-        data, {"problem", "quadrature", "experiments", "output", "seed"}, "<top-level>"
-    )
-    for block in ("problem", "quadrature"):
-        if block not in data:
-            raise ConfigError(f"missing required block {block!r}")
-
-    prob = _mapping(data["problem"], "problem")
-    _check_keys(prob, {"dim", "poles", "weight", "k_mu", "c_mu"}, "problem")
-    for key in ("dim", "poles", "k_mu"):
-        if key not in prob:
-            raise ConfigError(f"missing required key 'problem.{key}'")
-    dim = int(prob["dim"])
-    poles = np.asarray(prob["poles"], dtype=float)
-    if poles.ndim != 2 or poles.shape[1] != dim:
-        raise ConfigError(
-            f"problem.poles must be an array of shape (n, {dim}), got {poles.shape}"
-        )
-    cfg = PoleConfig(dim=dim, poles=poles)
-    weight = _parse_weight(prob.get("weight", {"kind": "unit"}), "problem.weight")
+    """Build a RunConfig from a parsed JSON tree read against `_CONFIG`."""
+    top = _read(data, _CONFIG)
+    prob, output = top["problem"], top["output"]
+    quad = {k: v for k, v in top["quadrature"].items() if v is not None}
+    if top["seed"] is not None:
+        quad["seed"] = top["seed"]
+    cfg = PoleConfig(dim=prob["dim"], poles=prob["poles"])
+    weight = WeightSpec(**prob["weight"])
     validate_config(cfg, weight)
-    k_mu = _number(prob, "k_mu", "problem")
-    c_mu = _number(prob, "c_mu", "problem", 0.0)
-    params = derive_params(cfg, k_mu, c_mu)
-
-    quad = dict(_mapping(data["quadrature"], "quadrature"))
-    _check_keys(quad, _QUAD_FIELDS, "quadrature")
-    if "seed" in data:
-        quad["seed"] = int(data["seed"])
-    quad.setdefault("seed", 0)
-    try:
-        spec = QuadratureSpec(**quad)
-    except TypeError as exc:
-        raise ConfigError(f"bad quadrature block: {exc}") from exc
-
-    experiments = _mapping(data.get("experiments", {}), "experiments")
-    _check_keys(experiments, set(_BLOCK_DEFAULTS), "experiments")
-
-    output = _mapping(data.get("output", {}), "output")
-    _check_keys(output, {"directory", "formats"}, "output")
-    out_dir = str(output.get("directory", "out"))
-    formats = tuple(output.get("formats", ("csv", "json")))
-    bad = set(formats) - {"csv", "json"}
-    if bad:
-        raise ConfigError(f"output.formats entries must be csv/json, got {sorted(bad)}")
-
     return RunConfig(
         cfg=cfg,
         weight=weight,
-        params=params,
-        quadrature=spec,
-        experiments=experiments,
-        out_dir=out_dir,
-        formats=formats,
+        params=derive_params(cfg, prob["k_mu"], prob["c_mu"]),
+        quadrature=QuadratureSpec(**quad),
+        experiments=top["experiments"],
+        out_dir=output["directory"],
+        formats=tuple(output["formats"]),
         source=source,
     )
 
@@ -278,36 +304,22 @@ def load_run_config(path: str, *, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if seed is not None:
-        data = dict(_mapping(data, "<top-level>"))
-        data["seed"] = seed
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": _value(SEED, seed, "--seed", None)}
     return parse_run_config(data, source=path)
 
 
-def _parse_function(node, run: RunConfig, path: str):
-    """Build a test function from its config node."""
-    node = _mapping(node, path)
-    kind = node.get("kind")
-    cfg, p = run.cfg, run.params
-    if kind == "gaussian_bump":
-        _check_keys(node, {"kind", "center", "width"}, path)
-        center = np.asarray(node.get("center"), dtype=float)
-        if center.shape != (cfg.dim,):
-            raise ConfigError(f"{path}.center must have length {cfg.dim}")
-        return GaussianBump(center=center, width=_number(node, "width", path))
-    if kind == "cutoff_theta":
-        _check_keys(node, {"kind", "R", "eps"}, path)
-        return CutoffTheta(R=_number(node, "R", path), eps=_number(node, "eps", path))
-    if kind == "optimality_phi":
-        _check_keys(node, {"kind", "R", "eps", "beta"}, path)
-        radius = _number(node, "R", path, None)
-        if radius is None:
-            radius = enclosing_radius(cfg, min_pole_gap(cfg))
-        eps, beta = _number(node, "eps", path), _number(node, "beta", path, p.beta)
-        return OptimalityPhi(cfg=cfg, R=radius, eps=eps, beta=beta)
-    raise ConfigError(
-        f"{path}.kind must be gaussian_bump/cutoff_theta/optimality_phi, got {kind!r}"
-    )
+def _build_function(node: dict, run: RunConfig):
+    """The test function of a node read against `_FUNCTION`."""
+    if node["kind"] == "gaussian_bump":
+        return GaussianBump(center=node["center"], width=node["width"])
+    if node["kind"] == "cutoff_theta":
+        return CutoffTheta(R=node["R"], eps=node["eps"])
+    radius, beta = node["R"], node["beta"]
+    if radius is None:
+        radius = enclosing_radius(run.cfg, min_pole_gap(run.cfg))
+    beta = run.params.beta if beta is None else beta
+    return OptimalityPhi(cfg=run.cfg, R=radius, eps=node["eps"], beta=beta)
 
 
 def _function_label(phi) -> str:
@@ -336,40 +348,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_report(table: ReportTable, run: RunConfig, args) -> None:
-    """Write <experiment>.csv and <experiment>_summary.json under the out dir."""
-    out_dir = args.out or run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if "csv" in run.formats:
-        path = os.path.join(out_dir, f"{table.experiment}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# command: {table.experiment}\n")
-            fh.write(f"# config: {run.source}\n")
-            fh.write(f"# seed: {run.quadrature.seed}\n")
-            fh.write(f"# generated: {stamp}\n")
-            fh.write(f"# wall_time_s: {table.wall_time_s:.3f}\n")
-            columns = tuple(table.rows[0])
-            fh.write(",".join(columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-        _emit(args, f"wrote {path}")
-    if "json" in run.formats:
-        payload = {
-            "command": table.experiment,
-            "pass": table.passed,
-            "wall_time_s": round(table.wall_time_s, 3),
-            **table.summary,
-            "config": run.source,
-            "seed": run.quadrature.seed,
-        }
-        path = os.path.join(out_dir, f"{table.experiment}_summary.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
-        _emit(args, f"wrote {path}")
-
-
 def _json_default(obj):
     if isinstance(obj, (np.bool_, np.floating, np.integer)):
         return obj.item()
@@ -388,23 +366,13 @@ def _emit(args, text: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def _selftest_spec(seed: int, **overrides) -> QuadratureSpec:
-    base = dict(
-        pole_radius=1.0,
-        far_radius=6.0,
-        radial_levels=14,
-        mc_samples=20_000,
-        seed=seed,
-        tail_exponent=2.0,
-    )
-    base.update(overrides)
-    return QuadratureSpec(**base)
-
-
 def _check_gaussian(seed: int):
     """Gaussian integral over R^3 against pi^(3/2)."""
     cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
-    spec = _selftest_spec(seed, pole_radius=4.0, radial_levels=12, tail_exponent=4.0)
+    spec = QuadratureSpec(
+        pole_radius=4.0, far_radius=6.0, radial_levels=12, mc_samples=20_000,
+        seed=seed, tail_exponent=4.0,
+    )
     integrand = Integrand(
         func=lambda x: np.exp(-np.sum(x * x, axis=1)),
         pole_exponents=[0.0],
@@ -581,7 +549,7 @@ _SELFTEST_CASES = (
 
 def cmd_selftest(args) -> int:
     """Run the reference corpus; exit 0 iff every selected case passes."""
-    seed = args.seed if args.seed is not None else 20_240
+    seed = 20_240 if args.seed is None else _value(SEED, args.seed, "--seed", None)
     pattern = (args.filter or "").lower()
     cases = [(n, f) for n, f in _SELFTEST_CASES if pattern in n.lower()]
     if not cases:
@@ -606,47 +574,56 @@ def cmd_selftest(args) -> int:
 # render the records
 # --------------------------------------------------------------------------
 
-def _load(args, name: str, *, required: bool = True) -> tuple[RunConfig, dict]:
-    """The run config and its ``experiments.<name>`` block, defaults filled in.
-
-    Unknown keys are rejected; a missing block is a config error unless
-    the subcommand needs no settings (`required` False).
-    """
+def _load(args, name: str) -> tuple[RunConfig, dict]:
+    """The run config and its ``experiments.<name>`` block, read against
+    ``_BLOCKS[name]``."""
     run = load_run_config(args.config, seed=args.seed)
     path = f"experiments.{name}"
-    if required and name not in run.experiments:
+    if run.experiments[name] is None:
         raise ConfigError(f"config has no {path!r} block")
-    node = _mapping(run.experiments.get(name, {}), path)
-    defaults = _BLOCK_DEFAULTS[name]
-    _check_keys(node, set(defaults), path)
-    block = {}
-    for key, default in defaults.items():
-        value = node.get(key, default)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"'{path}.{key}' must be a boolean, got {value!r}")
-        elif isinstance(default, float) or key in _OPTIONAL_NUMBERS:
-            value = _number(node, key, path, default)
-        block[key] = value
-    return run, block
-
-
-def _nonempty(block: dict, name: str, key: str) -> list:
-    if not block[key]:
-        raise ConfigError(f"experiments.{name}.{key} must be a nonempty list")
-    return block[key]
+    return run, _read(run.experiments[name], _BLOCKS[name], path, run.cfg.dim)
 
 
 def _finish(args, run, experiment, rows, summary, verdict: Verdict, t0, detail) -> int:
-    """Write the report, print the progress line, return the exit code."""
-    table = ReportTable(
-        experiment=experiment,
-        rows=rows,
-        summary={**summary, **verdict.summary},
-        passed=verdict.passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    write_report(table, run, args)
+    """Write <experiment>.csv and <experiment>_summary.json under the out
+    dir, print the progress line and return the exit code.
+
+    Every numeric column is paired with an ``<name>_error`` column holding
+    its error estimate or the marker ``exact``.  The columns are the keys
+    of the first row, in order.
+    """
+    wall_time_s = time.perf_counter() - t0
+    out_dir = args.out or run.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if "csv" in run.formats:
+        path = os.path.join(out_dir, f"{experiment}.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# command: {experiment}\n")
+            fh.write(f"# config: {run.source}\n")
+            fh.write(f"# seed: {run.quadrature.seed}\n")
+            fh.write(f"# generated: {stamp}\n")
+            fh.write(f"# wall_time_s: {wall_time_s:.3f}\n")
+            columns = tuple(rows[0])
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        _emit(args, f"wrote {path}")
+    if "json" in run.formats:
+        payload = {
+            "command": experiment,
+            "pass": verdict.passed,
+            "wall_time_s": round(wall_time_s, 3),
+            **summary,
+            **verdict.summary,
+            "config": run.source,
+            "seed": run.quadrature.seed,
+        }
+        path = os.path.join(out_dir, f"{experiment}_summary.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
+        _emit(args, f"wrote {path}")
     label = experiment.replace("_", "-")
     _emit(args, f"{label}: {'PASS' if verdict.passed else 'FAIL'} ({detail})")
     return EXIT_OK if verdict.passed else EXIT_NUMERICAL
@@ -655,13 +632,9 @@ def _finish(args, run, experiment, rows, summary, verdict: Verdict, t0, detail) 
 def cmd_verify(args) -> int:
     """Check the integral identity and the ratio bound over a corpus."""
     run, block = _load(args, "verify")
-    nodes = _nonempty(block, "verify", "functions")
     pattern = (args.filter or "").lower()
-    functions = []
-    for idx, node in enumerate(nodes):
-        phi = _parse_function(node, run, f"experiments.verify.functions[{idx}]")
-        if pattern in _function_label(phi).lower():
-            functions.append(phi)
+    functions = [_build_function(node, run) for node in block["functions"]]
+    functions = [phi for phi in functions if pattern in _function_label(phi).lower()]
     if not functions:
         raise ConfigError(f"no verify function matches filter {args.filter!r}")
 
@@ -763,8 +736,8 @@ def cmd_optimality(args) -> int:
 def cmd_beta_sweep(args) -> int:
     """General-exponent identity residuals and the companion vertex."""
     run, block = _load(args, "beta_sweep")
-    betas = _nonempty(block, "beta_sweep", "beta_list")
-    phi = _parse_function(block["function"], run, "experiments.beta_sweep.function")
+    betas = block["beta_list"]
+    phi = _build_function(block["function"], run)
     residual_tol = block["residual_tol"]
     k_mu = run.params.k_mu
 
@@ -797,16 +770,8 @@ def cmd_beta_sweep(args) -> int:
 def cmd_spectral(args) -> int:
     """Finite-span spectral bound over growing basis prefixes."""
     run, block = _load(args, "spectral")
-    basis = [
-        _parse_function(node, run, f"experiments.spectral.basis[{i}]")
-        for i, node in enumerate(_nonempty(block, "spectral", "basis"))
-    ]
-    sizes = block["prefix_sizes"] or [len(basis)]
-    if not isinstance(sizes, list) or not all(type(s) is int for s in sizes):
-        raise ConfigError(
-            f"'experiments.spectral.prefix_sizes' must be integers, got {sizes!r}"
-        )
-    sizes = sorted(set(sizes))
+    basis = [_build_function(node, run) for node in block["basis"]]
+    sizes = sorted(set(block["prefix_sizes"] or [len(basis)]))
     if sizes[0] < 1 or sizes[-1] > len(basis):
         raise ConfigError(
             f"prefix_sizes must lie in 1..{len(basis)}, got {sizes}"
@@ -849,43 +814,37 @@ def cmd_spectral(args) -> int:
 
 def cmd_certify(args) -> int:
     """Certify the weight hypotheses for the configured problem."""
-    run, block = _load(args, "certify", required=False)
+    run, block = _load(args, "certify")
     cfg, w, p = run.cfg, run.weight, run.params
     beta = p.beta if block["beta"] is None else block["beta"]
 
     t0 = time.perf_counter()
-    h2_note = ""
     c_mu_est = max_point = None
+    h2 = {"value": "nan", "value_error": "nan", "status": "unbounded_suspected"}
+    h2_note = ""
     try:
-        c_mu_est, max_point = h2_certify(cfg, w, beta, p.k_mu, run.quadrature)
+        c_mu_est, c_mu_err, max_point = h2_certify(
+            cfg, w, beta, p.k_mu, run.quadrature
+        )
+        h2 = {"value": c_mu_est, "value_error": c_mu_err, "status": "bounded"}
     except UnboundedSuspected as exc:
         h2_note = str(exc)
-    unbounded = c_mu_est is None
-    rows = [
-        {
-            "record": "h2_c_mu",
-            "pole": "",
-            "parameter": beta,
-            "value": "nan" if unbounded else c_mu_est,
-            "value_error": "nan" if unbounded else 0.05 * abs(c_mu_est),
-            "status": "unbounded_suspected" if unbounded else "bounded",
-        }
-    ]
     report = h3_h4_certify(cfg, w, p.k_mu, run.quadrature.seed)
     verdict = certify_verdict(c_mu_est, report)
-    for i in range(cfg.n_poles):
-        for k, delta in enumerate(report.h3_deltas):
-            rows.append(
-                {
-                    "record": "h3_scaled_ball_mass",
-                    "pole": i,
-                    "parameter": float(delta),
-                    "value": float(report.h3_values[i, k]),
-                    "value_error": float(report.h3_errors[i, k]),
-                    "status": "decreasing" if report.h3_pass else "fail",
-                }
-            )
-    rows.append(
+    rows = [
+        {"record": "h2_c_mu", "pole": "", "parameter": beta, **h2},
+        *(
+            {
+                "record": "h3_scaled_ball_mass",
+                "pole": i,
+                "parameter": float(delta),
+                "value": float(report.h3_values[i, k]),
+                "value_error": float(report.h3_errors[i, k]),
+                "status": "decreasing" if report.h3_pass else "fail",
+            }
+            for i in range(cfg.n_poles)
+            for k, delta in enumerate(report.h3_deltas)
+        ),
         {
             "record": "h4i_local_exponent",
             "pole": "",
@@ -893,22 +852,20 @@ def cmd_certify(args) -> int:
             "value": report.h4i_exponent,
             "value_error": "exact",
             "status": report.h4i_status,
-        }
-    )
-    rows.append(
+        },
         {
             "record": "h4ii_far_field_sup",
             "pole": "",
             "parameter": report.h4ii_decay,
             "value": report.h4ii_sup,
-            "value_error": 0.05 * abs(report.h4ii_sup),
+            "value_error": "exact" if report.h4ii_error is None else report.h4ii_error,
             "status": "bounded" if report.h4ii_pass else "fail",
-        }
-    )
+        },
+    ]
     summary = {
         "beta": beta,
         "k_mu": p.k_mu,
-        "c_mu_estimate": "nan" if unbounded else c_mu_est,
+        "c_mu_estimate": h2["value"],
         "h2_note": h2_note,
         "h4i_status": report.h4i_status,
         "h4i_exponent": report.h4i_exponent,
@@ -942,25 +899,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("selftest", cmd_selftest, False),
-        ("verify", cmd_verify, True),
-        ("optimality", cmd_optimality, True),
-        ("beta-sweep", cmd_beta_sweep, True),
-        ("spectral", cmd_spectral, True),
-        ("certify", cmd_certify, True),
+        ("selftest", cmd_selftest),
+        ("verify", cmd_verify),
+        ("optimality", cmd_optimality),
+        ("beta-sweep", cmd_beta_sweep),
+        ("spectral", cmd_spectral),
+        ("certify", cmd_certify),
     )
-    for name, handler, needs_config in specs:
+    for name, handler in specs:
         p = sub.add_parser(name, help=handler.__doc__.splitlines()[0].lower())
-        p.add_argument(
-            "--config", required=needs_config, help="path to a JSON run config"
-        )
-        p.add_argument("--out", default=None, help="output directory override")
+        if name != "selftest":
+            p.add_argument("--config", required=True, help="path to a JSON run config")
+            p.add_argument("--out", default=None, help="output directory override")
         p.add_argument(
             "--seed", type=int, default=None, help="seed override (64-bit unsigned)"
         )
-        p.add_argument(
-            "--filter", default=None, help="case/function name substring filter"
-        )
+        if name in ("selftest", "verify"):
+            p.add_argument(
+                "--filter", default=None, help="case/function name substring filter"
+            )
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.set_defaults(handler=handler)
     return parser

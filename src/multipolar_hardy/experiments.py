@@ -236,6 +236,10 @@ class HypothesisReport:
     h4ii_decay, h4ii_sup : float
         The decay exponent used and the sampled supremum of
         ``mu(x) |x|^g`` over the far region.
+    h4ii_error : float or None
+        The spread between the suprema of the two interleaved halves of
+        the sample; None where nothing is sampled (unit weight,
+        exponential decay).
     """
 
     h3_pass: bool
@@ -248,6 +252,7 @@ class HypothesisReport:
     h4ii_pass: bool
     h4ii_decay: float
     h4ii_sup: float
+    h4ii_error: float | None = None
 
 
 def h4_local_exponent(cfg: PoleConfig, w: WeightSpec, k_mu: float) -> float:
@@ -702,7 +707,7 @@ def h2_certify(
     beta: float,
     k_mu_candidate: float,
     sample_spec: QuadratureSpec,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, float, np.ndarray]:
     """Estimate the upper bound of W by dense sampling.
 
     The hypothesis asks for ``W <= C_mu`` globally.  W is evaluated on
@@ -715,8 +720,9 @@ def h2_certify(
 
     Returns
     -------
-    (c_mu_estimate, max_point)
-        The sample supremum and where it was attained.
+    (c_mu_estimate, c_mu_error, max_point)
+        The sample supremum, the spread between the suprema of the two
+        interleaved half-samples, and where the supremum was attained.
     """
     validate_config(cfg, w)
     # Only beta and k_mu enter W; the companion constants are filled with
@@ -757,7 +763,8 @@ def h2_certify(
             f"supremum of W did not stabilize under sample doubling "
             f"({sup_half:.6g} -> {sup_full:.6g})"
         )
-    return sup_full, pts[int(np.argmax(vals))]
+    spread = abs(sup_half - float(vals[1::2].max()))
+    return sup_full, spread, pts[int(np.argmax(vals))]
 
 
 def h3_h4_certify(
@@ -814,6 +821,7 @@ def h3_h4_certify(
         # Constant weight (bounded by definition) or exponential decay
         # (dominates every power); sampling is unnecessary.
         h4ii_sup = 1.0 if w.is_unit else 0.0
+        h4ii_error = None
         bounded = True
     else:
         # Sample mu(x) |x|^decay on the region the sharpness proof uses:
@@ -830,6 +838,7 @@ def h3_h4_certify(
         pts = np.repeat(radii, per_r)[:, None] * dirs
         vals = weight_value(pts, cfg, w) * np.repeat(radii, per_r) ** decay
         h4ii_sup = float(vals.max())
+        h4ii_error = abs(float(vals[::2].max()) - float(vals[1::2].max()))
         outer = vals[pts.shape[0] // 2 :]
         bounded = bool(h4ii_sup < np.inf and outer.max() <= 1.05 * h4ii_sup)
     h4ii_pass = bool(condition and bounded)
@@ -845,6 +854,7 @@ def h3_h4_certify(
         h4ii_pass=h4ii_pass,
         h4ii_decay=decay,
         h4ii_sup=h4ii_sup,
+        h4ii_error=h4ii_error,
     )
 
 

@@ -391,6 +391,12 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
     drops three radial points and a third of the angular order; callers
     take the hi-minus-lo difference as the rule's error estimate.  Returns
     (hi_sums, lo_sums, nodes of both levels).
+
+    A caller may report either level.  `_pole_region`, the far shells of
+    `integrate_many` and `integrate_radial_annulus` report the high level,
+    so the difference is the error of the coarser pass.
+    `integrate_pole_ball` reports the low level, so the difference is the
+    error of the reported value.
     """
     order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
     hi, n_hi = rule(radial_order, order_hi)
@@ -709,21 +715,30 @@ def integrate_pole_ball(
     """Integrate over a single ball B(a_i, radius) with graded shells.
 
     The unresolved inner ball is closed by the geometric-tail rule for a
-    strict exponent p < N, so the result approximates the full ball.
+    strict exponent p < N, so the result approximates the full ball.  The
+    value is the pass at `radial_order` (>= 4) and the default angular
+    order.  `_two_level` runs that pass as its low level under a refined
+    high level, so their difference, plus the inner-closure uncertainty,
+    estimates the error of the value itself.
     """
     local_integrability_check([exponent], cfg.dim)
     f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
-    order_hi = _ANGULAR_ORDER.get(cfg.dim, 4)
-    sums, n = _pole_ball_pass(
-        [f], cfg, cfg.poles[pole_index], radius, levels, radial_order, order_hi,
-        fade=False,
+
+    def ball(q, order):
+        sums, n = _pole_ball_pass(
+            [f], cfg, cfg.poles[pole_index], radius, levels, q, order, fade=False
+        )
+        inner, err, _ = _inner_closure(sums[0], exponent, cfg.dim, truncate=False)
+        return (math.fsum(sums[0]) + inner, err), n
+
+    order = _ANGULAR_ORDER.get(cfg.dim, 4)
+    # The high level one step up, whose derived low level is exactly
+    # (radial_order, order).
+    (fine, _), (value, err), n = _two_level(
+        ball, cfg.dim, radial_order + 3, (3 * order + 1) // 2
     )
-    inner, err, _ = _inner_closure(sums[0], exponent, cfg.dim, truncate=False)
     return IntegralResult(
-        value=math.fsum(sums[0]) + inner,
-        stderr=0.0,
-        trunc_bound=err,
-        cells=n,
+        value=value, stderr=0.0, trunc_bound=abs(fine - value) + err, cells=n
     )
 
 

@@ -409,7 +409,7 @@ def test_09_hypothesis_certification():
         pole_radius=0.9, far_radius=6.0, radial_levels=12,
         mc_samples=2_000, seed=5,
     )
-    sup_unit, _ = h2_certify(UNIT_CFG, WeightSpec.unit(), 0.5, 0.0, sample_spec)
+    sup_unit, _, _ = h2_certify(UNIT_CFG, WeightSpec.unit(), 0.5, 0.0, sample_spec)
     assert abs(sup_unit) < 1e-6
 
     single = PoleConfig(dim=3, poles=np.array([[0.3, -0.4, 1.1]]))
@@ -419,7 +419,7 @@ def test_09_hypothesis_certification():
         pole_radius=1.0, far_radius=6.0, radial_levels=12,
         mc_samples=2_000, seed=5,
     )
-    sup_single, _ = h2_certify(single, w, beta_s, -0.5, single_spec)
+    sup_single, _, _ = h2_certify(single, w, beta_s, -0.5, single_spec)
     assert abs(sup_single) < 1e-6
 
     with pytest.raises(UnboundedSuspected):

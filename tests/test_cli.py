@@ -71,6 +71,19 @@ def base_config(tmp_path, **overrides) -> dict:
     return data
 
 
+def full_config(tmp_path) -> dict:
+    """`base_config` with a small valid block for every subcommand."""
+    data = base_config(tmp_path)
+    bump = data["experiments"]["verify"]["functions"][0]
+    data["experiments"].update(
+        beta_sweep={"beta_list": [0.2, 0.4], "function": bump},
+        optimality={"eps_list": [0.4, 0.2]},
+        spectral={"basis": [bump]},
+        certify={},
+    )
+    return data
+
+
 def write_config(tmp_path, data, name="run.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -208,6 +221,92 @@ class TestExitCodes:
         assert main([command, "--config", path, "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and where in err
+
+    @pytest.mark.parametrize(
+        "command, keys, value, where",
+        [
+            ("verify", ("problem", "poles"), [["x", 0, 0], [2, 0, 0]],
+             "problem.poles[0][0]"),
+            ("verify", ("seed",), "x", "seed"),
+            ("verify", None, "-1", "--seed"),
+            ("verify", ("quadrature", "mc_samples"), "20000", "quadrature.mc_samples"),
+            ("verify", ("quadrature", "radial_levels"), 10.5,
+             "quadrature.radial_levels"),
+            ("verify", ("quadrature", "pole_radius"), "0.9", "quadrature.pole_radius"),
+            ("verify", ("experiments", "verify", "functions", 0, "center"),
+             ["x", 0, 0], "experiments.verify.functions[0].center[0]"),
+            ("beta-sweep", ("experiments", "beta_sweep", "beta_list"), ["x"],
+             "experiments.beta_sweep.beta_list[0]"),
+            ("beta-sweep", ("experiments", "beta_sweep", "beta_list"), 0.3,
+             "experiments.beta_sweep.beta_list"),
+            ("optimality", ("experiments", "optimality", "eps_list"), ["x"],
+             "experiments.optimality.eps_list[0]"),
+            ("spectral", ("experiments", "spectral", "basis"), 3,
+             "experiments.spectral.basis"),
+            ("verify", ("problem", "dim"), "3", "problem.dim"),
+            ("verify", ("problem", "dim"), 3.7, "problem.dim"),
+            ("verify", ("seed",), 7.9, "seed"),
+            ("verify", ("output", "directory"), 5, "output.directory"),
+            ("verify", ("output", "formats"), "csv", "output.formats"),
+            ("verify", ("experiments", "verify", "residual_tol"), float("nan"),
+             "experiments.verify.residual_tol"),
+            ("verify", ("experiments", "verify", "residual_tol"), float("inf"),
+             "experiments.verify.residual_tol"),
+        ],
+        ids=[
+            "poles", "seed-string", "seed-flag", "mc-samples-string",
+            "radial-levels-float", "pole-radius-string", "center-entry",
+            "beta-list-entry", "beta-list-scalar", "eps-list-entry",
+            "basis-scalar", "dim-string", "dim-float", "seed-float",
+            "directory-number", "formats-string", "residual-tol-nan",
+            "residual-tol-infinity",
+        ],
+    )
+    def test_malformed_value_names_its_key_path(
+        self, tmp_path, capsys, command, keys, value, where
+    ):
+        """Every malformed value is a config error (exit 2) naming its key
+        path: no traceback, and no value converted to another kind."""
+        data = full_config(tmp_path)
+        argv = [command, "--quiet"]
+        if keys is None:
+            argv += ["--seed", value]
+        else:
+            node = data
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        argv += ["--config", write_config(tmp_path, data)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{where}'" in err
+
+    def test_selftest_reads_its_seed(self, capsys):
+        argv = ["selftest", "--filter", "sphere_measures", "--quiet", "--seed"]
+        assert main(argv + ["5"]) == EXIT_OK
+        assert main(argv + ["-1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'--seed'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--filter", "x"],
+            ["optimality", "--filter", "x"],
+            ["beta-sweep", "--filter", "x"],
+            ["spectral", "--filter", "x"],
+            ["selftest", "--config", "CONFIG"],
+            ["selftest", "--out", "OUT"],
+        ],
+        ids=["certify-filter", "optimality-filter", "beta-sweep-filter",
+             "spectral-filter", "selftest-config", "selftest-out"],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, argv):
+        path = write_config(tmp_path, full_config(tmp_path))
+        argv = [a.replace("CONFIG", path).replace("OUT", str(tmp_path)) for a in argv]
+        if argv[0] != "selftest":
+            argv += ["--config", path]
+        assert main(argv + ["--quiet"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
     def test_bad_worker_count_is_config_error(self, tmp_path, monkeypatch, raw):

@@ -35,7 +35,9 @@ from multipolar_hardy import (
     spectral_bound,
     sphere_surface_measure,
 )
+from multipolar_hardy.fields import potential_w
 from multipolar_hardy.experiments import (
+    _certify_samples,
     BetaRecord,
     BetaSweepResult,
     HypothesisReport,
@@ -274,8 +276,8 @@ class TestSpectralBound:
 
 class TestH2Certify:
     def test_unit_weight_supremum_is_zero(self, two_poles_n3, lean_spec):
-        sup, argmax = h2_certify(two_poles_n3, WeightSpec.unit(), 0.5, 0.0,
-                                 lean_spec)
+        sup, _, argmax = h2_certify(two_poles_n3, WeightSpec.unit(), 0.5, 0.0,
+                                    lean_spec)
         assert sup == 0.0
         assert argmax.shape == (3,)
 
@@ -285,15 +287,27 @@ class TestH2Certify:
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
         w = WeightSpec.polyexp(gamma=0.0, delta=0.3, m=2.0)
         beta = derive_params(cfg, 0.0).beta
-        sup, _ = h2_certify(cfg, w, beta, 0.0, lean_spec)
+        sup, _, _ = h2_certify(cfg, w, beta, 0.0, lean_spec)
         assert sup == pytest.approx(2.0 * beta * 0.3, rel=1e-12)
 
     def test_polyexp_negative_k_is_bounded(self, two_poles_n3, lean_spec):
         w = WeightSpec.polyexp(gamma=0.5)
         beta = derive_params(two_poles_n3, -0.6).beta
-        sup, _ = h2_certify(two_poles_n3, w, beta, -0.6, lean_spec)
+        sup, _, _ = h2_certify(two_poles_n3, w, beta, -0.6, lean_spec)
         assert np.isfinite(sup)
         assert sup < 0.1
+
+    def test_error_is_the_half_sample_spread(self, two_poles_n3, lean_spec):
+        """The C_mu error is the spread between the suprema of the two
+        interleaved halves of the sample, not a fixed fraction of C_mu."""
+        w = WeightSpec.polyexp(gamma=0.5)
+        p = derive_params(two_poles_n3, -0.6)
+        sup, err, _ = h2_certify(two_poles_n3, w, p.beta, -0.6, lean_spec)
+        pts, _ = _certify_samples(two_poles_n3, lean_spec, 100_000)
+        vals = potential_w(pts, two_poles_n3, w, p)
+        assert sup == vals.max()
+        assert err == abs(vals[::2].max() - vals[1::2].max())
+        assert 0.0 < err != 0.05 * abs(sup)
 
     @pytest.mark.parametrize("k_bad", [0.0, -0.5])
     def test_wrong_k_detected_as_unbounded(self, two_poles_n3, lean_spec, k_bad):
@@ -349,6 +363,16 @@ class TestH3H4Certify:
         assert again.h4ii_sup == first.h4ii_sup
         assert other.h4ii_sup != first.h4ii_sup
         assert first.h4ii_pass and other.h4ii_pass
+
+    def test_h4ii_error_only_where_sampled(self, two_poles_n3):
+        """The unit weight and exponential decay sample nothing in H4 ii),
+        so they carry no error; a power weight carries its half-sample
+        spread."""
+        for w in (WeightSpec.unit(), WeightSpec.polyexp(gamma=0.5, delta=0.3)):
+            assert h3_h4_certify(two_poles_n3, w, 0.0, 7).h4ii_error is None
+        rep = h3_h4_certify(two_poles_n3, WeightSpec.polyexp(gamma=0.5), -0.6, 7)
+        assert 0.0 <= rep.h4ii_error < rep.h4ii_sup
+        assert rep.h4ii_error != 0.05 * rep.h4ii_sup
 
     def test_exponent_formula(self, two_poles_n3, three_poles_n4):
         assert h4_local_exponent(

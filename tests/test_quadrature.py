@@ -153,6 +153,39 @@ class TestPoleBall:
         exact = 2.0 * math.pi**1.5 * math.erf(1.0)
         assert res.value == pytest.approx(exact, rel=1e-10)
 
+    @staticmethod
+    def reference_pole_ball(func, cfg, radius, levels, exponent, radial_order, order):
+        """One graded-ball pass closed by the inner tail: the single-pass
+        rule `integrate_pole_ball` used before it had a two-level error."""
+        f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
+        sums, n = quadrature._pole_ball_pass(
+            [f], cfg, cfg.poles[0], radius, levels, radial_order, order, fade=False
+        )
+        inner, err, _ = quadrature._inner_closure(sums[0], exponent, cfg.dim, False)
+        return math.fsum(sums[0]) + inner, err, n
+
+    @pytest.mark.parametrize("dim, order", [(3, 10), (4, 8)])
+    def test_error_is_a_two_level_difference(self, dim, order):
+        """The value is still the single pass at radial order 8 and the
+        default angular order, bit for bit; its error is the difference to
+        the pass refined by the two-level step (3 radial points, half again
+        the angular order) plus the inner-closure term."""
+        cfg = PoleConfig(dim=dim, poles=[[0.0] * dim, [2.0] + [0.0] * (dim - 1)])
+
+        def func(pts):
+            r2 = np.sum(pts * pts, axis=1)
+            return np.exp(-r2 - pts[:, 0]) * r2**-0.75
+
+        res = integrate_pole_ball(func, cfg, 0, 0.8, levels=12, exponent=1.5)
+        value, err, n = self.reference_pole_ball(func, cfg, 0.8, 12, 1.5, 8, order)
+        fine, _, n_fine = self.reference_pole_ball(
+            func, cfg, 0.8, 12, 1.5, 11, (3 * order + 1) // 2
+        )
+        assert res.value == value
+        assert res.trunc_bound == abs(fine - value) + err
+        assert res.trunc_bound > err
+        assert res.cells == n + n_fine
+
     def test_rejects_non_integrable_exponent(self):
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
         with pytest.raises(NonIntegrableSingularity):
