@@ -15,8 +15,8 @@ c = (N + K_mu - 2)^2 / n^2.  Five building blocks:
 ``fields``
     Pointwise evaluators: mu, V, W, the Hardy factor and its calculus.
 ``quadrature``
-    Singularity-aware integration: graded pole balls, stratified Monte
-    Carlo, importance-sampled tails, shared-node batches.
+    Singularity-aware integration: graded pole balls, a stratified Monte
+    Carlo mid region, deterministic far shells, shared-node batches.
 ``functionals``
     Test functions and the energy integrals; the integral identity and
     the Hardy ratio.

@@ -558,9 +558,9 @@ def spectral_bound(
     """Smallest generalized eigenvalue of the energy pencil over a span.
 
     Assembles ``A_ij = integral (grad phi_i . grad phi_j + W phi_i phi_j)
-    dmu`` and ``B_ij = integral V phi_i phi_j dmu`` on one shared node
-    set (so B inherits positive semidefiniteness from the rule weights)
-    and solves ``A v = lambda B v``.  The minimum is an upper bound for
+    dmu`` and ``B_ij = integral V phi_i phi_j dmu`` on shared nodes (one
+    set for the pole balls and the mid region, far shells out to each
+    pair's support) and solves ``A v = lambda B v``.  The minimum is an upper bound for
     the infimum of the Rayleigh quotient over all functions, so it
     approaches the optimal constant from above as the span is enriched
     with near-optimal members.
@@ -582,7 +582,6 @@ def spectral_bound(
         raise ConfigError(f"basis size must be in 1..200, got {m}")
     gamma = 0.0 if w.is_unit else w.gamma
     supports = [b.support_radius for b in basis]
-    support = None if any(s is None for s in supports) else max(supports)
 
     def pair_funcs(fi, fj):
         def a_entry(x):
@@ -608,6 +607,9 @@ def spectral_bound(
     for i in range(m):
         for j in range(i, m):
             a_entry, b_entry = pair_funcs(basis[i], basis[j])
+            # A pair vanishes wherever either function does.
+            bounded = [s for s in (supports[i], supports[j]) if s is not None]
+            support = min(bounded, default=None)
             sig = basis[i].pole_singularity + basis[j].pole_singularity
             exp = [sig + 2.0 + gamma] * cfg.n_poles
             integrands.append(

@@ -87,8 +87,8 @@ class GaussianBump:
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
 
-    #: the bump never vanishes; integrals over its tail are handled by the
-    #: quadrature module's unbounded-domain estimator.
+    #: the bump never vanishes; the quadrature's far shells run to a fixed
+    #: multiple of far_radius and close the rest geometrically.
     support_radius = None
     #: phi is bounded near the poles.
     pole_singularity = 0.0

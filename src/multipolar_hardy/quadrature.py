@@ -17,34 +17,35 @@ and summed with compensated summation in a fixed order:
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
     with antithetic pairs and the pair budget split evenly over the cells.
 
-(c) the far field beyond far_radius: importance-sampled Monte Carlo with
-    density proportional to |x|^-(N+tail_exponent) for integrands of
-    unbounded support, or log-spaced radial shells with the same product
-    angular rule up to the declared support radius for compactly supported
-    integrands (a power-law importance density cannot cover an integrand
-    that decays slower than |x|^-N, which compactly supported optimality
-    sequences do before their cutoff).
+(c) the far field beyond 0.8 * far_radius, in origin-centred shells with
+    the same product angular rule: one collar shell where the far weight
+    rises, then log-spaced shells of about half an octave out to the
+    integrand's support radius, or to _FAR_CUT * far_radius for unbounded
+    support.  The unbounded remainder beyond that cut is closed from the
+    last shell sums as the pole balls close their inner ball, with the
+    declared decay |x|^-(N+tail_exponent) as the fallback ratio.
 
 The regions are joined by a smooth partition of unity rather than sharp
 indicators: a quintic collar fades each pole ball out over the outer 30%
-of its radius and fades the tail in over [0.8, 1.0] * far_radius.  Sharp
-region boundaries would put an O(1) discontinuity into the Monte Carlo
-integrand and dominate its variance; with the blended split every MC
+of its radius and fades the far field in over [0.8, 1.0] * far_radius.
+Sharp region boundaries would put an O(1) discontinuity into the Monte
+Carlo integrand and dominate its variance; with the blended split the MC
 integrand is as smooth as the field itself, and the deterministic rules
 absorb the collars exactly.
 
 Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
-integrate_many call and shared by every integrand of the batch; the work
-per integrand is evaluation at the stored nodes plus the reduction.  The
-deterministic rules (pole balls, far shells, integrate_radial_annulus)
-estimate their error as the difference between a high and a low order
-of the same rule.
+integrate_many call and shared by every integrand of the batch (the far
+shells once per distinct support radius); the work per integrand is
+evaluation at the stored nodes plus the reduction.  The deterministic
+rules (pole balls, far shells, integrate_radial_annulus) estimate their
+error as the difference between a high and a low order of the same rule.
 
-Determinism: all Monte Carlo streams are Philox counter-based substreams
-derived from (seed, region), partial sums are reduced in a fixed order
-with math.fsum, and worker parallelism only maps evaluation chunks, so
-results are reproducible for a fixed seed regardless of scheduling.
+Determinism: region (b) is the only stochastic region; its stream is a
+Philox counter-based substream derived from (seed, region), partial sums
+are reduced in a fixed order with math.fsum, and worker parallelism only
+maps evaluation chunks, so results are reproducible for a fixed seed
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ CHUNK = 1 << 17
 # Default polar-angle orders per ambient dimension (azimuth gets twice this).
 _ANGULAR_ORDER = {3: 10, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}
 
-_REGION_POLE, _REGION_MID, _REGION_TAIL = 11, 13, 17
+_REGION_MID = 13
+
+# Unbounded integrands get far shells out to this multiple of far_radius;
+# the remainder beyond is closed geometrically.
+_FAR_CUT = 64.0
 
 
 def worker_count() -> int:
@@ -108,12 +113,13 @@ class QuadratureSpec:
     """Parameters of the domain decomposition.
 
     pole_radius   radius of the graded ball around each pole (<= min_pole_gap)
-    far_radius    outer radius of the stratified-MC region; the tail starts here
+    far_radius    outer radius of the mid region; the far field starts at 0.8x
     radial_levels geometric shell count per pole ball (>= 4)
     mc_samples    total sample budget for the stratified-MC region (>= 1e3)
-    seed          64-bit seed for every stochastic region
-    tail_exponent assumed decay rate s in |x|^-(N+s) beyond far_radius
-    radial_order  Gauss-Legendre points per radial shell
+    seed          64-bit seed of the mid region, the only stochastic one
+    tail_exponent declared decay s > 0 in |x|^-(N+s) of unbounded integrands;
+                  closes their far shells when the measured ratio is unstable
+    radial_order  Gauss-Legendre points per radial shell (>= 4)
     """
 
     pole_radius: float
@@ -132,7 +138,8 @@ class Integrand:
     func            callable mapping points (M, N) -> values (M,)
     pole_exponents  declared growth |x - a_i|^-p_i near each pole
     support_radius  None for unbounded support, else the integrand vanishes
-                    for |x| > support_radius
+                    for |x| > support_radius; the far shells end there (at
+                    _FAR_CUT * far_radius plus a closure for None)
     allow_truncation  permit borderline exponents p_i == N; the pole ball is
                     then integrated only down to the innermost shell radius
                     and the result flagged as truncated
@@ -149,11 +156,13 @@ class Integrand:
 class IntegralResult:
     """Value with separated error channels.
 
-    stderr is the statistical error of the Monte Carlo regions; trunc_bound
-    collects the deterministic estimates (two-level differences of the
-    product rules, geometric-tail extrapolation uncertainty).  truncated is
-    set when a borderline pole exponent left the innermost ball unresolved;
-    eta is the innermost resolved radius (the truncation scale).
+    stderr is the statistical error of the Monte Carlo mid region, the only
+    stochastic region; trunc_bound collects the deterministic estimates
+    (two-level differences of the product rules, the uncertainty of the
+    geometric closures of the pole balls and the far shells).  cells counts
+    the nodes of the whole integrate_many call.  truncated is set when a
+    borderline pole exponent left the innermost ball unresolved; eta is the
+    innermost resolved radius (the truncation scale).
     """
 
     value: float
@@ -248,6 +257,8 @@ def _validate_spec(cfg: PoleConfig, spec: QuadratureSpec) -> None:
         )
     if spec.radial_levels < 4:
         raise ConfigError(f"radial_levels must be >= 4, got {spec.radial_levels}")
+    if spec.radial_order < 4:
+        raise ConfigError(f"radial_order must be >= 4, got {spec.radial_order}")
     if spec.mc_samples < 1000:
         raise ConfigError(f"mc_samples must be >= 1e3, got {spec.mc_samples}")
     if spec.far_radius < enclosing_radius(cfg, spec.pole_radius):
@@ -271,7 +282,7 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 # Collar geometry of the partition of unity.
 _POLE_FADE_START = 0.7  # pole weight is 1 inside this fraction of pole_radius
-_TAIL_RISE_START = 0.8  # tail weight rises from this fraction of far_radius
+_TAIL_RISE_START = 0.8  # far weight rises from this fraction of far_radius
 
 
 def _pole_partition_weight(r: np.ndarray, pole_radius: float) -> np.ndarray:
@@ -281,7 +292,7 @@ def _pole_partition_weight(r: np.ndarray, pole_radius: float) -> np.ndarray:
 
 
 def _tail_partition_weight(r: np.ndarray, far_radius: float) -> np.ndarray:
-    """Weight of the far-tail region at distance r from the origin."""
+    """Weight of the far region at distance r from the origin."""
     span = (1.0 - _TAIL_RISE_START) * far_radius
     return _smoothstep((r - _TAIL_RISE_START * far_radius) / span)
 
@@ -300,20 +311,44 @@ def _eval_chunks(func, pts: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _radial_shell_nodes(edges: np.ndarray, order: int, dim: int):
-    """Gauss-Legendre nodes/weights (with r^(N-1)) for a set of shells.
+def _shell_sums(integrands, center, edges, radial_order, angular_order,
+                radial_weight=None, shell_of_panel=None):
+    """Per-shell sums of the product rule over shells centred at `center`.
 
-    edges is decreasing, shape (L+1,); returns r (L, order) and w (L, order)
-    such that sum_q w[l, q] g(r[l, q]) ~ integral of g(r) r^(N-1) dr over
-    shell l.
+    edges is decreasing, shape (L+1,); panel l between edges[l] and
+    edges[l+1] gets Gauss-Legendre nodes in radius (weights carry r^(N-1),
+    times radial_weight(r) if given) and the product angular rule, and its
+    terms are summed into shell shell_of_panel[l] (default: shell l).
+    Returns per-integrand per-shell sums, shape (K, shells), in panel
+    order, plus the node count.
     """
-    xi, wq = np.polynomial.legendre.leggauss(order)
-    hi, lo = edges[:-1], edges[1:]
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
+    dim = center.shape[0]
+    xi, wq = np.polynomial.legendre.leggauss(radial_order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[:-1] - edges[1:])
     r = mid[:, None] + half[:, None] * xi[None, :]
     w = half[:, None] * wq[None, :] * r ** (dim - 1)
-    return r, w
+    if radial_weight is not None:
+        w = w * radial_weight(r)
+    if shell_of_panel is None:
+        shell_of_panel = np.arange(len(edges) - 1)
+    n_shells = int(shell_of_panel[-1]) + 1
+    dirs, wa = unit_sphere_rule(dim, angular_order)
+    pts = center[None, None, None, :] + r[:, :, None, None] * dirs[None, None, :, :]
+    pts = pts.reshape(-1, dim)
+    wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
+    shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
+    sums = np.empty((len(integrands), n_shells))
+    for k, f in enumerate(integrands):
+        vals = _eval_chunks(f.func, pts) * wts
+        sums[k] = np.bincount(shells, weights=vals, minlength=n_shells)
+    return sums, pts.shape[0]
+
+
+def _log_edges(r_in: float, r_out: float) -> np.ndarray:
+    """Decreasing edges of log-spaced shells, about two per octave."""
+    n_shells = max(1, int(math.ceil(2.0 * math.log2(r_out / r_in))))
+    return r_in * (r_out / r_in) ** (np.arange(n_shells, -1, -1) / n_shells)
 
 
 def _pole_ball_pass(
@@ -328,60 +363,57 @@ def _pole_ball_pass(
     Returns per-integrand per-shell sums, shape (K, L), ordered outermost
     shell first, plus the evaluation count.
     """
-    dim = cfg.dim
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
     shell_of_panel = np.arange(levels)
+    weight = None
     if fade:
         # The collar weight is only piecewise-smooth at the fade onset;
         # split the outermost shell there so each Gauss panel sees an
         # analytic integrand.
         edges = np.insert(edges, 1, _POLE_FADE_START * radius)
         shell_of_panel = np.insert(shell_of_panel, 0, 0)
-    r, w = _radial_shell_nodes(edges, radial_order, dim)
-    if fade:
-        w = w * _pole_partition_weight(r, radius)
-    dirs, wa = unit_sphere_rule(dim, angular_order)
-    pts = center[None, None, None, :] + r[:, :, None, None] * dirs[None, None, :, :]
-    pts = pts.reshape(-1, dim)
-    wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
-    shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
-    sums = np.empty((len(integrands), levels))
-    for k, f in enumerate(integrands):
-        vals = _eval_chunks(f.func, pts) * wts
-        sums[k] = np.bincount(shells, weights=vals, minlength=levels)
-    return sums, pts.shape[0]
+        weight = lambda r: _pole_partition_weight(r, radius)
+    return _shell_sums(
+        integrands, center, edges, radial_order, angular_order, weight, shell_of_panel
+    )
 
 
-def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
-    """Close the unresolved inner ball from the graded-shell geometric decay.
+def _geometric_closure(shell_sums: np.ndarray, rho_decl: float):
+    """Sum the geometric continuation of shell sums past the last one.
 
-    For a strict exponent p < N the per-shell sums S_k approach a geometric
-    sequence with ratio 2^-(N-p); the inner ball is the sum of the remaining
-    octaves.  The measured ratio of the last shells is used when it is
-    stable and contracting, the declared ratio otherwise.  Returns
-    (inner_value, error_estimate, truncated_flag).
+    The per-shell sums S_k of a power-law integrand approach a geometric
+    sequence; the unresolved remainder is the sum of its continuation.
+    The measured ratio of the last shells is used when it is stable and
+    contracting, the declared ratio rho_decl otherwise.  Returns
+    (remainder, error_estimate).
     """
     s_last = shell_sums[-1]
-    if truncate:
-        # Borderline p == N: the inner ball diverges; leave it out and
-        # report the last resolved shell as the truncation scale.
-        return 0.0, 0.0, True
-    rho_decl = 2.0 ** (-(dim - p))
-    rho = rho_decl
     if len(shell_sums) >= 3 and shell_sums[-2] != 0.0 and shell_sums[-3] != 0.0:
         r1 = shell_sums[-1] / shell_sums[-2]
         r2 = shell_sums[-2] / shell_sums[-3]
         if 0.0 < r1 < 0.95 and 0.0 < r2 < 0.95:
-            rho = r1
-            inner = s_last * rho / (1.0 - rho)
+            rest = s_last * r1 / (1.0 - r1)
             alt = s_last * r2 / (1.0 - r2)
-            return inner, abs(inner - alt), False
-    if not 0.0 < rho < 0.95:
+            return rest, abs(rest - alt)
+    if not 0.0 < rho_decl < 0.95:
         # Sign-changing or non-contracting shells with a benign declared
-        # exponent: the inner ball is at most one more octave's worth.
-        return 0.0, abs(s_last), False
-    inner = s_last * rho / (1.0 - rho)
-    return inner, 0.5 * abs(inner), False
+        # decay: the remainder is at most one more shell's worth.
+        return 0.0, abs(s_last)
+    rest = s_last * rho_decl / (1.0 - rho_decl)
+    return rest, 0.5 * abs(rest)
+
+
+def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
+    """Close the unresolved inner ball of a pole with exponent p.
+
+    For p < N the octave shell sums decay with ratio 2^-(N-p), and the
+    inner ball is their geometric continuation.  The borderline p == N
+    diverges: the inner ball is left out and the result flagged as
+    truncated.  Returns (inner_value, error_estimate, truncated_flag).
+    """
+    if truncate:
+        return 0.0, 0.0, True
+    return (*_geometric_closure(shell_sums, 2.0 ** (-(dim - p))), False)
 
 
 def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = None):
@@ -392,8 +424,8 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
     take the hi-minus-lo difference as the rule's error estimate.  Returns
     (hi_sums, lo_sums, nodes of both levels).
 
-    A caller may report either level.  `_pole_region`, the far shells of
-    `integrate_many` and `integrate_radial_annulus` report the high level,
+    A caller may report either level.  `_pole_region`, `_far_region` and
+    `integrate_radial_annulus` report the high level,
     so the difference is the error of the coarser pass.
     `integrate_pole_ball` reports the low level, so the difference is the
     error of the reported value.
@@ -525,74 +557,60 @@ def _mid_region(integrands, cfg, spec):
     return values, stderrs, int(2 * C * pairs)
 
 
-def _far_shells(integrands, dim, r_in, r_out, radial_order, angular_order,
-                radial_weight=None):
-    """Origin-centred log-spaced shells covering [r_in, r_out]."""
-    n_shells = max(1, int(math.ceil(2.0 * math.log2(r_out / r_in))))
-    edges = r_in * (r_out / r_in) ** (np.arange(n_shells + 1) / n_shells)
-    edges = edges[::-1].copy()  # decreasing, as _radial_shell_nodes expects
-    r, w = _radial_shell_nodes(edges, radial_order, dim)
-    if radial_weight is not None:
-        w = w * radial_weight(r)
-    dirs, wa = unit_sphere_rule(dim, angular_order)
-    pts = (r[:, :, None, None] * dirs[None, None, :, :]).reshape(-1, dim)
-    wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
-    out = np.empty(len(integrands))
-    for k, f in enumerate(integrands):
-        vals = _eval_chunks(f.func, pts)
-        out[k] = math.fsum(vals * wts)
-    return out, pts.shape[0]
+def _far_region(integrands, dim, spec, support):
+    """Region (c) for the integrands of one support radius.
 
-
-def _tail_region(integrands, cfg, spec):
-    """Region (c) for unbounded integrands: importance-sampled MC.
-
-    Integrates f * psi_tail over |x| > 0.8 * far_radius (the collar where
-    the tail weight rises, plus everything beyond).  Sampling density
-    p(x) = s R_t^s / (omega_N |x|^(N+s)) with s = tail_exponent and
-    R_t = 0.8 * far_radius; radii via inverse CDF, directions uniform.
+    One collar shell over [0.8, 1] * far_radius carries the rising far
+    weight; log-spaced plateau shells run on to `support`, or for unbounded
+    support to _FAR_CUT * far_radius plus a geometric closure (declared
+    ratio q^-tail_exponent for the shell ratio q).  Returns (values,
+    trunc_bounds, nodes); a trunc bound adds the collar's and the plateau's
+    two-level differences and the closure uncertainty.
     """
-    dim = cfg.dim
-    R_t = _TAIL_RISE_START * spec.far_radius
-    s = spec.tail_exponent
-    if s <= 0:
-        raise ConfigError(
-            f"tail_exponent must be > 0 for unbounded integrands, got {s}"
-        )
-    n = max(1000, spec.mc_samples // 8)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_TAIL))
-    u = rng.random(n)
-    radii = R_t * (1.0 - u) ** (-1.0 / s)
-    normal = rng.standard_normal((n, dim))
-    dirs = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-    pts = radii[:, None] * dirs
-    omega = sphere_surface_measure(dim)
-    inv_density = omega * radii ** (dim + s) / (s * R_t**s)
-    rise = _tail_partition_weight(radii, spec.far_radius)
-    values = np.empty(len(integrands))
-    stderrs = np.empty(len(integrands))
-    for k, f in enumerate(integrands):
-        est = _eval_chunks(f.func, pts) * rise * inv_density
-        values[k] = math.fsum(est) / n
-        var = float(np.var(est, ddof=1)) if n > 1 else 0.0
-        stderrs[k] = math.sqrt(var / n)
-    return values, stderrs, n
+    K = len(integrands)
+    R = spec.far_radius
+    r_t = _TAIL_RISE_START * R
+    r_out = _FAR_CUT * R if support is None else support
+    values, truncs = np.zeros(K), np.zeros(K)
+    if r_out <= r_t:
+        return values, truncs, 0
+    # The rise weight clamps to exactly 1 at far_radius; ending the collar
+    # shell there keeps every Gauss panel on an analytic integrand.
+    plateau = _log_edges(R, r_out) if r_out > R else np.array([r_out])
+    edges = np.append(plateau, r_t)
+    hi, lo, nodes = _two_level(
+        lambda q, order: _shell_sums(
+            integrands, np.zeros(dim), edges, q, order,
+            lambda r: _tail_partition_weight(r, R),
+        ),
+        dim,
+        spec.radial_order,
+    )
+    rho_decl = (edges[0] / edges[1]) ** -spec.tail_exponent
+    for k in range(K):
+        rest_hi = rest_lo = err = 0.0
+        if support is None:
+            # Plateau shells from the inside out; the collar is the last.
+            rest_hi, err = _geometric_closure(hi[k, -2::-1], rho_decl)
+            rest_lo, _ = _geometric_closure(lo[k, -2::-1], rho_decl)
+        plateau_hi = math.fsum(hi[k, :-1]) + rest_hi
+        plateau_lo = math.fsum(lo[k, :-1]) + rest_lo
+        values[k] = hi[k, -1] + plateau_hi
+        truncs[k] = abs(hi[k, -1] - lo[k, -1]) + abs(plateau_hi - plateau_lo) + err
+    return values, truncs, nodes
 
 
 def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     """Integrate several integrands on one shared domain decomposition.
 
-    All integrands must declare the same support_radius (the decomposition
-    geometry depends on it); pole exponents may differ per integrand.
-    Returns a list of IntegralResult in input order.
+    The pole balls and the mid region share one node set over the whole
+    batch; the far shells run once per distinct support_radius, so every
+    value depends only on the spec and its own integrand.  Pole exponents
+    and support radii may differ per integrand.  Returns a list of
+    IntegralResult in input order.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
     _validate_spec(cfg, spec)
-    supports = {f.support_radius for f in integrands}
-    if len(supports) != 1:
-        raise ValueError("integrate_many needs a common support_radius")
-    support = supports.pop()
-
     for f in integrands:
         if f.allow_truncation:
             for i, p in enumerate(f.pole_exponents):
@@ -603,13 +621,17 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
                     )
         else:
             local_integrability_check(f.pole_exponents, cfg.dim)
+        if f.support_radius is None and not spec.tail_exponent > 0:
+            raise ConfigError(
+                f"tail_exponent must be > 0 for unbounded integrands, "
+                f"got {spec.tail_exponent}"
+            )
 
     dim = cfg.dim
     dirs_count = unit_sphere_rule(dim)[0].shape[0]
     est_nodes = (
         2 * cfg.n_poles * spec.radial_levels * spec.radial_order * dirs_count
         + spec.mc_samples
-        + max(1000, spec.mc_samples // 8)
     )
     est_nodes *= len(integrands)
     if est_nodes > MAX_EVALS:
@@ -622,50 +644,26 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     )
     mid_vals, mid_errs, cells_b = _mid_region(integrands, cfg, spec)
 
-    far_vals = np.zeros(len(integrands))
-    far_errs = np.zeros(len(integrands))
-    far_truncs = np.zeros(len(integrands))
+    far_vals, far_truncs = np.zeros((2, len(integrands)))
     cells_c = 0
-    r_t = _TAIL_RISE_START * spec.far_radius
-    if support is not None:
-        if support > r_t:
-            # The rise weight clamps to 1 at far_radius; integrate the
-            # collar and the plateau beyond it as separate shell stacks so
-            # no Gauss panel straddles the seam.
-            rise = lambda r: _tail_partition_weight(r, spec.far_radius)
-            pieces = [(r_t, min(support, spec.far_radius), rise)]
-            if support > spec.far_radius:
-                pieces.append((spec.far_radius, support, None))
-            for r_in, r_out, wgt in pieces:
-                hi, lo, n = _two_level(
-                    lambda q, order: _far_shells(
-                        integrands, dim, r_in, r_out, q, order, radial_weight=wgt
-                    ),
-                    dim,
-                    spec.radial_order,
-                )
-                far_vals += hi
-                far_truncs += np.abs(hi - lo)
-                cells_c += n
-    else:
-        far_vals, far_errs, cells_c = _tail_region(integrands, cfg, spec)
-
-    results = []
-    for k in range(len(integrands)):
-        value = math.fsum([pole_vals[k], mid_vals[k], far_vals[k]])
-        stderr = math.hypot(mid_errs[k], far_errs[k])
-        trunc = pole_truncs[k] + far_truncs[k]
-        results.append(
-            IntegralResult(
-                value=value,
-                stderr=stderr,
-                trunc_bound=trunc,
-                cells=cells_a + cells_b + cells_c,
-                truncated=truncated[k],
-                eta=eta if truncated[k] else 0.0,
-            )
+    for support in dict.fromkeys(f.support_radius for f in integrands):
+        idx = [k for k, f in enumerate(integrands) if f.support_radius == support]
+        far_vals[idx], far_truncs[idx], n = _far_region(
+            [integrands[k] for k in idx], dim, spec, support
         )
-    return results
+        cells_c += n
+
+    return [
+        IntegralResult(
+            value=math.fsum([pole_vals[k], mid_vals[k], far_vals[k]]),
+            stderr=float(mid_errs[k]),
+            trunc_bound=pole_truncs[k] + far_truncs[k],
+            cells=cells_a + cells_b + cells_c,
+            truncated=truncated[k],
+            eta=eta if truncated[k] else 0.0,
+        )
+        for k in range(len(integrands))
+    ]
 
 
 def integrate(field, cfg: PoleConfig, spec: QuadratureSpec) -> IntegralResult:
@@ -689,17 +687,16 @@ def integrate_radial_annulus(
     if not 0 < r_in < r_out:
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
     f = Integrand(func=func, pole_exponents=[])
+    edges = _log_edges(r_in, r_out)
     hi, lo, n = _two_level(
-        lambda q, order: _far_shells([f], dim, r_in, r_out, q, order),
+        lambda q, order: _shell_sums([f], np.zeros(dim), edges, q, order),
         dim,
         radial_order,
         angular_order,
     )
+    value, coarse = math.fsum(hi[0]), math.fsum(lo[0])
     return IntegralResult(
-        value=float(hi[0]),
-        stderr=0.0,
-        trunc_bound=float(abs(hi[0] - lo[0])),
-        cells=n,
+        value=value, stderr=0.0, trunc_bound=abs(value - coarse), cells=n
     )
 
 

@@ -281,6 +281,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"'{where}'" in err
 
+    def test_radial_order_below_floor_is_config_error(self, tmp_path, capsys):
+        """radial_order 0 (or anything below the 4-point floor) is a config
+        error with exit 2, not a traceback from the Gauss-Legendre rule."""
+        data = base_config(tmp_path)
+        data["quadrature"]["radial_order"] = 0
+        path = write_config(tmp_path, data)
+        assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "radial_order" in err
+
     def test_selftest_reads_its_seed(self, capsys):
         argv = ["selftest", "--filter", "sphere_measures", "--quiet", "--seed"]
         assert main(argv + ["5"]) == EXIT_OK

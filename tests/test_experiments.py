@@ -253,6 +253,37 @@ class TestSpectralBound:
         )
         assert res.lambda_min >= p.c_n_mu * (1 - 0.02) - 3 * res.lambda_error
 
+    def test_pairs_declare_their_own_support(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        """A Gram pair vanishes wherever either function does: pairs with
+        phi_eps carry its support 2R/eps, and only bump x bump is unbounded."""
+        import multipolar_hardy.experiments as experiments_module
+
+        class Captured(Exception):
+            pass
+
+        captured = {}
+
+        def capture(integrands, cfg, spec):
+            captured.update((f.name, f.support_radius) for f in integrands)
+            raise Captured
+
+        monkeypatch.setattr(experiments_module, "integrate_many", capture)
+        p = derive_params(two_poles_n3, 0.0)
+        basis = [
+            GaussianBump(center=np.array([1.0, 0.2, 0.1]), width=0.7),
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta),
+        ]
+        with pytest.raises(Captured):
+            spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
+                           allow_truncation=True)
+        assert captured == {
+            f"{kind}_{i}_{j}": support
+            for kind in "ab"
+            for (i, j), support in {(0, 0): None, (0, 1): 8.0, (1, 1): 8.0}.items()
+        }
+
     def test_single_pole_gram_is_singular(self, lean_spec):
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
         p = derive_params(cfg, 0.0)

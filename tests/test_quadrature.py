@@ -259,8 +259,8 @@ class TestIntegrateMany:
         assert abs(res.value - exact) / exact < 2e-3
 
     def test_bounded_support_is_respected(self, two_poles_n3, lean_spec):
-        """A ball indicator integrates to the ball volume and the importance
-        tail contributes exactly nothing (support_radius declared)."""
+        """A ball indicator integrates to the ball volume and the far shells
+        stop at the declared support_radius."""
         radius = 4.0
 
         def func(pts):
@@ -370,11 +370,23 @@ class TestIntegrateMany:
         with pytest.raises(NonIntegrableSingularity):
             integrate(bad, two_poles_n3, lean_spec)
 
-    def test_rejects_mixed_support(self, two_poles_n3, lean_spec):
-        a = Integrand(func=gaussian, pole_exponents=[0.0, 0.0], support_radius=3.0)
-        b = Integrand(func=gaussian, pole_exponents=[0.0, 0.0])
-        with pytest.raises(ValueError):
-            integrate_many([a, b], two_poles_n3, lean_spec)
+    def test_mixed_support_batch_matches_solo_runs(self, two_poles_n3, lean_spec):
+        """Each support radius gets its own far shells, so an integrand in a
+        mixed-support batch gives its solo run's result bitwise."""
+        def compact(radius):
+            def func(pts):
+                t = np.sum(pts * pts, axis=1) / radius**2
+                return np.maximum(1.0 - t, 0.0) ** 3 * (1.0 + pts[:, 0])
+            return Integrand(func=func, pole_exponents=[0.0, 0.0],
+                             support_radius=radius)
+
+        batch = [compact(3.0), Integrand(func=gaussian, pole_exponents=[0.0, 0.0]),
+                 compact(9.0), compact(3.0)]
+        for f, res in zip(batch, integrate_many(batch, two_poles_n3, lean_spec)):
+            solo = integrate(f, two_poles_n3, lean_spec)
+            assert (res.value, res.stderr, res.trunc_bound) == (
+                solo.value, solo.stderr, solo.trunc_bound
+            )
 
     def test_rejects_wrong_exponent_count(self, two_poles_n3, lean_spec):
         bad = Integrand(func=gaussian, pole_exponents=[0.0])
@@ -411,7 +423,8 @@ class TestSpecValidation:
             integrate(gaussian, two_poles_n3, spec)
 
     @pytest.mark.parametrize(
-        "field,value", [("radial_levels", 3), ("mc_samples", 10)]
+        "field,value",
+        [("radial_levels", 3), ("mc_samples", 10), ("radial_order", 3)],
     )
     def test_minimum_resolution_floors(self, two_poles_n3, field, value):
         base = dict(
@@ -429,6 +442,45 @@ class TestSpecValidation:
         )
         with pytest.raises(ConfigError, match="guard"):
             integrate(gaussian, two_poles_n3, spec)
+
+
+# --------------------------------------------------------------------------
+# far region: deterministic shells and the geometric closure
+# --------------------------------------------------------------------------
+
+
+def _outer_tail(g):
+    """4 pi int_6^inf g(r) r^2 dr by scipy quad, for far_radius = 6."""
+    value, _ = sp_integrate.quad(lambda r: g(r) * r * r, 6.0, np.inf,
+                                 epsabs=0.0, epsrel=1e-13, limit=200)
+    return 4.0 * math.pi * value
+
+
+FAR_PROFILES = {
+    "r^-5": (lambda r: r**-5.0, math.pi / 18.0),
+    "(1+r^2)^-3": (lambda r: (1.0 + r * r) ** -3.0,
+                   _outer_tail(lambda r: (1.0 + r * r) ** -3.0)),
+    "exp(-r/3)/r^2": (lambda r: np.exp(-r / 3.0) / r**2,
+                      12.0 * math.pi * math.exp(-2.0)),
+}
+
+
+class TestFarRule:
+    @pytest.mark.parametrize("name", list(FAR_PROFILES))
+    def test_exact_beyond_far_radius(self, two_poles_n3, lean_spec, name):
+        """An unbounded radial integrand that vanishes inside far_radius
+        sees only the far shells and their closure beyond the cut: no
+        Monte Carlo noise and a value exact to 1e-9."""
+        g, exact = FAR_PROFILES[name]
+
+        def func(pts):
+            r = np.linalg.norm(pts, axis=1)
+            return np.where(r > lean_spec.far_radius,
+                            g(np.maximum(r, lean_spec.far_radius)), 0.0)
+
+        res = integrate(func, two_poles_n3, lean_spec)
+        assert res.stderr == 0.0
+        assert abs(res.value - exact) <= 1e-9 * exact
 
 
 # --------------------------------------------------------------------------
