@@ -70,6 +70,7 @@ from .fields import (
 )
 from .quadrature import (
     Integrand,
+    IntegrandBundle,
     IntegralResult,
     QuadratureSpec,
     integrate,
@@ -89,6 +90,7 @@ from .functionals import (
     TestFunction,
     beta_identity_check,
     energy_report,
+    energy_reports,
     hardy_ratio,
     identity_residual,
     identity_residual_error,
@@ -155,6 +157,7 @@ __all__ = [
     # quadrature
     "QuadratureSpec",
     "Integrand",
+    "IntegrandBundle",
     "IntegralResult",
     "integrate",
     "integrate_many",
@@ -172,6 +175,7 @@ __all__ = [
     "EnergyReport",
     "max_admissible_eps",
     "energy_report",
+    "energy_reports",
     "identity_residual",
     "identity_residual_error",
     "hardy_ratio",

@@ -23,7 +23,7 @@ so every caller reads the same gates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +53,7 @@ from .functionals import (
     OptimalityPhi,
     TestFunction,
     energy_report,
+    energy_reports,
     hardy_ratio,
     identity_residual,
     identity_residual_error,
@@ -60,6 +61,7 @@ from .functionals import (
 )
 from .quadrature import (
     Integrand,
+    IntegrandBundle,
     QuadratureSpec,
     integrate_many,
     integrate_pole_ball,
@@ -202,7 +204,10 @@ class SpectralResult:
     survived the near-dependence screening of the V-Gram.
     `lambda_error` is the first-order perturbation bound obtained by
     pushing the per-entry quadrature errors of both Gram matrices through
-    the Rayleigh quotient at the witness.
+    the Rayleigh quotient at the witness.  `gram` holds the assembled
+    matrices ``(A, B, A_error, B_error)`` (None for a result built by
+    hand); `prefix` solves the pencil of a leading part of the basis on
+    their leading blocks.
     """
 
     basis_size: int
@@ -210,6 +215,23 @@ class SpectralResult:
     lambda_error: float
     witness: np.ndarray
     rank: int
+    gram: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def prefix(self, size: int) -> "SpectralResult":
+        """The bound over the first `size` basis functions.
+
+        Solved on the leading size x size blocks of `gram`.  The node set
+        does not depend on the batch, so this equals ``spectral_bound`` on
+        ``basis[:size]`` bit for bit, without assembling it again.
+        """
+        if self.gram is None or not 1 <= size <= self.basis_size:
+            raise ConfigError(
+                f"prefix size must lie in 1..{self.basis_size} of an "
+                f"assembled result, got {size}"
+            )
+        return _pencil_minimum(*(m[:size, :size] for m in self.gram))
 
 
 @dataclass(frozen=True)
@@ -512,7 +534,7 @@ def beta_sweep(
     is the concave coefficient of the inverse-square mass, whose vertex
     yields the companion constant.  The residual column demonstrates the
     identity numerically at each grid point, from the energy report at
-    that exponent.
+    that exponent; all reports come from one `energy_reports` call.
     """
     validate_config(cfg, w)
     betas = [float(b) for b in beta_list]
@@ -521,18 +543,15 @@ def beta_sweep(
     p = derive_params(cfg, k_mu)
     n = cfg.n_poles
     shift = cfg.dim + k_mu - 2.0
-    records = []
-    for b in betas:
-        coeff = b * shift - n * b * b
-        rep = energy_report(phi, cfg, w, p, spec, beta=b)
-        records.append(
-            BetaRecord(
-                beta=b,
-                coefficient=coeff,
-                residual=identity_residual(rep, p),
-                residual_error=identity_residual_error(rep, p),
-            )
+    records = [
+        BetaRecord(
+            beta=b,
+            coefficient=b * shift - n * b * b,
+            residual=identity_residual(rep, p),
+            residual_error=identity_residual_error(rep, p),
         )
+        for b, rep in zip(betas, energy_reports(phi, cfg, w, p, spec, betas))
+    ]
     best = max(records, key=lambda r: r.coefficient)
     return BetaSweepResult(
         records=tuple(records),
@@ -560,10 +579,14 @@ def spectral_bound(
     Assembles ``A_ij = integral (grad phi_i . grad phi_j + W phi_i phi_j)
     dmu`` and ``B_ij = integral V phi_i phi_j dmu`` on shared nodes (one
     set for the pole balls and the mid region, far shells out to each
-    pair's support) and solves ``A v = lambda B v``.  The minimum is an upper bound for
-    the infimum of the Rayleigh quotient over all functions, so it
+    pair's support) and solves ``A v = lambda B v``.  All entries are rows
+    of one `IntegrandBundle`, which evaluates every basis function, its
+    gradient, mu, V and W once per node.  The minimum is an upper bound
+    for the infimum of the Rayleigh quotient over all functions, so it
     approaches the optimal constant from above as the span is enriched
-    with near-optimal members.
+    with near-optimal members.  The result keeps the Gram matrices, and
+    its `prefix` method gives the bound of every leading part of the
+    basis from this one assembly.
 
     The V-Gram is screened for near-dependence: eigendirections below
     1e-10 of the largest eigenvalue are dropped before the (Cholesky-type)
@@ -582,68 +605,56 @@ def spectral_bound(
         raise ConfigError(f"basis size must be in 1..200, got {m}")
     gamma = 0.0 if w.is_unit else w.gamma
     supports = [b.support_radius for b in basis]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
-    def pair_funcs(fi, fj):
-        def a_entry(x):
-            gi = fi.gradient(x)
-            gj = fj.gradient(x)
-            mu = weight_value(x, cfg, w)
-            grads = np.einsum("ij,ij->i", gi, gj)
-            wv = potential_w(x, cfg, w, p) * fi.value(x) * fj.value(x)
-            return (grads + wv) * mu
+    def entries(x):
+        values = [f.value(x) for f in basis]
+        grads = [f.gradient(x) for f in basis]
+        mu = weight_value(x, cfg, w)
+        v_pot = potential_v(x, cfg)
+        w_pot = potential_w(x, cfg, w, p)
+        out = np.empty((2 * len(pairs), x.shape[0]))
+        for k, (i, j) in enumerate(pairs):
+            dots = np.einsum("ij,ij->i", grads[i], grads[j])
+            wv = w_pot * values[i] * values[j]
+            out[2 * k] = (dots + wv) * mu
+            out[2 * k + 1] = v_pot * values[i] * values[j] * mu
+        return out
 
-        def b_entry(x):
-            return (
-                potential_v(x, cfg)
-                * fi.value(x)
-                * fj.value(x)
-                * weight_value(x, cfg, w)
-            )
-
-        return a_entry, b_entry
-
-    integrands = []
-    pairs = []
-    for i in range(m):
-        for j in range(i, m):
-            a_entry, b_entry = pair_funcs(basis[i], basis[j])
-            # A pair vanishes wherever either function does.
-            bounded = [s for s in (supports[i], supports[j]) if s is not None]
-            support = min(bounded, default=None)
-            sig = basis[i].pole_singularity + basis[j].pole_singularity
-            exp = [sig + 2.0 + gamma] * cfg.n_poles
-            integrands.append(
+    rows = []
+    for i, j in pairs:
+        # A pair vanishes wherever either function does.
+        bounded = [s for s in (supports[i], supports[j]) if s is not None]
+        sig = basis[i].pole_singularity + basis[j].pole_singularity
+        for kind in "ab":
+            rows.append(
                 Integrand(
-                    func=a_entry,
-                    pole_exponents=exp,
-                    support_radius=support,
+                    func=None,
+                    pole_exponents=[sig + 2.0 + gamma] * cfg.n_poles,
+                    support_radius=min(bounded, default=None),
                     allow_truncation=allow_truncation,
-                    name=f"a_{i}_{j}",
+                    name=f"{kind}_{i}_{j}",
                 )
             )
-            integrands.append(
-                Integrand(
-                    func=b_entry,
-                    pole_exponents=exp,
-                    support_radius=support,
-                    allow_truncation=allow_truncation,
-                    name=f"b_{i}_{j}",
-                )
-            )
-            pairs.append((i, j))
-    results = integrate_many(integrands, cfg, spec)
+    bundle = IntegrandBundle(func=entries, rows=tuple(rows), name="gram")
+    results = integrate_many([bundle], cfg, spec)
 
-    a_mat = np.zeros((m, m))
-    b_mat = np.zeros((m, m))
-    a_err = np.zeros((m, m))
-    b_err = np.zeros((m, m))
+    gram = np.zeros((4, m, m))
     for k, (i, j) in enumerate(pairs):
         ra, rb = results[2 * k], results[2 * k + 1]
-        a_mat[i, j] = a_mat[j, i] = ra.value
-        b_mat[i, j] = b_mat[j, i] = rb.value
-        a_err[i, j] = a_err[j, i] = ra.error
-        b_err[i, j] = b_err[j, i] = rb.error
+        gram[:, i, j] = gram[:, j, i] = (ra.value, rb.value, ra.error, rb.error)
+    return _pencil_minimum(*gram)
 
+
+def _pencil_minimum(a_mat, b_mat, a_err, b_err) -> SpectralResult:
+    """Solve ``A v = lambda B v`` for its smallest eigenvalue.
+
+    Works on fresh copies of the four matrices, so a leading block of a
+    larger assembly is solved exactly as the same matrices assembled on
+    their own.
+    """
+    a_mat, b_mat, a_err, b_err = (np.array(g) for g in (a_mat, b_mat, a_err, b_err))
+    m = a_mat.shape[0]
     evals, evecs = scipy.linalg.eigh(b_mat)
     top = evals[-1]
     if not top > 0:
@@ -672,6 +683,7 @@ def spectral_bound(
         lambda_error=lam_err,
         witness=witness,
         rank=rank,
+        gram=(a_mat, b_mat, a_err, b_err),
     )
 
 

@@ -2,8 +2,9 @@
 
 This module supplies the concrete test functions the identity is probed
 with (smooth bumps, radial cutoffs, and the near-optimal singular family)
-and one energy ledger, `energy_report`, which computes at an exponent
-``beta > 0`` of the comparison factor ``f = prod_i |x - a_i|^-beta``
+and one energy ledger, `energy_report` (`energy_reports` for several
+exponents in one call), which computes at an exponent ``beta > 0`` of the
+comparison factor ``f = prod_i |x - a_i|^-beta``
 
     dirichlet   = integral |grad phi|^2 dmu     v_mass  = integral V phi^2 dmu
     w_mass      = integral W_beta phi^2 dmu     l2_mass = integral phi^2 dmu
@@ -55,6 +56,7 @@ __all__ = [
     "TestFunction",
     "EnergyReport",
     "energy_report",
+    "energy_reports",
     "identity_residual",
     "identity_residual_error",
     "hardy_ratio",
@@ -324,11 +326,37 @@ def energy_report(
     NonIntegrableSingularity
         If any integrand fails the local integrability check.
     """
-    beta = p.beta if beta is None else float(beta)
-    if not beta > 0:
-        raise NonpositiveBeta(f"beta must be positive, got {beta}")
+    beta = p.beta if beta is None else beta
+    return energy_reports(
+        phi, cfg, w, p, spec, [beta], allow_truncation=allow_truncation
+    )[0]
+
+
+def energy_reports(
+    phi: TestFunction,
+    cfg: PoleConfig,
+    w: WeightSpec,
+    p: HardyParams,
+    spec: QuadratureSpec,
+    betas,
+    *,
+    allow_truncation: bool = False,
+) -> list[EnergyReport]:
+    """`energy_report` of `phi` at every exponent of `betas`, in one call.
+
+    The integrals that do not depend on the exponent (Dirichlet, V-mass,
+    L2-mass and, if any exponent is not ``p.beta``, the inverse-square
+    mass) are integrated once and shared by every report; the W-mass and
+    the remainder are integrated per exponent, all in one `integrate_many`
+    call.  Each report equals, bit for bit, the `energy_report` at its
+    exponent alone.  Raises as `energy_report`.
+    """
+    betas = [float(b) for b in betas]
+    for b in betas:
+        if not b > 0:
+            raise NonpositiveBeta(f"beta must be positive, got {b}")
     validate_config(cfg, w)
-    w_params = dataclasses.replace(p, beta=beta)
+    reduced = [isinstance(phi, OptimalityPhi) and phi.beta == b for b in betas]
 
     def mu(x):
         return weight_value(x, cfg, w)
@@ -344,21 +372,25 @@ def energy_report(
     def v_mass(x):
         return potential_v(x, cfg) * phi2_mu(x)
 
-    def w_mass(x):
-        return potential_w(x, cfg, w, w_params) * phi2_mu(x)
-
-    def remainder(x):
-        g = phi.gradient(x)
-        v = phi.value(x)
-        _, grad_ratio = hardy_factor(x, cfg, beta)
-        d = g - v[:, None] * grad_ratio
-        return np.einsum("ij,ij->i", d, d) * mu(x)
-
     def inv_sq_mass(x):
         pts, _ = _as_batch(x, cfg.dim)
         diffs = pts[:, None, :] - cfg.poles[None, :, :]
         inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
         return inv.sum(axis=1) * phi2_mu(pts)
+
+    def w_mass(beta):
+        params = dataclasses.replace(p, beta=beta)
+        return lambda x: potential_w(x, cfg, w, params) * phi2_mu(x)
+
+    def remainder(beta):
+        def func(x):
+            g = phi.gradient(x)
+            v = phi.value(x)
+            _, grad_ratio = hardy_factor(x, cfg, beta)
+            d = g - v[:, None] * grad_ratio
+            return np.einsum("ij,ij->i", d, d) * mu(x)
+
+        return func
 
     # Per-pole singularity exponents: phi^2 contributes 2 sigma, the
     # gradient adds 2 when phi is singular, the potentials add 2, and the
@@ -366,17 +398,18 @@ def energy_report(
     sigma = phi.pole_singularity
     gamma = 0.0 if w.is_unit else w.gamma
     mass_exp = 2.0 * sigma + 2.0 + gamma
-    table = [
+    shared = [
         ("dirichlet", dirichlet, 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)),
         ("v_mass", v_mass, mass_exp),
-        ("w_mass", w_mass, mass_exp),
         ("l2_mass", phi2_mu, 2.0 * sigma + gamma),
     ]
-    reduced = isinstance(phi, OptimalityPhi) and phi.beta == beta
-    if not reduced:
-        table.append(("remainder", remainder, mass_exp))
-    if beta != p.beta:
-        table.append(("inv_sq_mass", inv_sq_mass, mass_exp))
+    if any(b != p.beta for b in betas):
+        shared.append(("inv_sq_mass", inv_sq_mass, mass_exp))
+    table = list(shared)
+    for b, skip in zip(betas, reduced):
+        table.append(("w_mass", w_mass(b), mass_exp))
+        if not skip:
+            table.append(("remainder", remainder(b), mass_exp))
     integrands = [
         Integrand(
             func=f,
@@ -387,28 +420,46 @@ def energy_report(
         )
         for name, f, e in table
     ]
-    results = {
-        f.name: r for f, r in zip(integrands, integrate_many(integrands, cfg, spec))
-    }
+    results = iter(integrate_many(integrands, cfg, spec))
+    common = {name: next(results) for name, _, _ in shared}
+    inv_sq = common.pop("inv_sq_mass", None)
 
-    if reduced:
-        theta = phi._theta
-
-        def annulus_remainder(x):
-            g = theta.gradient(x)
-            f, _ = hardy_factor(x, cfg, phi.beta)
-            return np.einsum("ij,ij->i", g, g) * f * f * weight_value(x, cfg, w)
-
-        results["remainder"] = integrate_radial_annulus(
-            annulus_remainder,
-            cfg.dim,
-            phi.R / phi.eps,
-            2.0 * phi.R / phi.eps,
-            radial_order=spec.radial_order,
+    reports = []
+    for b, skip in zip(betas, reduced):
+        w_mass_b = next(results)
+        remainder_b = _annulus_remainder(phi, cfg, w, spec) if skip else next(results)
+        reports.append(
+            EnergyReport(
+                beta=b,
+                inv_sq_coefficient=b * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * b**2,
+                inv_sq_mass=None if b == p.beta else inv_sq,
+                w_mass=w_mass_b,
+                remainder=remainder_b,
+                **common,
+            )
         )
+    return reports
 
-    coefficient = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
-    return EnergyReport(beta=beta, inv_sq_coefficient=coefficient, **results)
+
+def _annulus_remainder(
+    phi: OptimalityPhi, cfg: PoleConfig, w: WeightSpec, spec: QuadratureSpec
+) -> IntegralResult:
+    """Remainder of `phi` at its own exponent: ``|grad theta_eps|^2 f^2 mu``
+    over the cutoff annulus, by the deterministic annulus rule."""
+    theta = phi._theta
+
+    def annulus_remainder(x):
+        g = theta.gradient(x)
+        f, _ = hardy_factor(x, cfg, phi.beta)
+        return np.einsum("ij,ij->i", g, g) * f * f * weight_value(x, cfg, w)
+
+    return integrate_radial_annulus(
+        annulus_remainder,
+        cfg.dim,
+        phi.R / phi.eps,
+        2.0 * phi.R / phi.eps,
+        radial_order=spec.radial_order,
+    )
 
 
 def _identity_terms(report: EnergyReport, p: HardyParams):

@@ -36,16 +36,23 @@ absorb the collars exactly.
 Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
 integrate_many call and shared by every integrand of the batch (the far
-shells once per distinct support radius); the work per integrand is
-evaluation at the stored nodes plus the reduction.  The deterministic
+shells once per distinct support radius).  The work is per bundle per
+slice: an IntegrandBundle computes the features its K rows share (test
+functions, weight, potentials) once per slice of nodes and returns all K
+rows, and a plain Integrand is a bundle of one row.  A slice holds whole
+shells (pole balls, far shells) or whole cells (mid region), about
+CHUNK // K nodes, so each shell's or cell's sum is one in-order bincount
+and no (K, n) array of the whole node set is ever held.  The deterministic
 rules (pole balls, far shells, integrate_radial_annulus) estimate their
 error as the difference between a high and a low order of the same rule.
 
 Determinism: region (b) is the only stochastic region; its stream is a
 Philox counter-based substream derived from (seed, region), partial sums
 are reduced in a fixed order with math.fsum, and worker parallelism only
-maps evaluation chunks, so results are reproducible for a fixed seed
-regardless of scheduling.
+maps slices, so results are reproducible for a fixed seed regardless of
+scheduling.  A row's value depends only on the spec and its own
+integrand: a bundle row equals, bit for bit, the same integrand passed
+alone.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .errors import BudgetExceeded, ConfigError, NonIntegrableSingularity
 __all__ = [
     "QuadratureSpec",
     "Integrand",
+    "IntegrandBundle",
     "IntegralResult",
     "sphere_surface_measure",
     "unit_sphere_rule",
@@ -80,7 +88,9 @@ __all__ = [
 # Hard cap on field evaluations per integrate() call.
 MAX_EVALS = 1 << 29
 
-# Evaluation chunk size; fixed so that worker count cannot change results.
+# Nodes per evaluation of a one-row integrand; a K-row bundle is evaluated on
+# slices of about CHUNK // K nodes.  Fixed, so that the worker count cannot
+# change results.
 CHUNK = 1 << 17
 
 # Default polar-angle orders per ambient dimension (azimuth gets twice this).
@@ -94,7 +104,7 @@ _FAR_CUT = 64.0
 
 
 def worker_count() -> int:
-    """Worker threads for evaluation chunks (MHARDY_WORKERS, default 1).
+    """Worker threads for evaluation slices (MHARDY_WORKERS, default 1).
 
     A value that is not a positive integer raises ConfigError.
     """
@@ -135,6 +145,9 @@ class QuadratureSpec:
 class Integrand:
     """A pointwise evaluator plus the metadata quadrature needs.
 
+    integrate_many handles a plain Integrand as an IntegrandBundle of one
+    row: func is called once per slice of nodes and gives one result.
+
     func            callable mapping points (M, N) -> values (M,)
     pole_exponents  declared growth |x - a_i|^-p_i near each pole
     support_radius  None for unbounded support, else the integrand vanishes
@@ -143,6 +156,7 @@ class Integrand:
     allow_truncation  permit borderline exponents p_i == N; the pole ball is
                     then integrated only down to the innermost shell radius
                     and the result flagged as truncated
+    name            label for the caller and for error messages
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -153,6 +167,23 @@ class Integrand:
 
 
 @dataclass
+class IntegrandBundle(Integrand):
+    """K integrands evaluated together, sharing the work of their features.
+
+    func maps points (M, N) -> values (K, M); row k of its output is the
+    integrand whose metadata is rows[k].  Quadrature reads only the rows'
+    pole_exponents, support_radius and allow_truncation (their own func is
+    never called and may be None), and integrate_many returns one result
+    per row, in row order, each equal bit for bit to what rows[k] with
+    func(x)[k] as its func would give passed alone.  The bundle's own
+    pole_exponents, support_radius and allow_truncation are not read.
+    """
+
+    pole_exponents: Sequence[float] = ()
+    rows: tuple[Integrand, ...] = ()
+
+
+@dataclass
 class IntegralResult:
     """Value with separated error channels.
 
@@ -160,9 +191,11 @@ class IntegralResult:
     stochastic region; trunc_bound collects the deterministic estimates
     (two-level differences of the product rules, the uncertainty of the
     geometric closures of the pole balls and the far shells).  cells counts
-    the nodes of the whole integrate_many call.  truncated is set when a
-    borderline pole exponent left the innermost ball unresolved; eta is the
-    innermost resolved radius (the truncation scale).
+    the nodes of the whole integrate_many call, the same for every result
+    of the call; a node counts once however many rows are evaluated at it.
+    truncated is set when a borderline pole exponent left the innermost
+    ball unresolved; eta is the innermost resolved radius (the truncation
+    scale).
     """
 
     value: float
@@ -236,15 +269,32 @@ def local_integrability_check(exponents: Sequence[float], dim: int) -> None:
             )
 
 
+def _rows(f: Integrand) -> tuple[Integrand, ...]:
+    """The integrands an evaluator computes; a plain one is its own row."""
+    return f.rows if isinstance(f, IntegrandBundle) else (f,)
+
+
 def _as_integrand(field, cfg: PoleConfig) -> Integrand:
-    if isinstance(field, Integrand):
-        if len(field.pole_exponents) != cfg.n_poles:
+    if not isinstance(field, Integrand):
+        return Integrand(func=field, pole_exponents=[0.0] * cfg.n_poles)
+    if not _rows(field):
+        raise ValueError("an IntegrandBundle needs at least one row")
+    for row in _rows(field):
+        if len(row.pole_exponents) != cfg.n_poles:
             raise ValueError(
-                f"pole_exponents has {len(field.pole_exponents)} entries "
+                f"pole_exponents has {len(row.pole_exponents)} entries "
                 f"for {cfg.n_poles} poles"
             )
-        return field
-    return Integrand(func=field, pole_exponents=[0.0] * cfg.n_poles)
+    return field
+
+
+def _blocks(integrands):
+    """(integrand, slice of its rows in the flat row order) per integrand."""
+    out, start = [], 0
+    for f in integrands:
+        out.append((f, slice(start, start + len(_rows(f)))))
+        start += len(_rows(f))
+    return out
 
 
 def _validate_spec(cfg: PoleConfig, spec: QuadratureSpec) -> None:
@@ -297,18 +347,78 @@ def _tail_partition_weight(r: np.ndarray, far_radius: float) -> np.ndarray:
     return _smoothstep((r - _TAIL_RISE_START * far_radius) / span)
 
 
-def _eval_chunks(func, pts: np.ndarray) -> np.ndarray:
-    """Evaluate func over fixed-size chunks, optionally with worker threads."""
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    chunks = [pts[i : i + CHUNK] for i in range(0, pts.shape[0], CHUNK)]
+def _map_slices(work, slices) -> None:
+    """Run work(i, j) for every (i, j) in slices, on MHARDY_WORKERS threads.
+
+    Each call writes its own disjoint part of the caller's output, so the
+    worker count cannot change a result.
+    """
     workers = worker_count()
-    if workers == 1 or len(chunks) == 1:
-        out = [np.asarray(func(c), dtype=float) for c in chunks]
+    if workers == 1 or len(slices) == 1:
+        for i, j in slices:
+            work(i, j)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            out = [np.asarray(v, dtype=float) for v in ex.map(func, chunks)]
-    return np.concatenate(out)
+            list(ex.map(lambda ij: work(*ij), slices))
+
+
+def _eval_chunks(func, pts: np.ndarray) -> np.ndarray:
+    """Evaluate func over fixed-size chunks of pts, on MHARDY_WORKERS threads.
+
+    The last axis of the result runs over the points.
+    """
+    if pts.shape[0] == 0:
+        return np.zeros(0)
+    bounds = list(range(0, pts.shape[0], CHUNK)) + [pts.shape[0]]
+    out = [None] * (len(bounds) - 1)
+
+    def work(i, j):
+        out[i] = np.asarray(func(pts[bounds[i] : bounds[j]]), dtype=float)
+
+    _map_slices(work, [(i, i + 1) for i in range(len(out))])
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+
+
+def _eval_rows(f: Integrand, pts: np.ndarray) -> np.ndarray:
+    """Values of every row of f at pts, shape (rows, M)."""
+    shape = (len(_rows(f)), pts.shape[0])
+    if pts.shape[0] == 0:
+        return np.zeros(shape)
+    vals = _eval_chunks(f.func, pts)
+    if vals.shape != shape and not (shape[0] == 1 and vals.shape == shape[1:]):
+        raise ValueError(
+            f"integrand {f.name!r} returned shape {vals.shape}, expected {shape}"
+        )
+    return vals.reshape(shape)
+
+
+def _slices(bounds: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Cut the nodes into slices of whole bins, about `cap` nodes each.
+
+    Bin b holds the nodes bounds[b]:bounds[b+1].  Returns bin ranges (i, j)
+    whose nodes bounds[i]:bounds[j] number at most `cap`, except that a
+    single bin larger than `cap` is a slice of its own: a bin is never
+    split, so its sum stays one in-order reduction.
+    """
+    out, i, last = [], 0, len(bounds) - 1
+    while i < last:
+        j = int(np.searchsorted(bounds, bounds[i] + cap, side="right")) - 1
+        j = min(max(j, i + 1), last)
+        out.append((i, j))
+        i = j
+    return out
+
+
+def _binned(bins: np.ndarray, vals: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-row bin sums of vals (K, M) over bins (M,): shape (K, n_bins).
+
+    One bincount over the flattened rows; each bin still sums its terms in
+    node order, exactly as a bincount of that row alone.
+    """
+    k = vals.shape[0]
+    index = (np.arange(k)[:, None] * n_bins + bins[None, :]).ravel()
+    out = np.bincount(index, weights=vals.ravel(), minlength=k * n_bins)
+    return out.reshape(k, n_bins)
 
 
 def _shell_sums(integrands, center, edges, radial_order, angular_order,
@@ -319,8 +429,8 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     edges[l+1] gets Gauss-Legendre nodes in radius (weights carry r^(N-1),
     times radial_weight(r) if given) and the product angular rule, and its
     terms are summed into shell shell_of_panel[l] (default: shell l).
-    Returns per-integrand per-shell sums, shape (K, shells), in panel
-    order, plus the node count.
+    Returns per-row per-shell sums, shape (rows, shells), in panel order,
+    plus the node count.
     """
     dim = center.shape[0]
     xi, wq = np.polynomial.legendre.leggauss(radial_order)
@@ -338,10 +448,17 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     pts = pts.reshape(-1, dim)
     wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
     shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
-    sums = np.empty((len(integrands), n_shells))
-    for k, f in enumerate(integrands):
-        vals = _eval_chunks(f.func, pts) * wts
-        sums[k] = np.bincount(shells, weights=vals, minlength=n_shells)
+    bounds = np.searchsorted(shells, np.arange(n_shells + 1))
+    blocks = _blocks(integrands)
+    sums = np.empty((blocks[-1][1].stop, n_shells))
+    for f, at in blocks:
+
+        def work(i, j, f=f, at=at):
+            a, b = bounds[i], bounds[j]
+            vals = _eval_rows(f, pts[a:b]) * wts[a:b]
+            sums[at, i:j] = _binned(shells[a:b] - i, vals, j - i)
+
+        _map_slices(work, _slices(bounds, CHUNK // len(_rows(f))))
     return sums, pts.shape[0]
 
 
@@ -360,7 +477,7 @@ def _pole_ball_pass(
     With fade=True the partition-of-unity collar is applied, so the pass
     contributes integral of f * psi_pole over the ball; fade=False gives
     the raw ball (used for whole-ball integrals such as the H3 check).
-    Returns per-integrand per-shell sums, shape (K, L), ordered outermost
+    Returns per-row per-shell sums, shape (rows, L), ordered outermost
     shell first, plus the evaluation count.
     """
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
@@ -439,7 +556,8 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
 def _pole_region(integrands, cfg, spec):
     """Region (a): all pole balls, with a two-level error estimate."""
     dim = cfg.dim
-    K = len(integrands)
+    rows = [r for f in integrands for r in _rows(f)]
+    K = len(rows)
     values = np.zeros(K)
     truncs = np.zeros(K)
     truncated = [False] * K
@@ -454,7 +572,7 @@ def _pole_region(integrands, cfg, spec):
             spec.radial_order,
         )
         cells += n
-        for k, f in enumerate(integrands):
+        for k, f in enumerate(rows):
             p = float(f.pole_exponents[i])
             borderline = p >= dim - 1e-9
             inner_hi, err_inner, trunc_flag = _inner_closure(hi[k], p, dim, borderline)
@@ -535,39 +653,68 @@ def _mid_region(integrands, cfg, spec):
 
     Antithetic pairs cancel the linear part of smooth integrands; the
     variance estimate treats pair averages as the iid unit.  Every
-    integrand is evaluated on the one node set of _mid_rule.
+    integrand is evaluated on the one node set of _mid_rule, a slice of
+    whole cells at a time; the per-cell means and variances of every row
+    are kept, shape (rows, cells), and summed per row at the end.
     """
     reps, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
-    K = len(integrands)
-    values = np.zeros(K)
-    stderrs = np.zeros(K)
-    for k, f in enumerate(integrands):
-        half_vals = np.zeros((2, reps.shape[0]))
-        for out, (mask, pts, weight) in zip(half_vals, halves):
-            out[mask] = _eval_chunks(f.func, pts) * weight
-        vals = 0.5 * (half_vals[0] + half_vals[1])
-        sums = np.bincount(reps, weights=vals, minlength=C)
-        sumsq = np.bincount(reps, weights=vals**2, minlength=C)
-        mean = sums / pairs
-        var = np.maximum(0.0, sumsq / pairs - mean**2)
-        # Unbiased variance of the cell mean over antithetic pairs.
-        var_mean = var / (pairs - 1)
-        values[k] = cell_vol * math.fsum(mean)
-        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_mean))
+
+    def cell_bounds(mask):
+        """Index of each cell's first True entry among the True entries."""
+        counts = np.count_nonzero(mask.reshape(C, pairs), axis=1)
+        return np.concatenate([[0], np.cumsum(counts)])
+
+    # Only the live pairs, those with a node in either half, are held: a
+    # pair with none adds exactly 0 to its cell's sums.  Cell c's live
+    # pairs sit at bounds[c]:bounds[c+1] of the live_* arrays.
+    live = halves[0][0] | halves[1][0]
+    live_cells = reps[live]
+    live_masks = [mask[live] for mask, _, _ in halves]
+    bounds = cell_bounds(live)
+    starts = [cell_bounds(mask) for mask, _, _ in halves]
+    blocks = _blocks(integrands)
+    K = blocks[-1][1].stop
+    means = np.empty((K, C))
+    var_means = np.empty((K, C))
+    for f, at in blocks:
+
+        def work(i, j, f=f, at=at):
+            u0, u1 = bounds[i], bounds[j]
+            half_vals = np.zeros((2, at.stop - at.start, u1 - u0))
+            for out, held, (_, pts, weight), first in zip(
+                half_vals, live_masks, halves, starts
+            ):
+                a, b = first[i], first[j]
+                out[:, held[u0:u1]] = _eval_rows(f, pts[a:b]) * weight[a:b]
+            vals = 0.5 * (half_vals[0] + half_vals[1])
+            cells = live_cells[u0:u1] - i
+            sums = _binned(cells, vals, j - i)
+            sumsq = _binned(cells, vals**2, j - i)
+            mean = sums / pairs
+            var = np.maximum(0.0, sumsq / pairs - mean**2)
+            means[at, i:j] = mean
+            # Unbiased variance of the cell mean over antithetic pairs.
+            var_means[at, i:j] = var / (pairs - 1)
+
+        _map_slices(work, _slices(bounds, CHUNK // len(_rows(f))))
+    values = np.array([cell_vol * math.fsum(m) for m in means])
+    stderrs = np.array([cell_vol * math.sqrt(math.fsum(v)) for v in var_means])
     return values, stderrs, int(2 * C * pairs)
 
 
 def _far_region(integrands, dim, spec, support):
-    """Region (c) for the integrands of one support radius.
+    """Region (c) on the far shells of one support radius.
 
     One collar shell over [0.8, 1] * far_radius carries the rising far
     weight; log-spaced plateau shells run on to `support`, or for unbounded
     support to _FAR_CUT * far_radius plus a geometric closure (declared
-    ratio q^-tail_exponent for the shell ratio q).  Returns (values,
-    trunc_bounds, nodes); a trunc bound adds the collar's and the plateau's
-    two-level differences and the closure uncertainty.
+    ratio q^-tail_exponent for the shell ratio q).  Every row of the given
+    integrands is integrated on these shells; the caller keeps the rows
+    whose support is `support`.  Returns (values, trunc_bounds, nodes) per
+    row; a trunc bound adds the collar's and the plateau's two-level
+    differences and the closure uncertainty.
     """
-    K = len(integrands)
+    K = sum(len(_rows(f)) for f in integrands)
     R = spec.far_radius
     r_t = _TAIL_RISE_START * R
     r_out = _FAR_CUT * R if support is None else support
@@ -606,12 +753,14 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     The pole balls and the mid region share one node set over the whole
     batch; the far shells run once per distinct support_radius, so every
     value depends only on the spec and its own integrand.  Pole exponents
-    and support radii may differ per integrand.  Returns a list of
-    IntegralResult in input order.
+    and support radii may differ per integrand.  A field may be a callable,
+    an Integrand or an IntegrandBundle; a bundle contributes one result per
+    row.  Returns a list of IntegralResult in input (and row) order.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
+    rows = [r for f in integrands for r in _rows(f)]
     _validate_spec(cfg, spec)
-    for f in integrands:
+    for f in rows:
         if f.allow_truncation:
             for i, p in enumerate(f.pole_exponents):
                 if p > cfg.dim + 1e-9:
@@ -633,7 +782,8 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
         2 * cfg.n_poles * spec.radial_levels * spec.radial_order * dirs_count
         + spec.mc_samples
     )
-    est_nodes *= len(integrands)
+    # A bundle row costs as much as an integrand of its own.
+    est_nodes *= len(rows)
     if est_nodes > MAX_EVALS:
         raise BudgetExceeded(
             f"about {est_nodes:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
@@ -644,13 +794,18 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     )
     mid_vals, mid_errs, cells_b = _mid_region(integrands, cfg, spec)
 
-    far_vals, far_truncs = np.zeros((2, len(integrands)))
+    far_vals, far_truncs = np.zeros((2, len(rows)))
     cells_c = 0
-    for support in dict.fromkeys(f.support_radius for f in integrands):
-        idx = [k for k, f in enumerate(integrands) if f.support_radius == support]
-        far_vals[idx], far_truncs[idx], n = _far_region(
-            [integrands[k] for k in idx], dim, spec, support
-        )
+    for support in dict.fromkeys(f.support_radius for f in rows):
+        # The integrands with a row of this support, and those rows.
+        blocks = [
+            (f, at) for f, at in _blocks(integrands)
+            if any(r.support_radius == support for r in _rows(f))
+        ]
+        idx = np.concatenate([np.arange(at.start, at.stop) for _, at in blocks])
+        mine = np.array([rows[k].support_radius == support for k in idx])
+        vals, truncs, n = _far_region([f for f, _ in blocks], dim, spec, support)
+        far_vals[idx[mine]], far_truncs[idx[mine]] = vals[mine], truncs[mine]
         cells_c += n
 
     return [
@@ -662,7 +817,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             truncated=truncated[k],
             eta=eta if truncated[k] else 0.0,
         )
-        for k in range(len(integrands))
+        for k in range(len(rows))
     ]
 
 

@@ -179,10 +179,14 @@ class TestExitCodes:
         del data["experiments"]["verify"]
         path = write_config(tmp_path, data)
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
-        # the shipped poly-exponential config has no spectral block
-        shipped = str(REPO / "configs" / "polyexp_n3_two_poles.json")
+        # the shipped poly-exponential config without its spectral block
+        shipped = json.loads(
+            (REPO / "configs" / "polyexp_n3_two_poles.json").read_text()
+        )
+        del shipped["experiments"]["spectral"]
+        stripped = write_config(tmp_path, shipped, name="polyexp.json")
         capsys.readouterr()
-        assert main(["spectral", "--config", shipped, "--quiet"]) == EXIT_USAGE
+        assert main(["spectral", "--config", stripped, "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config has no 'experiments.spectral' block" in err
 
@@ -473,7 +477,7 @@ class TestReports:
             assert error == identity_residual_error(rep, p)
             assert error > 0.0
 
-    @pytest.mark.parametrize("command", ["verify", "certify"])
+    @pytest.mark.parametrize("command", ["verify", "certify", "spectral"])
     @pytest.mark.parametrize(
         "config, reports",
         [("unit_n3_two_poles", "unit_n3"), ("polyexp_n3_two_poles", "polyexp_n3")],

@@ -266,7 +266,9 @@ class TestSpectralBound:
         captured = {}
 
         def capture(integrands, cfg, spec):
-            captured.update((f.name, f.support_radius) for f in integrands)
+            # The Gram entries are the rows of one bundle.
+            (bundle,) = integrands
+            captured.update((r.name, r.support_radius) for r in bundle.rows)
             raise Captured
 
         monkeypatch.setattr(experiments_module, "integrate_many", capture)
@@ -283,6 +285,31 @@ class TestSpectralBound:
             for kind in "ab"
             for (i, j), support in {(0, 0): None, (0, 1): 8.0, (1, 1): 8.0}.items()
         }
+
+    def test_prefixes_of_one_assembly_equal_separate_bounds(
+        self, two_poles_n3, lean_spec
+    ):
+        """Leading blocks of one Gram assembly give every prefix's bound,
+        error, rank and witness exactly as assembling that prefix alone."""
+        p = derive_params(two_poles_n3, 0.0)
+        basis = bump_basis(3, 3) + [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=e, beta=p.beta)
+            for e in (0.25, 0.125)
+        ]
+        args = (two_poles_n3, WeightSpec.unit(), p)
+        full = spectral_bound(*args, basis, lean_spec, allow_truncation=True)
+        for k in range(1, len(basis) + 1):
+            alone = spectral_bound(*args, basis[:k], lean_spec, allow_truncation=True)
+            part = full.prefix(k)
+            assert (part.basis_size, part.lambda_min, part.lambda_error, part.rank) \
+                == (alone.basis_size, alone.lambda_min, alone.lambda_error, alone.rank)
+            assert part.witness.tolist() == alone.witness.tolist()
+        assert full.prefix(len(basis)).lambda_min == full.lambda_min
+        for bad in (0, len(basis) + 1):
+            with pytest.raises(ConfigError):
+                full.prefix(bad)
+        with pytest.raises(ConfigError):
+            TestVerdicts.spectral(0.3).prefix(1)
 
     def test_single_pole_gram_is_singular(self, lean_spec):
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))

@@ -15,6 +15,7 @@ import pytest
 from multipolar_hardy import (
     ConfigError,
     CutoffTheta,
+    EnergyReport,
     EpsilonInadmissible,
     GaussianBump,
     NonpositiveBeta,
@@ -26,6 +27,7 @@ from multipolar_hardy import (
     beta_identity_check,
     derive_params,
     energy_report,
+    energy_reports,
     hardy_factor,
     hardy_ratio,
     identity_residual,
@@ -34,7 +36,11 @@ from multipolar_hardy import (
     weight_value,
 )
 from multipolar_hardy.fields import _as_batch, potential_v, potential_w
-from multipolar_hardy.quadrature import Integrand, integrate_many
+from multipolar_hardy.quadrature import (
+    Integrand,
+    integrate_many,
+    integrate_radial_annulus,
+)
 
 
 def fd_gradient(func, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -467,3 +473,133 @@ class TestBetaIdentity:
             )
         with pytest.raises(NonpositiveBeta):
             energy_report(phi, two_poles_n3, WeightSpec.unit(), p, lean_spec, beta=0.0)
+
+
+# --------------------------------------------------------------------------
+# the bundled ledger against the per-integrand one
+# --------------------------------------------------------------------------
+
+
+def reference_energy_report(phi, cfg, w, p, spec, *, beta=None, allow_truncation=False):
+    """The energy ledger with one integrand per integral, each evaluating
+    phi, its gradient, mu and the potentials on its own: the reference the
+    one-bundle ledger must reproduce bitwise."""
+    beta = p.beta if beta is None else float(beta)
+    w_params = dataclasses.replace(p, beta=beta)
+
+    def mu(x):
+        return weight_value(x, cfg, w)
+
+    def phi2_mu(x):
+        v = phi.value(x)
+        return v * v * mu(x)
+
+    def dirichlet(x):
+        g = phi.gradient(x)
+        return np.einsum("ij,ij->i", g, g) * mu(x)
+
+    def v_mass(x):
+        return potential_v(x, cfg) * phi2_mu(x)
+
+    def w_mass(x):
+        return potential_w(x, cfg, w, w_params) * phi2_mu(x)
+
+    def remainder(x):
+        g = phi.gradient(x)
+        v = phi.value(x)
+        _, grad_ratio = hardy_factor(x, cfg, beta)
+        d = g - v[:, None] * grad_ratio
+        return np.einsum("ij,ij->i", d, d) * mu(x)
+
+    def inv_sq_mass(x):
+        pts, _ = _as_batch(x, cfg.dim)
+        diffs = pts[:, None, :] - cfg.poles[None, :, :]
+        inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
+        return inv.sum(axis=1) * phi2_mu(pts)
+
+    sigma = phi.pole_singularity
+    gamma = 0.0 if w.is_unit else w.gamma
+    mass_exp = 2.0 * sigma + 2.0 + gamma
+    table = [
+        ("dirichlet", dirichlet, 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)),
+        ("v_mass", v_mass, mass_exp),
+        ("w_mass", w_mass, mass_exp),
+        ("l2_mass", phi2_mu, 2.0 * sigma + gamma),
+    ]
+    reduced = isinstance(phi, OptimalityPhi) and phi.beta == beta
+    if not reduced:
+        table.append(("remainder", remainder, mass_exp))
+    if beta != p.beta:
+        table.append(("inv_sq_mass", inv_sq_mass, mass_exp))
+    integrands = [
+        Integrand(
+            func=f,
+            pole_exponents=[e] * cfg.n_poles,
+            support_radius=phi.support_radius,
+            allow_truncation=allow_truncation,
+            name=name,
+        )
+        for name, f, e in table
+    ]
+    results = {
+        f.name: r for f, r in zip(integrands, integrate_many(integrands, cfg, spec))
+    }
+    if reduced:
+        theta = phi._theta
+
+        def annulus_remainder(x):
+            g = theta.gradient(x)
+            f, _ = hardy_factor(x, cfg, phi.beta)
+            return np.einsum("ij,ij->i", g, g) * f * f * weight_value(x, cfg, w)
+
+        results["remainder"] = integrate_radial_annulus(
+            annulus_remainder, cfg.dim, phi.R / phi.eps, 2.0 * phi.R / phi.eps,
+            radial_order=spec.radial_order,
+        )
+    coefficient = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
+    return EnergyReport(beta=beta, inv_sq_coefficient=coefficient, **results)
+
+
+class TestBundledLedger:
+    @pytest.mark.parametrize(
+        "case, beta",
+        [("bump", None), ("bump", 0.3), ("polyexp", None), ("polyexp", 0.35),
+         ("optimal", None), ("optimal", 0.7)],
+    )
+    def test_matches_per_integrand_reference(self, two_poles_n3, lean_spec, case, beta):
+        """Every integral of the one-bundle ledger, at beta = p.beta and away
+        from it, equals the per-integrand ledger's bit for bit."""
+        w, k_mu = WeightSpec.unit(), 0.0
+        if case == "polyexp":
+            w, k_mu = WeightSpec.polyexp(gamma=0.5), -0.6
+        p = derive_params(two_poles_n3, k_mu)
+        phi = GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)
+        allow = case == "optimal"
+        if allow:
+            phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
+        args = (phi, two_poles_n3, w, p, lean_spec)
+        expected = reference_energy_report(*args, beta=beta, allow_truncation=allow)
+        assert energy_report(*args, beta=beta, allow_truncation=allow) == expected
+
+    def test_one_call_equals_one_report_per_beta(self, two_poles_n3, lean_spec):
+        """The multi-exponent ledger shares its exponent-free integrals and
+        still gives each exponent's report exactly."""
+        p = derive_params(two_poles_n3, 0.0)
+        w = WeightSpec.unit()
+        phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
+        betas = [0.2, p.beta, 0.8]
+        args = (phi, two_poles_n3, w, p, lean_spec)
+        reports = energy_reports(*args, betas, allow_truncation=True)
+        assert reports == [
+            energy_report(*args, beta=b, allow_truncation=True) for b in betas
+        ]
+        assert reports[1].inv_sq_mass is None
+        assert reports[0].inv_sq_mass is reports[2].inv_sq_mass
+
+    def test_rejects_nonpositive_beta_anywhere(self, two_poles_n3, lean_spec):
+        phi = GaussianBump(center=np.array([1.0, 0.0, 0.0]), width=0.8)
+        p = derive_params(two_poles_n3, 0.0)
+        with pytest.raises(NonpositiveBeta):
+            energy_reports(
+                phi, two_poles_n3, WeightSpec.unit(), p, lean_spec, [0.5, -0.1]
+            )

@@ -19,7 +19,9 @@ from multipolar_hardy import (
     BudgetExceeded,
     ConfigError,
     Integrand,
+    IntegrandBundle,
     NonIntegrableSingularity,
+    OptimalityPhi,
     PoleConfig,
     QuadratureSpec,
     integrate,
@@ -28,6 +30,8 @@ from multipolar_hardy import (
     integrate_radial_annulus,
     sphere_flux,
     sphere_surface_measure,
+    derive_params,
+    potential_v,
     unit_sphere_rule,
     weight_value,
 )
@@ -629,3 +633,145 @@ class TestMidRegionNodeSet:
             )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+# --------------------------------------------------------------------------
+# integrand bundles: one evaluator for K rows
+# --------------------------------------------------------------------------
+
+
+def bundle_of(rows):
+    """A bundle whose func stacks the rows' own funcs."""
+    return IntegrandBundle(
+        func=lambda pts: np.stack([r.func(pts) for r in rows]), rows=tuple(rows)
+    )
+
+
+def mixed_rows(cfg, w):
+    """Unbounded bumps beside compactly supported rows of two near-optimal
+    functions, two of them borderline (p == N, truncated)."""
+    p = derive_params(cfg, 0.0)
+    rows = weighted_bumps(cfg, w, 3)
+    for eps in (0.25, 0.125):
+        phi = OptimalityPhi(cfg=cfg, R=1.0, eps=eps, beta=p.beta)
+        rows.append(Integrand(
+            func=lambda x, phi=phi: phi.value(x) ** 2,
+            pole_exponents=[2.0 * p.beta] * cfg.n_poles,
+            support_radius=phi.support_radius,
+        ))
+        rows.append(Integrand(
+            func=lambda x, phi=phi: potential_v(x, cfg) * phi.value(x) ** 2,
+            pole_exponents=[2.0 * p.beta + 2.0] * cfg.n_poles,
+            support_radius=phi.support_radius,
+            allow_truncation=True,
+        ))
+    return rows
+
+
+def region_of(pts, cfg, spec):
+    """pole, far or mid: which rule a slice of nodes comes from."""
+    dist = np.linalg.norm(pts[:, None, :] - cfg.poles[None, :, :], axis=2)
+    if np.all(dist.min(axis=1) <= spec.pole_radius * (1 + 1e-9)):
+        return "pole"
+    if np.all(np.linalg.norm(pts, axis=1) >= 0.8 * spec.far_radius * (1 - 1e-9)):
+        return "far"
+    return "mid"
+
+
+def result_fields(res):
+    return (res.value, res.stderr, res.trunc_bound, res.truncated, res.eta)
+
+
+class TestBundle:
+    @pytest.fixture()
+    def sliced_spec(self):
+        """Deep enough that a 7-row bundle needs several slices of pole
+        shells and of mid-region cells."""
+        return QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=24,
+            mc_samples=200_000, seed=5,
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rows_equal_separate_integrands(
+        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, workers
+    ):
+        """Every row of a bundle gives the value, errors, truncation flag
+        and eta of the same integrand passed alone, bit for bit."""
+        monkeypatch.setenv("MHARDY_WORKERS", workers)
+        rows = mixed_rows(two_poles_n3, unit_weight)
+        bundle = bundle_of(rows)
+        regions = []
+
+        def recorded(pts):
+            regions.append(region_of(pts, two_poles_n3, sliced_spec))
+            return bundle.func(pts)
+
+        alone = integrate_many(rows, two_poles_n3, sliced_spec)
+        together = integrate_many(
+            [IntegrandBundle(func=recorded, rows=bundle.rows)], two_poles_n3,
+            sliced_spec,
+        )
+        mixed = integrate_many(
+            [rows[0], bundle_of(rows[1:])], two_poles_n3, sliced_spec
+        )
+        assert [result_fields(r) for r in together] == [
+            result_fields(r) for r in alone
+        ]
+        assert [result_fields(r) for r in mixed] == [result_fields(r) for r in alone]
+        assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
+        # Two levels per pole ball, two antithetic halves: more calls than
+        # that means the rules were cut into several slices.
+        assert regions.count("pole") > 2 * two_poles_n3.n_poles
+        assert regions.count("mid") > 2
+
+    def test_budget_counts_rows(self, two_poles_n3, lean_spec, monkeypatch):
+        """A K-row bundle trips the evaluation cap exactly where K separate
+        integrands do."""
+        dirs = unit_sphere_rule(3)[0].shape[0]
+        nodes = (
+            2 * two_poles_n3.n_poles * lean_spec.radial_levels
+            * lean_spec.radial_order * dirs
+            + lean_spec.mc_samples
+        )
+        monkeypatch.setattr(quadrature, "MAX_EVALS", 3 * nodes)
+        rows = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])] * 4
+        for batch in (rows[:3], [bundle_of(rows[:3])]):
+            assert len(integrate_many(batch, two_poles_n3, lean_spec)) == 3
+        for batch in (rows, [bundle_of(rows)]):
+            with pytest.raises(BudgetExceeded):
+                integrate_many(batch, two_poles_n3, lean_spec)
+
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    def test_slices_bound_the_evaluation_size(self, two_poles_n3, sliced_spec, k):
+        """A K-row bundle's func never sees more than CHUNK // K points, or
+        one shell or cell where that is larger: the peak memory of an
+        evaluation stays flat in K."""
+        sizes = []
+
+        def func(pts):
+            sizes.append(pts.shape[0])
+            return np.tile(gaussian(pts), (k, 1))
+
+        rows = tuple(Integrand(func=None, pole_exponents=[0.0, 0.0]) for _ in range(k))
+        results = integrate_many(
+            [IntegrandBundle(func=func, rows=rows)], two_poles_n3, sliced_spec
+        )
+        assert len(results) == k
+        # The outermost pole shell is split in two panels at the fade onset.
+        shell = 2 * sliced_spec.radial_order * unit_sphere_rule(3)[0].shape[0]
+        _, _, _, pairs, _ = quadrature._mid_rule(two_poles_n3, sliced_spec)
+        assert max(sizes) <= max(quadrature.CHUNK // k, shell, pairs)
+
+    def test_rejects_misshapen_rows(self, two_poles_n3, lean_spec):
+        rows = (Integrand(func=None, pole_exponents=[0.0, 0.0]),) * 2
+        bad = IntegrandBundle(func=lambda pts: gaussian(pts)[None, :], rows=rows)
+        with pytest.raises(ValueError, match="shape"):
+            integrate_many([bad], two_poles_n3, lean_spec)
+        with pytest.raises(ValueError, match="row"):
+            integrate_many([IntegrandBundle(func=gaussian)], two_poles_n3, lean_spec)
+        short = (Integrand(func=None, pole_exponents=[0.0]),)
+        with pytest.raises(ValueError, match="pole_exponents"):
+            integrate_many(
+                [IntegrandBundle(func=gaussian, rows=short)], two_poles_n3, lean_spec
+            )
