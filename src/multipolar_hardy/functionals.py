@@ -2,9 +2,9 @@
 
 This module supplies the concrete test functions the identity is probed
 with (smooth bumps, radial cutoffs, and the near-optimal singular family)
-and one energy ledger, `energy_report` (`energy_reports` for several
-exponents in one call), which computes at an exponent ``beta > 0`` of the
-comparison factor ``f = prod_i |x - a_i|^-beta``
+and one energy ledger, `energy_report` (`energy_reports` for a corpus of
+functions at several exponents in one call), which computes at an
+exponent ``beta > 0`` of the comparison factor ``f = prod_i |x - a_i|^-beta``
 
     dirichlet   = integral |grad phi|^2 dmu     v_mass  = integral V phi^2 dmu
     w_mass      = integral W_beta phi^2 dmu     l2_mass = integral phi^2 dmu
@@ -22,13 +22,23 @@ there the identity reads ``dirichlet = remainder + c * v_mass - w_mass``
 and the inverse-square mass is not integrated.  `identity_residual` and
 `identity_residual_error` evaluate the identity and its error estimate
 from the ledger alone.
+
+The ledger is one `integrate_many` call however many functions and
+exponents it covers: each integral kind is one `IntegrandBundle` with a
+row per function.  On every slice of nodes a kind bundle evaluates mu, V,
+W and the inverse-square sum once for all its rows, and the
+`OptimalityPhi` members of one exponent (the sharpness family
+``theta_eps f``) share |x| and the Hardy factor ``f``; each test function
+itself is still evaluated once per kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from .fields import (
 )
 from .quadrature import (
     Integrand,
+    IntegrandBundle,
     IntegralResult,
     QuadratureSpec,
     integrate_many,
@@ -63,6 +74,15 @@ __all__ = [
     "beta_identity_check",
     "max_admissible_eps",
 ]
+
+
+def _radius(pts: np.ndarray) -> np.ndarray:
+    """|x| of points pts (M, N).
+
+    The one formula for the cutoff's radius, so that a radius shared by
+    the members of a family gives each member its own values bit for bit.
+    """
+    return np.linalg.norm(pts, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,24 +166,32 @@ class CutoffTheta:
         """Phase (pi/2)(eps r / R - 1), clipped to the transition annulus."""
         return 0.5 * math.pi * (self.eps * r / self.R - 1.0)
 
-    def value(self, x):
-        pts, squeeze = _as_batch(x, np.shape(x)[-1])
-        r = np.linalg.norm(pts, axis=1)
+    def _value_at(self, r):
+        """The profile at radii r = |x|, shape (M,)."""
         out = np.ones_like(r)
         out[r >= 2.0 * self.R / self.eps] = 0.0
         mid = (r > self.R / self.eps) & (r < 2.0 * self.R / self.eps)
         out[mid] = np.cos(self._u(r[mid])) ** 2
-        return out[0] if squeeze else out
+        return out
 
-    def gradient(self, x):
-        pts, squeeze = _as_batch(x, np.shape(x)[-1])
-        r = np.linalg.norm(pts, axis=1)
+    def _gradient_at(self, pts, r):
+        """The gradient at points pts (M, N) of radii r = |x|."""
         out = np.zeros_like(pts)
         mid = (r > self.R / self.eps) & (r < 2.0 * self.R / self.eps)
         if np.any(mid):
             slope = -0.5 * math.pi * self.eps / self.R
             dr = slope * np.sin(2.0 * self._u(r[mid]))
             out[mid] = (dr / r[mid])[:, None] * pts[mid]
+        return out
+
+    def value(self, x):
+        pts, squeeze = _as_batch(x, np.shape(x)[-1])
+        out = self._value_at(_radius(pts))
+        return out[0] if squeeze else out
+
+    def gradient(self, x):
+        pts, squeeze = _as_batch(x, np.shape(x)[-1])
+        out = self._gradient_at(pts, _radius(pts))
         return out[0] if squeeze else out
 
 
@@ -214,15 +242,28 @@ class OptimalityPhi:
     def pole_singularity(self) -> float:
         return self.beta
 
+    def _value_at(self, r, hardy):
+        """phi from the radii r = |x| and `hardy_factor` at `beta`."""
+        f, _ = hardy
+        return self._theta._value_at(r) * f
+
+    def _gradient_at(self, pts, r, hardy):
+        """grad phi at pts (M, N) from their radii and `hardy_factor`."""
+        f, grad_ratio = hardy
+        theta = self._theta
+        th = theta._value_at(r)
+        return f[:, None] * (th[:, None] * grad_ratio + theta._gradient_at(pts, r))
+
     def value(self, x):
-        f, _ = hardy_factor(x, self.cfg, self.beta)
-        return self._theta.value(x) * f
+        pts, squeeze = _as_batch(x, self.cfg.dim)
+        out = self._value_at(_radius(pts), hardy_factor(pts, self.cfg, self.beta))
+        return out[0] if squeeze else out
 
     def gradient(self, x):
         pts, squeeze = _as_batch(x, self.cfg.dim)
-        f, grad_ratio = hardy_factor(pts, self.cfg, self.beta)
-        th = self._theta.value(pts)
-        out = f[:, None] * (th[:, None] * grad_ratio + self._theta.gradient(pts))
+        out = self._gradient_at(
+            pts, _radius(pts), hardy_factor(pts, self.cfg, self.beta)
+        )
         return out[0] if squeeze else out
 
 
@@ -328,117 +369,206 @@ def energy_report(
     """
     beta = p.beta if beta is None else beta
     return energy_reports(
-        phi, cfg, w, p, spec, [beta], allow_truncation=allow_truncation
-    )[0]
+        [phi], cfg, w, p, spec, [beta], allow_truncation=allow_truncation
+    )[0][0]
 
 
 def energy_reports(
-    phi: TestFunction,
+    functions: Sequence[TestFunction],
     cfg: PoleConfig,
     w: WeightSpec,
     p: HardyParams,
     spec: QuadratureSpec,
-    betas,
+    betas: Sequence[float],
     *,
-    allow_truncation: bool = False,
-) -> list[EnergyReport]:
-    """`energy_report` of `phi` at every exponent of `betas`, in one call.
+    allow_truncation: bool | Sequence[bool] = False,
+) -> list[list[EnergyReport]]:
+    """`energy_report` of every function at every exponent, in one call.
 
-    The integrals that do not depend on the exponent (Dirichlet, V-mass,
-    L2-mass and, if any exponent is not ``p.beta``, the inverse-square
-    mass) are integrated once and shared by every report; the W-mass and
-    the remainder are integrated per exponent, all in one `integrate_many`
-    call.  Each report equals, bit for bit, the `energy_report` at its
-    exponent alone.  Raises as `energy_report`.
+    Returns ``reports[j][b]``, the report of ``functions[j]`` at
+    ``betas[b]``.  Each integral kind is one `IntegrandBundle` with one
+    row per function, and all bundles go to one `integrate_many` call, so
+    the pole balls and the mid region are built once for the whole corpus
+    and the far shells once per support radius.  The integrals that do
+    not depend on the exponent (Dirichlet, V-mass, L2-mass and, if any
+    exponent is not ``p.beta``, the inverse-square mass) are integrated
+    once; the W-mass and the remainder once per distinct exponent.  On
+    each slice of nodes a bundle evaluates mu, V, W and the
+    inverse-square sum once, and the `OptimalityPhi` members of one
+    exponent share |x| and the Hardy factor.  Every report equals, bit
+    for bit, the `energy_report` of its function at its exponent alone
+    (apart from ``cells``, the node count of the whole call).
+
+    `allow_truncation` is one flag for every function or a sequence of
+    one flag per function.  Raises as `energy_report`.
     """
+    functions = list(functions)
     betas = [float(b) for b in betas]
     for b in betas:
         if not b > 0:
             raise NonpositiveBeta(f"beta must be positive, got {b}")
     validate_config(cfg, w)
-    reduced = [isinstance(phi, OptimalityPhi) and phi.beta == b for b in betas]
+    if isinstance(allow_truncation, bool):
+        allow = [allow_truncation] * len(functions)
+    else:
+        allow = [bool(a) for a in allow_truncation]
+        if len(allow) != len(functions):
+            raise ValueError(
+                f"{len(allow)} truncation flags for {len(functions)} functions"
+            )
 
-    def mu(x):
-        return weight_value(x, cfg, w)
-
-    def phi2_mu(x):
-        v = phi.value(x)
-        return v * v * mu(x)
-
-    def dirichlet(x):
-        g = phi.gradient(x)
-        return np.einsum("ij,ij->i", g, g) * mu(x)
-
-    def v_mass(x):
-        return potential_v(x, cfg) * phi2_mu(x)
-
-    def inv_sq_mass(x):
-        pts, _ = _as_batch(x, cfg.dim)
-        diffs = pts[:, None, :] - cfg.poles[None, :, :]
-        inv = 1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)
-        return inv.sum(axis=1) * phi2_mu(pts)
-
-    def w_mass(beta):
-        params = dataclasses.replace(p, beta=beta)
-        return lambda x: potential_w(x, cfg, w, params) * phi2_mu(x)
-
-    def remainder(beta):
-        def func(x):
-            g = phi.gradient(x)
-            v = phi.value(x)
-            _, grad_ratio = hardy_factor(x, cfg, beta)
-            d = g - v[:, None] * grad_ratio
-            return np.einsum("ij,ij->i", d, d) * mu(x)
-
-        return func
+    def reduced(phi, beta):
+        return isinstance(phi, OptimalityPhi) and phi.beta == beta
 
     # Per-pole singularity exponents: phi^2 contributes 2 sigma, the
     # gradient adds 2 when phi is singular, the potentials add 2, and the
     # weight adds gamma.
-    sigma = phi.pole_singularity
     gamma = 0.0 if w.is_unit else w.gamma
-    mass_exp = 2.0 * sigma + 2.0 + gamma
-    shared = [
-        ("dirichlet", dirichlet, 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)),
-        ("v_mass", v_mass, mass_exp),
-        ("l2_mass", phi2_mu, 2.0 * sigma + gamma),
-    ]
+
+    def exponent(kind, phi):
+        sigma = phi.pole_singularity
+        if kind == "dirichlet":
+            return 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)
+        if kind == "l2_mass":
+            return 2.0 * sigma + gamma
+        return 2.0 * sigma + 2.0 + gamma
+
+    everyone = range(len(functions))
+    table = [("dirichlet", None, everyone), ("v_mass", None, everyone),
+             ("l2_mass", None, everyone)]
     if any(b != p.beta for b in betas):
-        shared.append(("inv_sq_mass", inv_sq_mass, mass_exp))
-    table = list(shared)
-    for b, skip in zip(betas, reduced):
-        table.append(("w_mass", w_mass(b), mass_exp))
-        if not skip:
-            table.append(("remainder", remainder(b), mass_exp))
-    integrands = [
-        Integrand(
-            func=f,
-            pole_exponents=[e] * cfg.n_poles,
-            support_radius=phi.support_radius,
-            allow_truncation=allow_truncation,
-            name=name,
+        table.append(("inv_sq_mass", None, everyone))
+    for b in dict.fromkeys(betas):
+        table.append(("w_mass", b, everyone))
+        table.append(
+            ("remainder", b, [j for j in everyone if not reduced(functions[j], b)])
         )
-        for name, f, e in table
-    ]
-    results = iter(integrate_many(integrands, cfg, spec))
-    common = {name: next(results) for name, _, _ in shared}
-    inv_sq = common.pop("inv_sq_mass", None)
+    table = [(kind, b, members) for kind, b, members in table if members]
+
+    def bundle(kind, beta, members):
+        extra = () if beta is None else (beta,)
+
+        def func(x):
+            nodes = _Nodes(x, cfg, w, p)
+            row = getattr(nodes, kind)
+            return np.stack([row(functions[j], *extra) for j in members])
+
+        rows = tuple(
+            Integrand(
+                func=None,
+                pole_exponents=[exponent(kind, functions[j])] * cfg.n_poles,
+                support_radius=functions[j].support_radius,
+                allow_truncation=allow[j],
+                name=kind,
+            )
+            for j in members
+        )
+        return IntegrandBundle(func=func, rows=rows, name=kind)
+
+    results = iter(integrate_many([bundle(*entry) for entry in table], cfg, spec))
+    got = {
+        (kind, b): {j: next(results) for j in members} for kind, b, members in table
+    }
 
     reports = []
-    for b, skip in zip(betas, reduced):
-        w_mass_b = next(results)
-        remainder_b = _annulus_remainder(phi, cfg, w, spec) if skip else next(results)
-        reports.append(
+    for j, phi in enumerate(functions):
+        reports.append([
             EnergyReport(
                 beta=b,
                 inv_sq_coefficient=b * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * b**2,
-                inv_sq_mass=None if b == p.beta else inv_sq,
-                w_mass=w_mass_b,
-                remainder=remainder_b,
-                **common,
+                inv_sq_mass=None if b == p.beta else got["inv_sq_mass", None][j],
+                dirichlet=got["dirichlet", None][j],
+                v_mass=got["v_mass", None][j],
+                l2_mass=got["l2_mass", None][j],
+                w_mass=got["w_mass", b][j],
+                remainder=(
+                    _annulus_remainder(phi, cfg, w, spec)
+                    if reduced(phi, b) else got["remainder", b][j]
+                ),
             )
-        )
+            for b in betas
+        ])
     return reports
+
+
+class _Nodes:
+    """The fields of one slice of quadrature nodes, each evaluated once.
+
+    Every kind bundle of `energy_reports` makes one per slice; its methods
+    named after the integral kinds give one function's row.  mu, V, W and
+    the inverse-square sum are evaluated once, on first use, and the Hardy
+    factor once per exponent.  `OptimalityPhi` members share |x| and the
+    Hardy factor at their exponent, through the same `_value_at` and
+    `_gradient_at` as their own `value` and `gradient`; every other test
+    function is evaluated by its own `value` and `gradient`.
+    """
+
+    def __init__(self, x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
+        self.x, self.cfg, self.w, self.p = x, cfg, w, p
+        self._hardy = {}
+        self._w_pot = {}
+
+    @cached_property
+    def mu(self):
+        return weight_value(self.x, self.cfg, self.w)
+
+    @cached_property
+    def v_pot(self):
+        return potential_v(self.x, self.cfg)
+
+    @cached_property
+    def inv_sq_sum(self):
+        diffs = self.x[:, None, :] - self.cfg.poles[None, :, :]
+        return (1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)).sum(axis=1)
+
+    @cached_property
+    def radius(self):
+        return _radius(self.x)
+
+    def hardy(self, beta):
+        if beta not in self._hardy:
+            self._hardy[beta] = hardy_factor(self.x, self.cfg, beta)
+        return self._hardy[beta]
+
+    def w_pot(self, beta):
+        if beta not in self._w_pot:
+            params = dataclasses.replace(self.p, beta=beta)
+            self._w_pot[beta] = potential_w(self.x, self.cfg, self.w, params)
+        return self._w_pot[beta]
+
+    def value(self, phi):
+        if isinstance(phi, OptimalityPhi):
+            return phi._value_at(self.radius, self.hardy(phi.beta))
+        return phi.value(self.x)
+
+    def gradient(self, phi):
+        if isinstance(phi, OptimalityPhi):
+            return phi._gradient_at(self.x, self.radius, self.hardy(phi.beta))
+        return phi.gradient(self.x)
+
+    def l2_mass(self, phi):
+        v = self.value(phi)
+        return v * v * self.mu
+
+    def dirichlet(self, phi):
+        g = self.gradient(phi)
+        return np.einsum("ij,ij->i", g, g) * self.mu
+
+    def v_mass(self, phi):
+        return self.v_pot * self.l2_mass(phi)
+
+    def inv_sq_mass(self, phi):
+        return self.inv_sq_sum * self.l2_mass(phi)
+
+    def w_mass(self, phi, beta):
+        return self.w_pot(beta) * self.l2_mass(phi)
+
+    def remainder(self, phi, beta):
+        g = self.gradient(phi)
+        v = self.value(phi)
+        _, grad_ratio = self.hardy(beta)
+        d = g - v[:, None] * grad_ratio
+        return np.einsum("ij,ij->i", d, d) * self.mu
 
 
 def _annulus_remainder(

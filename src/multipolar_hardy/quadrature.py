@@ -755,11 +755,14 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     value depends only on the spec and its own integrand.  Pole exponents
     and support radii may differ per integrand.  A field may be a callable,
     an Integrand or an IntegrandBundle; a bundle contributes one result per
-    row.  Returns a list of IntegralResult in input (and row) order.
+    row.  Returns a list of IntegralResult in input (and row) order; no
+    fields give an empty list, once the spec is validated.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
     rows = [r for f in integrands for r in _rows(f)]
     _validate_spec(cfg, spec)
+    if not rows:
+        return []
     for f in rows:
         if f.allow_truncation:
             for i, p in enumerate(f.pole_exponents):

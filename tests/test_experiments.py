@@ -14,6 +14,7 @@ import pytest
 
 from multipolar_hardy import (
     ConfigError,
+    CutoffTheta,
     DEFAULT_EPS_GRID,
     GaussianBump,
     MultipolarHardyError,
@@ -35,6 +36,7 @@ from multipolar_hardy import (
     spectral_bound,
     sphere_surface_measure,
 )
+from multipolar_hardy import functionals
 from multipolar_hardy.fields import potential_w
 from multipolar_hardy.experiments import (
     _certify_samples,
@@ -50,6 +52,7 @@ from multipolar_hardy.experiments import (
     h4i_status,
     optimality_verdict,
     spectral_verdict,
+    verify_identity,
     verify_verdict,
 )
 
@@ -62,6 +65,52 @@ def bump_basis(count: int, dim: int, seed: int = 3) -> list[GaussianBump]:
         )
         for _ in range(count)
     ]
+
+
+# --------------------------------------------------------------------------
+# one ledger call per experiment
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def ledger_calls(monkeypatch):
+    """The integrate_many calls the energy ledger makes, as their field lists."""
+    calls = []
+    original = functionals.integrate_many
+
+    def counted(fields, cfg, spec):
+        calls.append(fields)
+        return original(fields, cfg, spec)
+
+    monkeypatch.setattr(functionals, "integrate_many", counted)
+    return calls
+
+
+class TestOneLedgerCall:
+    def test_verify_identity(self, two_poles_n3, lean_spec, ledger_calls):
+        """A mixed corpus, truncated family members included, is one call."""
+        p = derive_params(two_poles_n3, 0.0)
+        functions = bump_basis(2, 3) + [
+            CutoffTheta(R=1.0, eps=0.5),
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta),
+        ]
+        records = verify_identity(
+            two_poles_n3, WeightSpec.unit(), p, functions, lean_spec
+        )
+        assert len(ledger_calls) == 1
+        assert [r.truncated for r in records] == [False, False, False, True]
+
+    def test_optimality_sweep(self, two_poles_n3, lean_spec, ledger_calls):
+        p = derive_params(two_poles_n3, 0.0)
+        records, _ = optimality_sweep(
+            two_poles_n3, WeightSpec.unit(), p, eps_list=(0.25, 0.2, 0.125),
+            spec=lean_spec, R=1.0, fit=False,
+        )
+        assert len(records) == 3
+        assert len(ledger_calls) == 1
+        # dirichlet, v_mass, l2_mass and w_mass; the remainder reduces to
+        # the annulus rule.
+        assert [len(f.rows) for f in ledger_calls[0]] == [3] * 4
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from multipolar_hardy import (
     max_admissible_eps,
     weight_value,
 )
+from multipolar_hardy import functionals
 from multipolar_hardy.fields import _as_batch, potential_v, potential_w
 from multipolar_hardy.quadrature import (
     Integrand,
@@ -588,10 +589,10 @@ class TestBundledLedger:
         w = WeightSpec.unit()
         phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
         betas = [0.2, p.beta, 0.8]
-        args = (phi, two_poles_n3, w, p, lean_spec)
-        reports = energy_reports(*args, betas, allow_truncation=True)
+        args = (two_poles_n3, w, p, lean_spec)
+        (reports,) = energy_reports([phi], *args, betas, allow_truncation=True)
         assert reports == [
-            energy_report(*args, beta=b, allow_truncation=True) for b in betas
+            energy_report(phi, *args, beta=b, allow_truncation=True) for b in betas
         ]
         assert reports[1].inv_sq_mass is None
         assert reports[0].inv_sq_mass is reports[2].inv_sq_mass
@@ -601,5 +602,135 @@ class TestBundledLedger:
         p = derive_params(two_poles_n3, 0.0)
         with pytest.raises(NonpositiveBeta):
             energy_reports(
-                phi, two_poles_n3, WeightSpec.unit(), p, lean_spec, [0.5, -0.1]
+                [phi], two_poles_n3, WeightSpec.unit(), p, lean_spec, [0.5, -0.1]
             )
+
+
+# --------------------------------------------------------------------------
+# one ledger call for a whole corpus
+# --------------------------------------------------------------------------
+
+
+def integrals(rep):
+    """Every field of a report, each integral as (value, stderr, trunc_bound,
+    truncated, eta): a result's ``cells`` counts the nodes of its whole
+    integrate_many call, so a corpus with several supports counts more."""
+    out = {}
+    for f in dataclasses.fields(rep):
+        v = getattr(rep, f.name)
+        if hasattr(v, "trunc_bound"):
+            v = (v.value, v.stderr, v.trunc_bound, v.truncated, v.eta)
+        out[f.name] = v
+    return out
+
+
+def corpus(cfg, p):
+    """Two bumps, a cutoff, and a near-optimal family of three members of one
+    exponent and three different supports."""
+    dim = cfg.dim
+    bumps = [
+        GaussianBump(center=np.eye(dim)[0] * 1.0 + 0.3 * np.eye(dim)[1], width=0.8),
+        GaussianBump(center=-0.4 * np.eye(dim)[2], width=0.6),
+    ]
+    family = [
+        OptimalityPhi(cfg=cfg, R=1.0, eps=eps, beta=p.beta)
+        for eps in (0.25, 0.2, 0.125)
+    ]
+    return bumps + [CutoffTheta(R=1.0, eps=0.5)] + family
+
+
+class TestCorpusLedger:
+    CASES = {
+        # gamma = 1/2 in N = 3: every exponent strictly below N.
+        "strict_n3_power": (3, WeightSpec.polyexp(gamma=0.5), -0.6, 0.35),
+        # unit weight in N = 4: the family's masses are borderline, truncated.
+        "truncated_n4_unit": (4, WeightSpec.unit(), 0.0, 0.7),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_each_functions_own_report(self, case, workers, monkeypatch):
+        """One call for the corpus gives every function, at beta = p.beta and
+        away from it, the integrals of its own energy_report bit for bit."""
+        monkeypatch.setenv("MHARDY_WORKERS", workers)
+        dim, w, k_mu, other = self.CASES[case]
+        cfg = PoleConfig(dim=dim, poles=np.array([np.zeros(dim), 2.0 * np.eye(dim)[0]]))
+        p = derive_params(cfg, k_mu)
+        spec = QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=10, mc_samples=20_000,
+            seed=17,
+        )
+        functions = corpus(cfg, p)
+        truncate = case.startswith("truncated")
+        allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
+        betas = [p.beta, other]
+        reports = energy_reports(
+            functions, cfg, w, p, spec, betas, allow_truncation=allow
+        )
+        assert len(reports) == len(functions)
+        for phi, flag, own in zip(functions, allow, reports):
+            assert [integrals(r) for r in own] == [
+                integrals(energy_report(
+                    phi, cfg, w, p, spec, beta=b, allow_truncation=flag
+                ))
+                for b in betas
+            ]
+        assert [r[0].v_mass.truncated for r in reports] == allow
+
+    def test_hardy_factor_once_per_slice_per_bundle(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        """A near-optimal family of one exponent evaluates the Hardy factor
+        once per slice of each kind bundle, whatever its size."""
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        p = derive_params(two_poles_n3, 0.0)
+        counts = {"slices": 0, "hardy": 0}
+        inside = []
+        original_hardy = functionals.hardy_factor
+        original_many = functionals.integrate_many
+
+        def counted_hardy(*args, **kwargs):
+            counts["hardy"] += bool(inside)
+            return original_hardy(*args, **kwargs)
+
+        def counted_func(func):
+            def wrapper(x):
+                counts["slices"] += 1
+                inside.append(True)
+                try:
+                    return func(x)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        def counted_many(fields, cfg, spec):
+            fields = [dataclasses.replace(f, func=counted_func(f.func)) for f in fields]
+            return original_many(fields, cfg, spec)
+
+        monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
+        monkeypatch.setattr(functionals, "integrate_many", counted_many)
+        for eps_list in ([0.25], [0.25, 0.2, 0.125]):
+            counts.update(slices=0, hardy=0)
+            family = [
+                OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
+                for eps in eps_list
+            ]
+            energy_reports(
+                family, two_poles_n3, WeightSpec.unit(), p, lean_spec, [p.beta],
+                allow_truncation=True,
+            )
+            assert counts["hardy"] == counts["slices"] > 0
+
+    def test_empty_corpus_and_flag_count(self, two_poles_n3, lean_spec):
+        p = derive_params(two_poles_n3, 0.0)
+        args = (two_poles_n3, WeightSpec.unit(), p, lean_spec, [p.beta])
+        assert energy_reports([], *args) == []
+        with pytest.raises(ConfigError):
+            energy_reports(
+                [], *args[:3], dataclasses.replace(lean_spec, radial_levels=2),
+                [p.beta],
+            )
+        phi = GaussianBump(center=np.array([1.0, 0.0, 0.0]), width=0.8)
+        with pytest.raises(ValueError, match="flags"):
+            energy_reports([phi], *args, allow_truncation=[False, True])

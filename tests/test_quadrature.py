@@ -775,3 +775,12 @@ class TestBundle:
             integrate_many(
                 [IntegrandBundle(func=gaussian, rows=short)], two_poles_n3, lean_spec
             )
+
+    def test_empty_batch(self, two_poles_n3, lean_spec):
+        """No fields give no results, once the spec is validated."""
+        import dataclasses
+
+        assert integrate_many([], two_poles_n3, lean_spec) == []
+        shallow = dataclasses.replace(lean_spec, radial_levels=2)
+        with pytest.raises(ConfigError, match="radial_levels"):
+            integrate_many([], two_poles_n3, shallow)
