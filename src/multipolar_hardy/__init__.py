@@ -58,6 +58,7 @@ from .errors import (
     ZeroVMass,
 )
 from .fields import (
+    PoleFrame,
     cross_term_identity_gap,
     hardy_factor,
     laplacian_ratio,
@@ -145,6 +146,7 @@ __all__ = [
     "UnboundedSuspected",
     "SingularGram",
     # fields
+    "PoleFrame",
     "weight_value",
     "weight_log_value",
     "weight_log_grad",

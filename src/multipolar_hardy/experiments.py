@@ -47,11 +47,12 @@ from .errors import (
     UnboundedSuspected,
     ZeroVMass,
 )
-from .fields import potential_v, potential_w, vector_field_f, weight_value
+from .fields import potential_w, vector_field_f, weight_value
 from .functionals import (
     EnergyReport,
     OptimalityPhi,
     TestFunction,
+    _Nodes,
     energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
     energy_reports,
     hardy_ratio,
@@ -585,7 +586,9 @@ def spectral_bound(
     set for the pole balls and the mid region, far shells out to each
     pair's support) and solves ``A v = lambda B v``.  All entries are rows
     of one `IntegrandBundle`, which evaluates every basis function, its
-    gradient, mu, V and W once per node.  The minimum is an upper bound
+    gradient, mu, V and W once per node, from one pole frame per slice
+    of nodes (`functionals._Nodes`); the `OptimalityPhi` members of one
+    exponent share one Hardy factor per slice.  The minimum is an upper bound
     for the infimum of the Rayleigh quotient over all functions, so it
     approaches the optimal constant from above as the span is enriched
     with near-optimal members.  The result keeps the Gram matrices, and
@@ -612,11 +615,10 @@ def spectral_bound(
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
     def entries(x):
-        values = [f.value(x) for f in basis]
-        grads = [f.gradient(x) for f in basis]
-        mu = weight_value(x, cfg, w)
-        v_pot = potential_v(x, cfg)
-        w_pot = potential_w(x, cfg, w, p)
+        nodes = _Nodes(x, cfg, w, p)
+        values = [nodes.value(f) for f in basis]
+        grads = [nodes.gradient(f) for f in basis]
+        mu, v_pot, w_pot = nodes.mu, nodes.v_pot, nodes.w_pot(p.beta)
         out = np.empty((2 * len(pairs), x.shape[0]))
         for k, (i, j) in enumerate(pairs):
             dots = np.einsum("ij,ij->i", grads[i], grads[j])

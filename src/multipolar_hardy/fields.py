@@ -21,13 +21,23 @@ built from the closed-form fields evaluated here:
 * the flux field F(x) = -(grad(f)/f) mu(x) whose divergence theorem is the
   source of the energy identity checked in `functionals`.
 
-All evaluators accept a single point of shape (N,) or a batch of shape
-(M, N) and are vectorised over the batch.  Evaluating within the resolution
-guard of a pole raises AtPole; integration routines are responsible for
-keeping their nodes clear of the guard.
+All evaluators accept a single point of shape (N,), a batch of shape
+(M, N), or a `PoleFrame` of such points, and are vectorised over the
+batch.  Every field is built from the differences x - a_i and the
+distances |x - a_i|; a `PoleFrame` holds them (and, computed on first
+use, sum_i log|x - a_i|, which mu and f share), so kernels evaluated on
+one frame compute the pole geometry once between them.  A kernel given
+plain points builds its own frame, with the same values bit for bit.
+Distances are the squares summed in axis order, then the square root
+(`_length`).  Evaluating within the resolution guard of a pole raises
+AtPole; each guarded kernel checks the frame it is given, and
+integration routines are responsible for keeping their nodes clear of
+the guard.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +45,7 @@ from .config import HardyParams, PoleConfig, WeightSpec, resolution_guard
 from .errors import AtPole
 
 __all__ = [
+    "PoleFrame",
     "weight_value",
     "weight_log_value",
     "weight_log_grad",
@@ -58,24 +69,67 @@ def _as_batch(x, dim: int):
     return pts, single
 
 
-def _pole_frame(x, cfg: PoleConfig, guarded: bool = True):
-    """Differences and distances to every pole, with the AtPole guard.
+def _length(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis of v.
 
-    Returns (pts (M,N), diffs (M,n,N), dist (M,n), single flag).  Fields
-    that stay regular at the poles (e.g. the Unit weight) pass
+    The squares are summed in axis order and then square-rooted.  For a
+    last axis of length up to 7 this is `np.linalg.norm(v, axis=-1)` bit
+    for bit; from length 8 on numpy's reduction sums pairwise, and the two
+    may differ by a few ulps.
+    """
+    sq = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        sq += v[..., k] * v[..., k]
+    return np.sqrt(sq)
+
+
+class PoleFrame:
+    """A batch of points with its differences and distances to every pole.
+
+    Holds pts (M, N), diffs (M, n, N) and dist (M, n); `log_dist_sum`,
+    sum_i log|x - a_i| of shape (M,), is computed on first use.  `shape`
+    is that of pts, so ``np.shape`` of a frame is that of its points.
+    A frame of one point of shape (N,) has ``single`` set, and kernels
+    return its values as scalars, as they do for the point.  Built without the AtPole guard: each guarded kernel checks the frame
+    it is given.  A frame belongs to the configuration it was built for.
+    """
+
+    def __init__(self, x, cfg: PoleConfig):
+        self.pts, self.single = _as_batch(x, cfg.dim)
+        self.diffs = self.pts[:, None, :] - cfg.poles[None, :, :]
+        self.dist = _length(self.diffs)
+
+    @property
+    def shape(self) -> tuple:
+        return self.pts.shape
+
+    @cached_property
+    def log_dist_sum(self) -> np.ndarray:
+        return np.sum(np.log(self.dist), axis=1)
+
+
+def _frame(x, cfg: PoleConfig, guarded: bool = True) -> PoleFrame:
+    """The frame of x (x itself if it is one), with the AtPole guard.
+
+    Fields that stay regular at the poles (e.g. the Unit weight) pass
     guarded=False and handle zero distances themselves.
     """
-    pts, single = _as_batch(x, cfg.dim)
-    diffs = pts[:, None, :] - cfg.poles[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
+    frame = x if isinstance(x, PoleFrame) else PoleFrame(x, cfg)
     if guarded:
         guard = resolution_guard(cfg)
-        if np.any(dist <= guard):
-            k, i = np.argwhere(dist <= guard)[0]
+        if np.any(frame.dist <= guard):
+            k, i = np.argwhere(frame.dist <= guard)[0]
             raise AtPole(
-                f"point {pts[k]} is within {guard:.3e} of pole {i} at {cfg.poles[i]}"
+                f"point {frame.pts[k]} is within {guard:.3e} of pole {i} at {cfg.poles[i]}"
             )
-    return pts, diffs, dist, single
+    return frame
+
+
+def _batch(x, cfg: PoleConfig):
+    """(pts (M, N), single flag) of a point, a batch or a frame."""
+    if isinstance(x, PoleFrame):
+        return x.pts, x.single
+    return _as_batch(x, cfg.dim)
 
 
 def _weight_is_singular(w: WeightSpec) -> bool:
@@ -101,22 +155,23 @@ def weight_value(x, cfg: PoleConfig, w: WeightSpec):
     Unit weight evaluates to 1 everywhere including at the poles.
     """
     if w.is_unit:
-        pts, single = _as_batch(x, cfg.dim)
+        pts, single = _batch(x, cfg)
         return _maybe_scalar(np.ones(pts.shape[0]), single)
     return np.exp(weight_log_value(x, cfg, w))
 
 
 def weight_log_value(x, cfg: PoleConfig, w: WeightSpec):
     """Evaluate log mu(x) (well scaled far from the poles)."""
-    pts, _, dist, single = _pole_frame(x, cfg, guarded=_weight_is_singular(w))
     if w.is_unit:
+        pts, single = _batch(x, cfg)
         return _maybe_scalar(np.zeros(pts.shape[0]), single)
-    log_mu = np.zeros(pts.shape[0])
+    frame = _frame(x, cfg, guarded=_weight_is_singular(w))
+    log_mu = np.zeros(frame.pts.shape[0])
     if w.gamma != 0.0:
-        log_mu -= w.gamma * np.sum(np.log(dist), axis=1)
+        log_mu -= w.gamma * frame.log_dist_sum
     if w.delta > 0.0:
-        log_mu -= w.delta * np.sum(dist**w.m, axis=1)
-    return _maybe_scalar(log_mu, single)
+        log_mu -= w.delta * np.sum(frame.dist**w.m, axis=1)
+    return _maybe_scalar(log_mu, frame.single)
 
 
 def weight_log_grad(x, cfg: PoleConfig, w: WeightSpec):
@@ -130,17 +185,19 @@ def weight_log_grad(x, cfg: PoleConfig, w: WeightSpec):
     The AtPole guard applies when the gamma term is present or when m < 2
     makes the exponential term singular.
     """
-    pts, diffs, dist, single = _pole_frame(x, cfg, guarded=_log_grad_is_singular(w))
     if w.is_unit:
+        pts, single = _batch(x, cfg)
         out = np.zeros_like(pts)
         return out[0] if single else out
+    frame = _frame(x, cfg, guarded=_log_grad_is_singular(w))
+    dist = frame.dist
     coeff = np.zeros_like(dist)
     if w.gamma != 0.0:
         coeff -= w.gamma / dist**2
     if w.delta > 0.0:
         coeff -= w.delta * w.m * dist ** (w.m - 2.0)
-    out = np.einsum("mi,min->mn", coeff, diffs)
-    return out[0] if single else out
+    out = np.einsum("mi,min->mn", coeff, frame.diffs)
+    return out[0] if frame.single else out
 
 
 def potential_v(x, cfg: PoleConfig):
@@ -148,16 +205,16 @@ def potential_v(x, cfg: PoleConfig):
 
     For a single pole the pair sum is empty and V == 0.
     """
-    pts, _, dist, single = _pole_frame(x, cfg)
+    frame = _frame(x, cfg)
     n = cfg.n_poles
     if n < 2:
-        return _maybe_scalar(np.zeros(pts.shape[0]), single)
-    inv2 = 1.0 / dist**2
+        return _maybe_scalar(np.zeros(frame.pts.shape[0]), frame.single)
+    inv2 = 1.0 / frame.dist**2
     pole_diff = cfg.poles[:, None, :] - cfg.poles[None, :, :]
     gap2 = np.sum(pole_diff**2, axis=2)
     iu, ju = np.triu_indices(n, k=1)
     vals = np.einsum("k,mk,mk->m", gap2[iu, ju], inv2[:, iu], inv2[:, ju])
-    return _maybe_scalar(vals, single)
+    return _maybe_scalar(vals, frame.single)
 
 
 def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
@@ -174,8 +231,9 @@ def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
     arbitrarily close to the poles, where a one-ulp residue would be
     amplified by the 1/|x - a_i|^2 factor.
     """
-    pts, diffs, dist, single = _pole_frame(x, cfg)
-    bracket = np.full((pts.shape[0], cfg.n_poles), -p.k_mu)
+    frame = _frame(x, cfg)
+    diffs, dist = frame.diffs, frame.dist
+    bracket = np.full((frame.pts.shape[0], cfg.n_poles), -p.k_mu)
     if not w.is_unit:
         coeff = np.zeros_like(dist)
         if w.gamma != 0.0:
@@ -191,7 +249,7 @@ def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
             bracket -= w.delta * w.m * dist**w.m
         bracket += cross - diag
     vals = -p.beta * np.sum(bracket / dist**2, axis=1)
-    return _maybe_scalar(vals, single)
+    return _maybe_scalar(vals, frame.single)
 
 
 def hardy_factor(x, cfg: PoleConfig, beta: float):
@@ -199,10 +257,10 @@ def hardy_factor(x, cfg: PoleConfig, beta: float):
 
     Returns (value, grad_ratio) with shapes (M,) and (M, N).
     """
-    pts, diffs, dist, single = _pole_frame(x, cfg)
-    value = np.exp(-beta * np.sum(np.log(dist), axis=1))
-    grad_ratio = -beta * np.einsum("mi,min->mn", 1.0 / dist**2, diffs)
-    if single:
+    frame = _frame(x, cfg)
+    value = np.exp(-beta * frame.log_dist_sum)
+    grad_ratio = -beta * np.einsum("mi,min->mn", 1.0 / frame.dist**2, frame.diffs)
+    if frame.single:
         return value[0], grad_ratio[0]
     return value, grad_ratio
 
@@ -214,20 +272,21 @@ def laplacian_ratio(x, cfg: PoleConfig, beta: float):
 
     At beta = (N - 2)/n the first sum drops out and Delta(f)/f = -beta^2 V.
     """
-    pts, _, dist, single = _pole_frame(x, cfg)
+    frame = _frame(x, cfg)
     n = cfg.n_poles
     coeff = n * beta * beta - beta * (cfg.dim - 2.0)
-    vals = coeff * np.sum(1.0 / dist**2, axis=1) - beta * beta * potential_v(pts, cfg)
-    return _maybe_scalar(vals, single)
+    vals = (coeff * np.sum(1.0 / frame.dist**2, axis=1)
+            - beta * beta * potential_v(frame, cfg))
+    return _maybe_scalar(vals, frame.single)
 
 
 def vector_field_f(x, cfg: PoleConfig, w: WeightSpec, beta: float):
     """Evaluate the flux field F(x) = -(grad(f)/f) mu(x)."""
-    pts, diffs, dist, single = _pole_frame(x, cfg)
-    mu = weight_value(pts, cfg, w)
-    grad_ratio = -beta * np.einsum("mi,min->mn", 1.0 / dist**2, diffs)
+    frame = _frame(x, cfg)
+    mu = np.atleast_1d(weight_value(frame, cfg, w))
+    grad_ratio = -beta * np.einsum("mi,min->mn", 1.0 / frame.dist**2, frame.diffs)
     out = -grad_ratio * mu[:, None]
-    return out[0] if single else out
+    return out[0] if frame.single else out
 
 
 def cross_term_identity_gap(x, cfg: PoleConfig):
@@ -242,14 +301,15 @@ def cross_term_identity_gap(x, cfg: PoleConfig):
     - |a_i - a_j|^2.  The gap is pure rounding noise, of order
     1e-16 * (|lhs| + |rhs|); it is exposed so tests can pin the identity.
     """
-    pts, diffs, dist, single = _pole_frame(x, cfg)
+    frame = _frame(x, cfg)
+    dist = frame.dist
     n = cfg.n_poles
     if n < 2:
-        return _maybe_scalar(np.zeros(pts.shape[0]), single)
-    scaled = diffs / (dist**2)[:, :, None]
+        return _maybe_scalar(np.zeros(frame.pts.shape[0]), frame.single)
+    scaled = frame.diffs / (dist**2)[:, :, None]
     dots = np.einsum("min,mjn->mij", scaled, scaled)
     idx = np.arange(n)
     dots[:, idx, idx] = 0.0
     lhs = np.sum(dots, axis=(1, 2))
-    rhs = (n - 1) * np.sum(1.0 / dist**2, axis=1) - potential_v(pts, cfg)
-    return _maybe_scalar(lhs - rhs, single)
+    rhs = (n - 1) * np.sum(1.0 / dist**2, axis=1) - potential_v(frame, cfg)
+    return _maybe_scalar(lhs - rhs, frame.single)

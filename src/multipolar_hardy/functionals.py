@@ -26,10 +26,12 @@ from the ledger alone.
 The ledger is one `integrate_many` call however many functions and
 exponents it covers: each integral kind is one `IntegrandBundle` with a
 row per function.  On every slice of nodes a kind bundle evaluates mu, V,
-W and the inverse-square sum once for all its rows, and the
-`OptimalityPhi` members of one exponent (the sharpness family
-``theta_eps f``) share |x| and the Hardy factor ``f``; each test function
-itself is still evaluated once per kind.
+W and the inverse-square sum once for all its rows, all from one
+`fields.PoleFrame` of the slice (the pole differences, distances and
+their log sum, computed once), and the `OptimalityPhi` members of one
+exponent (the sharpness family ``theta_eps f``) share |x| and the Hardy
+factor ``f``, read from the same frame; each test function itself is
+still evaluated once per kind.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ import numpy as np
 from .config import HardyParams, PoleConfig, WeightSpec, validate_config
 from .errors import ConfigError, EpsilonInadmissible, NonpositiveBeta, ZeroVMass
 from .fields import (
+    PoleFrame,
     _as_batch,
+    _length,
     hardy_factor,
     potential_v,
     potential_w,
@@ -82,7 +86,7 @@ def _radius(pts: np.ndarray) -> np.ndarray:
     The one formula for the cutoff's radius, so that a radius shared by
     the members of a family gives each member its own values bit for bit.
     """
-    return np.linalg.norm(pts, axis=1)
+    return _length(pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,13 +498,17 @@ def energy_reports(
 class _Nodes:
     """The fields of one slice of quadrature nodes, each evaluated once.
 
-    Every kind bundle of `energy_reports` makes one per slice; its methods
-    named after the integral kinds give one function's row.  mu, V, W and
-    the inverse-square sum are evaluated once, on first use, and the Hardy
-    factor once per exponent.  `OptimalityPhi` members share |x| and the
-    Hardy factor at their exponent, through the same `_value_at` and
-    `_gradient_at` as their own `value` and `gradient`; every other test
-    function is evaluated by its own `value` and `gradient`.
+    Every kind bundle of `energy_reports` and the Gram bundle of
+    `experiments.spectral_bound` make one per slice; the methods named
+    after the integral kinds give one function's row.  mu, V, W and the
+    inverse-square sum are evaluated once, on first use, and the Hardy
+    factor once per exponent.  All of them read one `PoleFrame` of the
+    slice, built on first use, so the pole differences, distances and
+    their log sum are computed once per slice; the unit mu needs no frame.
+    `OptimalityPhi` members share |x| and the Hardy factor at their
+    exponent, through the same `_value_at` and `_gradient_at` as their own
+    `value` and `gradient`; every other test function is evaluated by its
+    own `value` and `gradient`.
     """
 
     def __init__(self, x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
@@ -509,16 +517,20 @@ class _Nodes:
         self._w_pot = {}
 
     @cached_property
+    def frame(self):
+        return PoleFrame(self.x, self.cfg)
+
+    @cached_property
     def mu(self):
-        return weight_value(self.x, self.cfg, self.w)
+        return weight_value(self.x if self.w.is_unit else self.frame, self.cfg, self.w)
 
     @cached_property
     def v_pot(self):
-        return potential_v(self.x, self.cfg)
+        return potential_v(self.frame, self.cfg)
 
     @cached_property
     def inv_sq_sum(self):
-        diffs = self.x[:, None, :] - self.cfg.poles[None, :, :]
+        diffs = self.frame.diffs
         return (1.0 / np.einsum("ipj,ipj->ip", diffs, diffs)).sum(axis=1)
 
     @cached_property
@@ -527,13 +539,13 @@ class _Nodes:
 
     def hardy(self, beta):
         if beta not in self._hardy:
-            self._hardy[beta] = hardy_factor(self.x, self.cfg, beta)
+            self._hardy[beta] = hardy_factor(self.frame, self.cfg, beta)
         return self._hardy[beta]
 
     def w_pot(self, beta):
         if beta not in self._w_pot:
             params = dataclasses.replace(self.p, beta=beta)
-            self._w_pot[beta] = potential_w(self.x, self.cfg, self.w, params)
+            self._w_pot[beta] = potential_w(self.frame, self.cfg, self.w, params)
         return self._w_pot[beta]
 
     def value(self, phi):
@@ -580,8 +592,9 @@ def _annulus_remainder(
 
     def annulus_remainder(x):
         g = theta.gradient(x)
-        f, _ = hardy_factor(x, cfg, phi.beta)
-        return np.einsum("ij,ij->i", g, g) * f * f * weight_value(x, cfg, w)
+        frame = PoleFrame(x, cfg)
+        f, _ = hardy_factor(frame, cfg, phi.beta)
+        return np.einsum("ij,ij->i", g, g) * f * f * weight_value(frame, cfg, w)
 
     return integrate_radial_annulus(
         annulus_remainder,

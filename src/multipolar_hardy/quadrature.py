@@ -69,6 +69,7 @@ from scipy.special import roots_jacobi
 
 from .config import PoleConfig, enclosing_radius, min_pole_gap, resolution_guard
 from .errors import BudgetExceeded, ConfigError, NonIntegrableSingularity
+from .fields import _length
 
 __all__ = [
     "QuadratureSpec",
@@ -599,13 +600,13 @@ def _mid_partition(pts, cfg, spec):
     Returns (mask, pts[mask], weight[mask]); the mask drops the pole cores
     (where the pole weight is 1) and every point of zero weight.
     """
-    r0 = np.linalg.norm(pts, axis=1)
+    r0 = _length(pts)
     weight = 1.0 - _tail_partition_weight(r0, spec.far_radius)
     # One pole at a time: an (n, P, N) difference array would set the peak
     # memory of the whole integrate_many call.
     dist = np.empty((pts.shape[0], cfg.n_poles))
     for i, pole in enumerate(cfg.poles):
-        dist[:, i] = np.linalg.norm(pts - pole, axis=1)
+        dist[:, i] = _length(pts - pole)
     weight = weight - _pole_partition_weight(dist, spec.pole_radius).sum(axis=1)
     core = _POLE_FADE_START * spec.pole_radius
     mask = (np.min(dist, axis=1) > core) & (weight != 0.0)

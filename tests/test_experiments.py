@@ -335,6 +335,44 @@ class TestSpectralBound:
             for (i, j), support in {(0, 0): None, (0, 1): 8.0, (1, 1): 8.0}.items()
         }
 
+    def test_gram_hardy_factor_once_per_slice(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        """The OptimalityPhi members of one exponent share one Hardy factor
+        per slice of the Gram bundle, through one pole frame."""
+        import multipolar_hardy.experiments as experiments_module
+
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        p = derive_params(two_poles_n3, 0.0)
+        counts = {"slices": 0, "hardy": 0}
+        original_hardy = functionals.hardy_factor
+        original_many = experiments_module.integrate_many
+
+        def counted_hardy(*args, **kwargs):
+            counts["hardy"] += 1
+            return original_hardy(*args, **kwargs)
+
+        def counted_func(func):
+            def wrapper(x):
+                counts["slices"] += 1
+                return func(x)
+
+            return wrapper
+
+        def counted_many(bundles, cfg, spec):
+            bundles = [dataclasses.replace(b, func=counted_func(b.func)) for b in bundles]
+            return original_many(bundles, cfg, spec)
+
+        monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
+        monkeypatch.setattr(experiments_module, "integrate_many", counted_many)
+        basis = bump_basis(1, 3) + [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=e, beta=p.beta)
+            for e in (0.25, 0.2)
+        ]
+        spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
+                       allow_truncation=True)
+        assert counts["hardy"] == counts["slices"] > 0
+
     def test_prefixes_of_one_assembly_equal_separate_bounds(
         self, two_poles_n3, lean_spec
     ):

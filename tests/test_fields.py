@@ -15,6 +15,7 @@ from multipolar_hardy import (
     AtPole,
     HardyParams,
     PoleConfig,
+    PoleFrame,
     WeightSpec,
     cross_term_identity_gap,
     derive_params,
@@ -28,6 +29,7 @@ from multipolar_hardy import (
     weight_log_value,
     weight_value,
 )
+from multipolar_hardy.fields import _length
 
 RNG = np.random.default_rng(97)
 
@@ -333,3 +335,85 @@ class TestHardyFactor:
             -grad * mu[:, None],
             rtol=1e-13,
         )
+
+
+# --------------------------------------------------------------------------
+# the pole frame shared by the kernels
+# --------------------------------------------------------------------------
+
+
+FRAME_WEIGHTS = {
+    "unit": WeightSpec.unit(),
+    "gamma": WeightSpec.polyexp(gamma=0.5),
+    "delta_m_below_2": WeightSpec.polyexp(gamma=0.0, delta=0.5, m=1.5),
+}
+
+
+def frame_kernels(cfg: PoleConfig, w: WeightSpec):
+    """Every kernel of `fields`, as a function of its point argument."""
+    p = derive_params(cfg, -0.3)
+    return {
+        "weight_value": lambda x: weight_value(x, cfg, w),
+        "weight_log_value": lambda x: weight_log_value(x, cfg, w),
+        "weight_log_grad": lambda x: weight_log_grad(x, cfg, w),
+        "potential_v": lambda x: potential_v(x, cfg),
+        "potential_w": lambda x: potential_w(x, cfg, w, p),
+        "hardy_factor": lambda x: hardy_factor(x, cfg, 0.7),
+        "laplacian_ratio": lambda x: laplacian_ratio(x, cfg, 0.7),
+        "vector_field_f": lambda x: vector_field_f(x, cfg, w, 0.7),
+        "cross_term_identity_gap": lambda x: cross_term_identity_gap(x, cfg),
+    }
+
+
+def as_bytes(value) -> list[tuple]:
+    """Shape and bytes of a kernel's value (of each part of a tuple)."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return [(np.shape(v), np.asarray(v).tobytes()) for v in parts]
+
+
+class TestPoleFrame:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_length_is_linalg_norm_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        scales = 10.0 ** rng.uniform(-8, 3, size=(400, 1))
+        flat = rng.standard_normal((400, dim)) * scales
+        stacked = flat.reshape(100, 4, dim)
+        for v in (flat, stacked):
+            assert _length(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("weight", sorted(FRAME_WEIGHTS))
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+    def test_kernels_on_a_frame_equal_kernels_on_points(self, dim, weight):
+        rng = np.random.default_rng(40 + dim)
+        cfg = random_instance(dim, 3, rng)
+        pts = points_off_poles(cfg, 30, rng)
+        for name, kernel in frame_kernels(cfg, FRAME_WEIGHTS[weight]).items():
+            frame = PoleFrame(pts, cfg)
+            assert as_bytes(kernel(frame)) == as_bytes(kernel(pts)), name
+            single = kernel(PoleFrame(pts[4], cfg))
+            assert as_bytes(single) == as_bytes(kernel(pts[4])), name
+
+    def test_shape_is_that_of_the_points(self, three_poles_n4):
+        pts = points_off_poles(three_poles_n4, 7)
+        frame = PoleFrame(pts, three_poles_n4)
+        assert np.shape(frame) == (7, 4)
+        assert frame.diffs.shape == (7, 3, 4) and frame.dist.shape == (7, 3)
+        assert np.shape(PoleFrame(pts[0], three_poles_n4)) == (1, 4)
+
+    def test_guarded_kernels_check_the_frame(self, two_poles_n3):
+        guard = resolution_guard(two_poles_n3)
+        pts = np.array([[0.5, 0.5, 0.5], [2.0, 0.0, 0.1 * guard]])
+        frame = PoleFrame(pts, two_poles_n3)
+        p = derive_params(two_poles_n3, 0.0)
+        w = WeightSpec.polyexp(gamma=0.5)
+        guarded = [
+            lambda x: potential_v(x, two_poles_n3),
+            lambda x: potential_w(x, two_poles_n3, w, p),
+            lambda x: hardy_factor(x, two_poles_n3, 0.5),
+            lambda x: weight_value(x, two_poles_n3, w),
+        ]
+        for kernel in guarded:
+            with pytest.raises(AtPole):
+                kernel(frame)
+        unit = weight_value(frame, two_poles_n3, WeightSpec.unit())
+        assert unit.tolist() == [1.0, 1.0]

@@ -35,7 +35,7 @@ from multipolar_hardy import (
     max_admissible_eps,
     weight_value,
 )
-from multipolar_hardy import functionals
+from multipolar_hardy import fields, functionals
 from multipolar_hardy.fields import _as_batch, potential_v, potential_w
 from multipolar_hardy.quadrature import (
     Integrand,
@@ -721,6 +721,61 @@ class TestCorpusLedger:
                 allow_truncation=True,
             )
             assert counts["hardy"] == counts["slices"] > 0
+
+    @pytest.mark.parametrize("weight", ["unit", "gamma"])
+    def test_one_pole_frame_per_slice_per_kind_bundle(
+        self, weight, two_poles_n3, monkeypatch
+    ):
+        """Every slice of a kind bundle builds at most one pole frame, shared
+        by mu, V, W, the inverse-square sum and the Hardy factor; a bundle
+        that needs only the unit mu builds none."""
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        cfg = two_poles_n3
+        if weight == "unit":
+            w, p = WeightSpec.unit(), derive_params(cfg, 0.0)
+            functions = corpus(cfg, p)[:3]
+            expected = {"dirichlet": 0, "l2_mass": 0}
+        else:
+            w, p = WeightSpec.polyexp(gamma=0.5), derive_params(cfg, -0.6)
+            functions = corpus(cfg, p)
+            expected = {}
+        spec = QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=10, mc_samples=20_000,
+            seed=17,
+        )
+        built = []
+        seen = {}
+        original_init = fields.PoleFrame.__init__
+        original_many = functionals.integrate_many
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            original_init(self, *args, **kwargs)
+
+        def counted_func(name, func):
+            def wrapper(x):
+                before = len(built)
+                out = func(x)
+                seen.setdefault(name, set()).add(len(built) - before)
+                return out
+
+            return wrapper
+
+        def counted_many(bundles, cfg, spec):
+            bundles = [
+                dataclasses.replace(b, func=counted_func(b.name, b.func))
+                for b in bundles
+            ]
+            return original_many(bundles, cfg, spec)
+
+        monkeypatch.setattr(fields.PoleFrame, "__init__", counted_init)
+        monkeypatch.setattr(functionals, "integrate_many", counted_many)
+        energy_reports(functions, cfg, w, p, spec, [p.beta, 0.35])
+        assert sorted(seen) == sorted(
+            ["dirichlet", "l2_mass", "v_mass", "inv_sq_mass", "w_mass", "remainder"]
+        )
+        for name, counts in seen.items():
+            assert counts == {expected.get(name, 1)}, name
 
     def test_empty_corpus_and_flag_count(self, two_poles_n3, lean_spec):
         p = derive_params(two_poles_n3, 0.0)
