@@ -90,8 +90,9 @@ class PoleFrame:
     sum_i log|x - a_i| of shape (M,), is computed on first use.  `shape`
     is that of pts, so ``np.shape`` of a frame is that of its points.
     A frame of one point of shape (N,) has ``single`` set, and kernels
-    return its values as scalars, as they do for the point.  Built without the AtPole guard: each guarded kernel checks the frame
-    it is given.  A frame belongs to the configuration it was built for.
+    return its values as scalars, as they do for the point.  Built
+    without the AtPole guard: each guarded kernel checks the frame it is
+    given.  A frame belongs to the configuration it was built for.
     """
 
     def __init__(self, x, cfg: PoleConfig):

@@ -25,19 +25,22 @@ from the ledger alone.
 
 The ledger is one `integrate_many` call however many functions and
 exponents it covers: each integral kind is one `IntegrandBundle` with a
-row per function.  On every slice of nodes a kind bundle evaluates mu, V,
-W and the inverse-square sum once for all its rows, all from one
+row per function.  `integrate_many` hands every kind bundle the same
+array of each slice of nodes in turn, and the bundles share one `_Nodes`
+of that slice.  So each field is evaluated once per node for the whole
+ledger: mu, V, W and the inverse-square sum, all from one
 `fields.PoleFrame` of the slice (the pole differences, distances and
-their log sum, computed once), and the `OptimalityPhi` members of one
-exponent (the sharpness family ``theta_eps f``) share |x| and the Hardy
-factor ``f``, read from the same frame; each test function itself is
-still evaluated once per kind.
+their log sum, computed once); the Hardy factor once per exponent; and
+each test function's value and gradient once.  The `OptimalityPhi`
+members of one exponent (the sharpness family ``theta_eps f``) share |x|
+and the Hardy factor ``f``, read from the same frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -396,10 +399,12 @@ def energy_reports(
     and the far shells once per support radius.  The integrals that do
     not depend on the exponent (Dirichlet, V-mass, L2-mass and, if any
     exponent is not ``p.beta``, the inverse-square mass) are integrated
-    once; the W-mass and the remainder once per distinct exponent.  On
-    each slice of nodes a bundle evaluates mu, V, W and the
-    inverse-square sum once, and the `OptimalityPhi` members of one
-    exponent share |x| and the Hardy factor.  Every report equals, bit
+    once; the W-mass and the remainder once per distinct exponent.  The
+    bundles share one `_Nodes` per slice of nodes, so mu, V, W, the
+    inverse-square sum, the Hardy factor at each exponent and each
+    function's value and gradient are evaluated once per node for the
+    whole call, and the `OptimalityPhi` members of one exponent share |x|
+    and the Hardy factor.  Every report equals, bit
     for bit, the `energy_report` of its function at its exponent alone
     (apart from ``cells``, the node count of the whole call).
 
@@ -449,12 +454,21 @@ def energy_reports(
         )
     table = [(kind, b, members) for kind, b, members in table if members]
 
+    # integrate_many calls every bundle on one slice, with the same array
+    # and on one thread, before the next slice: one entry per thread
+    # holds the _Nodes of the current slice.
+    current = threading.local()
+
+    def nodes_of(x):
+        if getattr(current, "x", None) is not x:
+            current.x, current.nodes = x, _Nodes(x, cfg, w, p)
+        return current.nodes
+
     def bundle(kind, beta, members):
         extra = () if beta is None else (beta,)
 
         def func(x):
-            nodes = _Nodes(x, cfg, w, p)
-            row = getattr(nodes, kind)
+            row = getattr(nodes_of(x), kind)
             return np.stack([row(functions[j], *extra) for j in members])
 
         rows = tuple(
@@ -498,23 +512,27 @@ def energy_reports(
 class _Nodes:
     """The fields of one slice of quadrature nodes, each evaluated once.
 
-    Every kind bundle of `energy_reports` and the Gram bundle of
-    `experiments.spectral_bound` make one per slice; the methods named
-    after the integral kinds give one function's row.  mu, V, W and the
-    inverse-square sum are evaluated once, on first use, and the Hardy
-    factor once per exponent.  All of them read one `PoleFrame` of the
+    `energy_reports` makes one per slice, shared by all its kind bundles,
+    and the Gram bundle of `experiments.spectral_bound` one per slice; the
+    methods named after the integral kinds give one function's row.  mu,
+    V, W and the inverse-square sum are evaluated once, on first use, the
+    Hardy factor once per exponent, and each test function's value and
+    gradient once per function.  All of them read one `PoleFrame` of the
     slice, built on first use, so the pole differences, distances and
     their log sum are computed once per slice; the unit mu needs no frame.
     `OptimalityPhi` members share |x| and the Hardy factor at their
     exponent, through the same `_value_at` and `_gradient_at` as their own
     `value` and `gradient`; every other test function is evaluated by its
-    own `value` and `gradient`.
+    own `value` and `gradient`.  Values and gradients are kept by the
+    identity of the function, which the caller keeps alive for the slice.
     """
 
     def __init__(self, x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
         self.x, self.cfg, self.w, self.p = x, cfg, w, p
         self._hardy = {}
         self._w_pot = {}
+        self._values = {}
+        self._gradients = {}
 
     @cached_property
     def frame(self):
@@ -549,14 +567,22 @@ class _Nodes:
         return self._w_pot[beta]
 
     def value(self, phi):
-        if isinstance(phi, OptimalityPhi):
-            return phi._value_at(self.radius, self.hardy(phi.beta))
-        return phi.value(self.x)
+        if id(phi) not in self._values:
+            if isinstance(phi, OptimalityPhi):
+                v = phi._value_at(self.radius, self.hardy(phi.beta))
+            else:
+                v = phi.value(self.x)
+            self._values[id(phi)] = v
+        return self._values[id(phi)]
 
     def gradient(self, phi):
-        if isinstance(phi, OptimalityPhi):
-            return phi._gradient_at(self.x, self.radius, self.hardy(phi.beta))
-        return phi.gradient(self.x)
+        if id(phi) not in self._gradients:
+            if isinstance(phi, OptimalityPhi):
+                g = phi._gradient_at(self.x, self.radius, self.hardy(phi.beta))
+            else:
+                g = phi.gradient(self.x)
+            self._gradients[id(phi)] = g
+        return self._gradients[id(phi)]
 
     def l2_mass(self, phi):
         v = self.value(phi)

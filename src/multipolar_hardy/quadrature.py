@@ -36,15 +36,19 @@ absorb the collars exactly.
 Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
 integrate_many call and shared by every integrand of the batch (the far
-shells once per distinct support radius).  The work is per bundle per
-slice: an IntegrandBundle computes the features its K rows share (test
-functions, weight, potentials) once per slice of nodes and returns all K
-rows, and a plain Integrand is a bundle of one row.  A slice holds whole
-shells (pole balls, far shells) or whole cells (mid region), about
-CHUNK // K nodes, so each shell's or cell's sum is one in-order bincount
-and no (K, n) array of the whole node set is ever held.  The deterministic
-rules (pole balls, far shells, integrate_radial_annulus) estimate their
-error as the difference between a high and a low order of the same rule.
+shells once per distinct support radius).  The work is slice by slice:
+each rule cuts its nodes once into slices of whole shells (pole balls,
+far shells) or whole cells (mid region), about CHUNK // K nodes for the K
+rows of the whole batch, and on each slice calls every integrand of the
+batch in batch order, on one thread, with one and the same array of
+points; so evaluators may share the work of a slice across integrands.
+An IntegrandBundle computes the features its rows share (test functions,
+weight, potentials) once per slice and returns all its rows, and a plain
+Integrand is a bundle of one row.  Each shell's or cell's sum is one
+in-order bincount, and no (K, n) array of the whole node set is ever
+held.  The deterministic rules (pole balls, far shells,
+integrate_radial_annulus) estimate their error as the difference between
+a high and a low order of the same rule.
 
 Determinism: region (b) is the only stochastic region; its stream is a
 Philox counter-based substream derived from (seed, region), partial sums
@@ -60,7 +64,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -89,9 +93,9 @@ __all__ = [
 # Hard cap on field evaluations per integrate() call.
 MAX_EVALS = 1 << 29
 
-# Nodes per evaluation of a one-row integrand; a K-row bundle is evaluated on
-# slices of about CHUNK // K nodes.  Fixed, so that the worker count cannot
-# change results.
+# Nodes per evaluation of a one-row integrand; a batch of K rows in all is
+# evaluated on slices of about CHUNK // K nodes.  Fixed, so that the worker
+# count cannot change results.
 CHUNK = 1 << 17
 
 # Default polar-angle orders per ambient dimension (azimuth gets twice this).
@@ -351,8 +355,8 @@ def _tail_partition_weight(r: np.ndarray, far_radius: float) -> np.ndarray:
 def _map_slices(work, slices) -> None:
     """Run work(i, j) for every (i, j) in slices, on MHARDY_WORKERS threads.
 
-    Each call writes its own disjoint part of the caller's output, so the
-    worker count cannot change a result.
+    Each call runs whole on one thread and writes its own disjoint part of
+    the caller's output, so the worker count cannot change a result.
     """
     workers = worker_count()
     if workers == 1 or len(slices) == 1:
@@ -363,34 +367,30 @@ def _map_slices(work, slices) -> None:
             list(ex.map(lambda ij: work(*ij), slices))
 
 
-def _eval_chunks(func, pts: np.ndarray) -> np.ndarray:
-    """Evaluate func over fixed-size chunks of pts, on MHARDY_WORKERS threads.
-
-    The last axis of the result runs over the points.
-    """
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    bounds = list(range(0, pts.shape[0], CHUNK)) + [pts.shape[0]]
-    out = [None] * (len(bounds) - 1)
-
-    def work(i, j):
-        out[i] = np.asarray(func(pts[bounds[i] : bounds[j]]), dtype=float)
-
-    _map_slices(work, [(i, i + 1) for i in range(len(out))])
-    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
-
-
 def _eval_rows(f: Integrand, pts: np.ndarray) -> np.ndarray:
-    """Values of every row of f at pts, shape (rows, M)."""
+    """Values of every row of f at pts, shape (rows, M): one call of f.func."""
     shape = (len(_rows(f)), pts.shape[0])
     if pts.shape[0] == 0:
         return np.zeros(shape)
-    vals = _eval_chunks(f.func, pts)
+    vals = np.asarray(f.func(pts), dtype=float)
     if vals.shape != shape and not (shape[0] == 1 and vals.shape == shape[1:]):
         raise ValueError(
             f"integrand {f.name!r} returned shape {vals.shape}, expected {shape}"
         )
     return vals.reshape(shape)
+
+
+def _eval_batch(integrands, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Values of every row of the batch at pts times weights, shape (rows, M).
+
+    Each integrand is called once, in batch order, on this same array, and
+    its rows are written into the result before the next one is called.
+    """
+    out = np.empty((sum(len(_rows(f)) for f in integrands), pts.shape[0]))
+    for f, at in _blocks(integrands):
+        out[at] = _eval_rows(f, pts)
+    out *= weights
+    return out
 
 
 def _slices(bounds: np.ndarray, cap: int) -> list[tuple[int, int]]:
@@ -431,7 +431,8 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     times radial_weight(r) if given) and the product angular rule, and its
     terms are summed into shell shell_of_panel[l] (default: shell l).
     Returns per-row per-shell sums, shape (rows, shells), in panel order,
-    plus the node count.
+    plus the node count.  The bins are cut once for the whole batch; each
+    slice is evaluated by every integrand in turn (`_eval_batch`).
     """
     dim = center.shape[0]
     xi, wq = np.polynomial.legendre.leggauss(radial_order)
@@ -450,16 +451,14 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
     shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
     bounds = np.searchsorted(shells, np.arange(n_shells + 1))
-    blocks = _blocks(integrands)
-    sums = np.empty((blocks[-1][1].stop, n_shells))
-    for f, at in blocks:
+    sums = np.empty((sum(len(_rows(f)) for f in integrands), n_shells))
 
-        def work(i, j, f=f, at=at):
-            a, b = bounds[i], bounds[j]
-            vals = _eval_rows(f, pts[a:b]) * wts[a:b]
-            sums[at, i:j] = _binned(shells[a:b] - i, vals, j - i)
+    def work(i, j):
+        a, b = bounds[i], bounds[j]
+        vals = _eval_batch(integrands, pts[a:b], wts[a:b])
+        sums[:, i:j] = _binned(shells[a:b] - i, vals, j - i)
 
-        _map_slices(work, _slices(bounds, CHUNK // len(_rows(f))))
+    _map_slices(work, _slices(bounds, CHUNK // len(sums)))
     return sums, pts.shape[0]
 
 
@@ -653,10 +652,12 @@ def _mid_region(integrands, cfg, spec):
     """Region (b): stratified MC over the blended bounded complement.
 
     Antithetic pairs cancel the linear part of smooth integrands; the
-    variance estimate treats pair averages as the iid unit.  Every
-    integrand is evaluated on the one node set of _mid_rule, a slice of
-    whole cells at a time; the per-cell means and variances of every row
-    are kept, shape (rows, cells), and summed per row at the end.
+    variance estimate treats pair averages as the iid unit.  The whole
+    batch is evaluated on the one node set of _mid_rule, a slice of whole
+    cells at a time: per antithetic half, every integrand in turn on that
+    half's points of the slice (`_eval_batch`).  The per-cell means and
+    variances of every row are kept, shape (rows, cells), and summed per
+    row at the end.
     """
     reps, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
 
@@ -673,31 +674,29 @@ def _mid_region(integrands, cfg, spec):
     live_masks = [mask[live] for mask, _, _ in halves]
     bounds = cell_bounds(live)
     starts = [cell_bounds(mask) for mask, _, _ in halves]
-    blocks = _blocks(integrands)
-    K = blocks[-1][1].stop
+    K = sum(len(_rows(f)) for f in integrands)
     means = np.empty((K, C))
     var_means = np.empty((K, C))
-    for f, at in blocks:
 
-        def work(i, j, f=f, at=at):
-            u0, u1 = bounds[i], bounds[j]
-            half_vals = np.zeros((2, at.stop - at.start, u1 - u0))
-            for out, held, (_, pts, weight), first in zip(
-                half_vals, live_masks, halves, starts
-            ):
-                a, b = first[i], first[j]
-                out[:, held[u0:u1]] = _eval_rows(f, pts[a:b]) * weight[a:b]
-            vals = 0.5 * (half_vals[0] + half_vals[1])
-            cells = live_cells[u0:u1] - i
-            sums = _binned(cells, vals, j - i)
-            sumsq = _binned(cells, vals**2, j - i)
-            mean = sums / pairs
-            var = np.maximum(0.0, sumsq / pairs - mean**2)
-            means[at, i:j] = mean
-            # Unbiased variance of the cell mean over antithetic pairs.
-            var_means[at, i:j] = var / (pairs - 1)
+    def work(i, j):
+        u0, u1 = bounds[i], bounds[j]
+        half_vals = np.zeros((2, K, u1 - u0))
+        for out, held, (_, pts, weight), first in zip(
+            half_vals, live_masks, halves, starts
+        ):
+            a, b = first[i], first[j]
+            out[:, held[u0:u1]] = _eval_batch(integrands, pts[a:b], weight[a:b])
+        vals = 0.5 * (half_vals[0] + half_vals[1])
+        cells = live_cells[u0:u1] - i
+        sums = _binned(cells, vals, j - i)
+        sumsq = _binned(cells, vals**2, j - i)
+        mean = sums / pairs
+        var = np.maximum(0.0, sumsq / pairs - mean**2)
+        means[:, i:j] = mean
+        # Unbiased variance of the cell mean over antithetic pairs.
+        var_means[:, i:j] = var / (pairs - 1)
 
-        _map_slices(work, _slices(bounds, CHUNK // len(_rows(f))))
+    _map_slices(work, _slices(bounds, CHUNK // K))
     values = np.array([cell_vol * math.fsum(m) for m in means])
     stderrs = np.array([cell_vol * math.sqrt(math.fsum(v)) for v in var_means])
     return values, stderrs, int(2 * C * pairs)
@@ -758,6 +757,14 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     an Integrand or an IntegrandBundle; a bundle contributes one result per
     row.  Returns a list of IntegralResult in input (and row) order; no
     fields give an empty list, once the spec is validated.
+
+    Evaluation is slice-major.  Each rule (a pole ball or far-shell pass,
+    an antithetic half of the mid region) cuts its nodes once into slices
+    for the whole batch, and on each slice calls every integrand that
+    takes part in the rule once, in batch order, on one thread and with
+    the same array object, before it moves to the next slice.  An
+    evaluator may therefore keep the work of a slice, keyed on the
+    identity of that array, for the later integrands of the batch.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
     rows = [r for f in integrands for r in _rows(f)]

@@ -8,6 +8,7 @@ scaling invariance) are asserted bitwise.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -681,10 +682,12 @@ class TestCorpusLedger:
         self, two_poles_n3, lean_spec, monkeypatch
     ):
         """A near-optimal family of one exponent evaluates the Hardy factor
-        once per slice of each kind bundle, whatever its size."""
+        once per slice of nodes, whatever its size: once for all its members
+        and all the kind bundles of the ledger together."""
         monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
-        counts = {"slices": 0, "hardy": 0}
+        slices = []  # the distinct slice arrays handed to the kind bundles
+        counts = {"calls": 0, "hardy": 0}
         inside = []
         original_hardy = functionals.hardy_factor
         original_many = functionals.integrate_many
@@ -695,7 +698,9 @@ class TestCorpusLedger:
 
         def counted_func(func):
             def wrapper(x):
-                counts["slices"] += 1
+                counts["calls"] += 1
+                if not slices or slices[-1] is not x:
+                    slices.append(x)
                 inside.append(True)
                 try:
                     return func(x)
@@ -711,7 +716,8 @@ class TestCorpusLedger:
         monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
         monkeypatch.setattr(functionals, "integrate_many", counted_many)
         for eps_list in ([0.25], [0.25, 0.2, 0.125]):
-            counts.update(slices=0, hardy=0)
+            slices.clear()
+            counts.update(calls=0, hardy=0)
             family = [
                 OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
                 for eps in eps_list
@@ -720,44 +726,54 @@ class TestCorpusLedger:
                 family, two_poles_n3, WeightSpec.unit(), p, lean_spec, [p.beta],
                 allow_truncation=True,
             )
-            assert counts["hardy"] == counts["slices"] > 0
+            assert counts["hardy"] == len(slices) > 0
+            assert counts["calls"] > len(slices)
 
     @pytest.mark.parametrize("weight", ["unit", "gamma"])
     def test_one_pole_frame_per_slice_per_kind_bundle(
         self, weight, two_poles_n3, monkeypatch
     ):
-        """Every slice of a kind bundle builds at most one pole frame, shared
-        by mu, V, W, the inverse-square sum and the Hardy factor; a bundle
-        that needs only the unit mu builds none."""
+        """Every kind bundle builds at most one pole frame per slice of
+        nodes, and the whole ledger, all its kind bundles together, builds
+        just one (in the first kind that needs one: the unit mu needs none);
+        it also evaluates the Hardy factor once per exponent, and each
+        function's value and gradient once."""
         monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         cfg = two_poles_n3
         if weight == "unit":
             w, p = WeightSpec.unit(), derive_params(cfg, 0.0)
             functions = corpus(cfg, p)[:3]
-            expected = {"dirichlet": 0, "l2_mass": 0}
+            framer = "v_mass"
         else:
+            # With a near-optimal family of three members of one exponent.
             w, p = WeightSpec.polyexp(gamma=0.5), derive_params(cfg, -0.6)
             functions = corpus(cfg, p)
-            expected = {}
+            framer = "dirichlet"
+        betas = [p.beta, 0.35]
         spec = QuadratureSpec(
             pole_radius=0.9, far_radius=6.0, radial_levels=10, mc_samples=20_000,
             seed=17,
         )
-        built = []
-        seen = {}
-        original_init = fields.PoleFrame.__init__
+        slices = []  # (the slice's array, [(kind, event)] of its bundle calls)
+        inside = []  # the kind bundle being evaluated
         original_many = functionals.integrate_many
+        original_hardy = functionals.hardy_factor
+        original_init = fields.PoleFrame.__init__
 
-        def counted_init(self, *args, **kwargs):
-            built.append(1)
-            original_init(self, *args, **kwargs)
+        def record(event):
+            if inside:
+                slices[-1][1].append((inside[-1], event))
 
-        def counted_func(name, func):
+        def counted_func(kind, func):
             def wrapper(x):
-                before = len(built)
-                out = func(x)
-                seen.setdefault(name, set()).add(len(built) - before)
-                return out
+                if not slices or slices[-1][0] is not x:
+                    slices.append((x, []))
+                inside.append(kind)
+                record("call")
+                try:
+                    return func(x)
+                finally:
+                    inside.pop()
 
             return wrapper
 
@@ -768,14 +784,43 @@ class TestCorpusLedger:
             ]
             return original_many(bundles, cfg, spec)
 
-        monkeypatch.setattr(fields.PoleFrame, "__init__", counted_init)
+        def counted_hardy(frame, cfg, beta):
+            record(("hardy", beta))
+            return original_hardy(frame, cfg, beta)
+
+        def counted_init(self, *args, **kwargs):
+            record("frame")
+            original_init(self, *args, **kwargs)
+
+        def counted_method(label, method):
+            def wrapper(self, *args, **kwargs):
+                record((label, id(self)))
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(functionals, "integrate_many", counted_many)
-        energy_reports(functions, cfg, w, p, spec, [p.beta, 0.35])
-        assert sorted(seen) == sorted(
-            ["dirichlet", "l2_mass", "v_mass", "inv_sq_mass", "w_mass", "remainder"]
+        monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
+        monkeypatch.setattr(fields.PoleFrame, "__init__", counted_init)
+        for cls, names in [
+            (GaussianBump, ("value", "gradient")),
+            (CutoffTheta, ("value", "gradient")),
+            (OptimalityPhi, ("_value_at", "_gradient_at")),
+        ]:
+            for name, label in zip(names, ("value", "gradient")):
+                monkeypatch.setattr(cls, name, counted_method(label, getattr(cls, name)))
+        energy_reports(functions, cfg, w, p, spec, betas)
+
+        kinds = {"dirichlet", "l2_mass", "v_mass", "inv_sq_mass", "w_mass", "remainder"}
+        once = Counter(
+            [("hardy", b) for b in betas]
+            + [(label, id(phi)) for phi in functions for label in ("value", "gradient")]
         )
-        for name, counts in seen.items():
-            assert counts == {expected.get(name, 1)}, name
+        assert len(slices) > 10
+        for _, events in slices:
+            assert {kind for kind, e in events if e == "call"} == kinds
+            assert [kind for kind, e in events if e == "frame"] == [framer]
+            assert Counter(e for _, e in events if e not in ("call", "frame")) == once
 
     def test_empty_corpus_and_flag_count(self, two_poles_n3, lean_spec):
         p = derive_params(two_poles_n3, 0.0)

@@ -7,7 +7,9 @@ identical output for identical (spec, integrand) regardless of batch
 composition or worker count.
 """
 
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -522,7 +524,7 @@ def reference_mid_region(integrands, cfg, spec):
         mask = (np.min(dist, axis=1) > core) & (weight != 0.0)
         out = np.zeros(pts.shape[0])
         if np.any(mask):
-            out[mask] = quadrature._eval_chunks(f.func, pts[mask]) * weight[mask]
+            out[mask] = f.func(pts[mask]) * weight[mask]
         return out
 
     u = rng.random((C * pairs, dim))
@@ -724,6 +726,63 @@ class TestBundle:
         # that means the rules were cut into several slices.
         assert regions.count("pole") > 2 * two_poles_n3.n_poles
         assert regions.count("mid") > 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_integrand_sees_each_slice_in_turn(
+        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, workers
+    ):
+        """Evaluation is slice-major: on each slice of nodes every integrand
+        of the batch that takes part in the rule is called once, in batch
+        order, on one thread, with the same array object, before the next
+        slice; every row still equals the same integrand passed alone."""
+        monkeypatch.setenv("MHARDY_WORKERS", workers)
+        rows = mixed_rows(two_poles_n3, unit_weight)
+        # Unbounded and compact rows in both bundles, a plain integrand
+        # between them.
+        batch = [
+            bundle_of([rows[0], rows[3], rows[4]]),
+            rows[1],
+            bundle_of([rows[5], rows[2], rows[6]]),
+        ]
+        calls = []  # (thread, slice array, batch index)
+
+        def recorded(k, f):
+            def func(pts):
+                calls.append((threading.get_ident(), pts, k))
+                return f.func(pts)
+
+            return dataclasses.replace(f, func=func)
+
+        together = integrate_many(
+            [recorded(k, f) for k, f in enumerate(batch)], two_poles_n3, sliced_spec
+        )
+        alone = integrate_many(
+            [rows[k] for k in (0, 3, 4, 1, 5, 2, 6)], two_poles_n3, sliced_spec
+        )
+        assert [result_fields(r) for r in together] == [
+            result_fields(r) for r in alone
+        ]
+
+        runs, current = [], {}  # runs of calls on one thread with one array
+        for thread, pts, k in calls:
+            run = current.get(thread)
+            if run is None or run[0] is not pts:
+                run = current[thread] = (pts, [])
+                runs.append(run)
+            run[1].append(k)
+        # No array is visited twice: each slice is one run, on one thread.
+        assert len({id(pts) for pts, _ in runs}) == len(runs)
+        by_region = {}
+        for pts, order in runs:
+            region = region_of(pts, two_poles_n3, sliced_spec)
+            by_region.setdefault(region, []).append(order)
+        assert sorted(by_region) == ["far", "mid", "pole"]
+        for region in ("pole", "mid"):
+            assert by_region[region] == [[0, 1, 2]] * len(by_region[region])
+        # Far shells run per support: the unbounded rows' shells call all
+        # three, the compact rows' shells only the bundle holding them.
+        assert all(order in ([0, 1, 2], [0], [2]) for order in by_region["far"])
+        assert [0, 1, 2] in by_region["far"]
 
     def test_budget_counts_rows(self, two_poles_n3, lean_spec, monkeypatch):
         """A K-row bundle trips the evaluation cap exactly where K separate
