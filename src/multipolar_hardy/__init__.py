@@ -71,7 +71,6 @@ from .fields import (
 )
 from .quadrature import (
     Integrand,
-    IntegrandBundle,
     IntegralResult,
     QuadratureSpec,
     integrate,
@@ -159,7 +158,6 @@ __all__ = [
     # quadrature
     "QuadratureSpec",
     "Integrand",
-    "IntegrandBundle",
     "IntegralResult",
     "integrate",
     "integrate_many",

@@ -52,7 +52,7 @@ from .functionals import (
     EnergyReport,
     OptimalityPhi,
     TestFunction,
-    _Nodes,
+    _slice_nodes,
     energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
     energy_reports,
     hardy_ratio,
@@ -62,7 +62,6 @@ from .functionals import (
 )
 from .quadrature import (
     Integrand,
-    IntegrandBundle,
     QuadratureSpec,
     integrate_many,
     integrate_pole_ball,
@@ -584,11 +583,13 @@ def spectral_bound(
     Assembles ``A_ij = integral (grad phi_i . grad phi_j + W phi_i phi_j)
     dmu`` and ``B_ij = integral V phi_i phi_j dmu`` on shared nodes (one
     set for the pole balls and the mid region, far shells out to each
-    pair's support) and solves ``A v = lambda B v``.  All entries are rows
-    of one `IntegrandBundle`, which evaluates every basis function, its
-    gradient, mu, V and W once per node, from one pole frame per slice
-    of nodes (`functionals._Nodes`); the `OptimalityPhi` members of one
-    exponent share one Hardy factor per slice.  The minimum is an upper bound
+    pair's support) and solves ``A v = lambda B v``.  Each entry is one
+    `Integrand`, and all of them share one `functionals._Nodes` per slice
+    of nodes, so every basis function, its gradient, mu, V and W are
+    evaluated once per node, from one pole frame per slice; the
+    `OptimalityPhi` members of one exponent share one Hardy factor per
+    slice, and a far-shell slice evaluates only the members of its
+    support.  The minimum is an upper bound
     for the infimum of the Rayleigh quotient over all functions, so it
     approaches the optimal constant from above as the span is enriched
     with near-optimal members.  The result keeps the Gram matrices, and
@@ -614,36 +615,40 @@ def spectral_bound(
     supports = [b.support_radius for b in basis]
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
-    def entries(x):
-        nodes = _Nodes(x, cfg, w, p)
-        values = [nodes.value(f) for f in basis]
-        grads = [nodes.gradient(f) for f in basis]
-        mu, v_pot, w_pot = nodes.mu, nodes.v_pot, nodes.w_pot(p.beta)
-        out = np.empty((2 * len(pairs), x.shape[0]))
-        for k, (i, j) in enumerate(pairs):
-            dots = np.einsum("ij,ij->i", grads[i], grads[j])
-            wv = w_pot * values[i] * values[j]
-            out[2 * k] = (dots + wv) * mu
-            out[2 * k + 1] = v_pot * values[i] * values[j] * mu
-        return out
+    nodes_of = _slice_nodes(cfg, w, p)
 
-    rows = []
+    def a_entry(fi, fj):
+        def func(x):
+            nodes = nodes_of(x)
+            dots = np.einsum("ij,ij->i", nodes.gradient(fi), nodes.gradient(fj))
+            wv = nodes.w_pot(p.beta) * nodes.value(fi) * nodes.value(fj)
+            return (dots + wv) * nodes.mu
+
+        return func
+
+    def b_entry(fi, fj):
+        def func(x):
+            nodes = nodes_of(x)
+            return nodes.v_pot * nodes.value(fi) * nodes.value(fj) * nodes.mu
+
+        return func
+
+    integrands = []
     for i, j in pairs:
         # A pair vanishes wherever either function does.
         bounded = [s for s in (supports[i], supports[j]) if s is not None]
         sig = basis[i].pole_singularity + basis[j].pole_singularity
-        for kind in "ab":
-            rows.append(
+        for kind, entry in (("a", a_entry), ("b", b_entry)):
+            integrands.append(
                 Integrand(
-                    func=None,
+                    func=entry(basis[i], basis[j]),
                     pole_exponents=[sig + 2.0 + gamma] * cfg.n_poles,
                     support_radius=min(bounded, default=None),
                     allow_truncation=allow_truncation,
                     name=f"{kind}_{i}_{j}",
                 )
             )
-    bundle = IntegrandBundle(func=entries, rows=tuple(rows), name="gram")
-    results = integrate_many([bundle], cfg, spec)
+    results = integrate_many(integrands, cfg, spec)
 
     gram = np.zeros((4, m, m))
     for k, (i, j) in enumerate(pairs):

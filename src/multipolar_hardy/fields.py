@@ -175,6 +175,17 @@ def weight_log_value(x, cfg: PoleConfig, w: WeightSpec):
     return _maybe_scalar(log_mu, frame.single)
 
 
+def _log_grad_coeff(dist: np.ndarray, w: WeightSpec) -> np.ndarray:
+    """c_i = -gamma / |x - a_i|^2 - delta m |x - a_i|^(m-2) of a PolyExp
+    weight, shape (M, n): grad(mu)/mu = sum_i c_i (x - a_i)."""
+    coeff = np.zeros_like(dist)
+    if w.gamma != 0.0:
+        coeff -= w.gamma / dist**2
+    if w.delta > 0.0:
+        coeff -= w.delta * w.m * dist ** (w.m - 2.0)
+    return coeff
+
+
 def weight_log_grad(x, cfg: PoleConfig, w: WeightSpec):
     """Evaluate grad(mu)/mu as a vector field.
 
@@ -191,13 +202,7 @@ def weight_log_grad(x, cfg: PoleConfig, w: WeightSpec):
         out = np.zeros_like(pts)
         return out[0] if single else out
     frame = _frame(x, cfg, guarded=_log_grad_is_singular(w))
-    dist = frame.dist
-    coeff = np.zeros_like(dist)
-    if w.gamma != 0.0:
-        coeff -= w.gamma / dist**2
-    if w.delta > 0.0:
-        coeff -= w.delta * w.m * dist ** (w.m - 2.0)
-    out = np.einsum("mi,min->mn", coeff, frame.diffs)
+    out = np.einsum("mi,min->mn", _log_grad_coeff(frame.dist, w), frame.diffs)
     return out[0] if frame.single else out
 
 
@@ -236,11 +241,7 @@ def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
     diffs, dist = frame.diffs, frame.dist
     bracket = np.full((frame.pts.shape[0], cfg.n_poles), -p.k_mu)
     if not w.is_unit:
-        coeff = np.zeros_like(dist)
-        if w.gamma != 0.0:
-            coeff -= w.gamma / dist**2
-        if w.delta > 0.0:
-            coeff -= w.delta * w.m * dist ** (w.m - 2.0)
+        coeff = _log_grad_coeff(dist, w)
         dots = np.einsum("min,mjn->mij", diffs, diffs)
         cross = np.einsum("mij,mj->mi", dots, coeff)
         diag = np.einsum("mii->mi", dots) * coeff

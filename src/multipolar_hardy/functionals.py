@@ -24,16 +24,16 @@ and the inverse-square mass is not integrated.  `identity_residual` and
 from the ledger alone.
 
 The ledger is one `integrate_many` call however many functions and
-exponents it covers: each integral kind is one `IntegrandBundle` with a
-row per function.  `integrate_many` hands every kind bundle the same
-array of each slice of nodes in turn, and the bundles share one `_Nodes`
-of that slice.  So each field is evaluated once per node for the whole
-ledger: mu, V, W and the inverse-square sum, all from one
-`fields.PoleFrame` of the slice (the pole differences, distances and
-their log sum, computed once); the Hardy factor once per exponent; and
-each test function's value and gradient once.  The `OptimalityPhi`
-members of one exponent (the sharpness family ``theta_eps f``) share |x|
-and the Hardy factor ``f``, read from the same frame.
+exponents it covers, with one `Integrand` per integral kind and function.
+`integrate_many` hands every integrand the same array of each slice of
+nodes in turn, and they all share one `_Nodes` of that slice.  So each
+field is evaluated once per node for the whole ledger: mu, V, W and the
+inverse-square sum, all from one `fields.PoleFrame` of the slice (the
+pole differences, distances and their log sum, computed once); the Hardy
+factor once per exponent; and each test function's value and gradient
+once.  The `OptimalityPhi` members of one exponent (the sharpness family
+``theta_eps f``) share |x| and the Hardy factor ``f``, read from the same
+frame.  A far-shell slice evaluates only the functions of its support.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .fields import (
 )
 from .quadrature import (
     Integrand,
-    IntegrandBundle,
     IntegralResult,
     QuadratureSpec,
     integrate_many,
@@ -81,15 +80,6 @@ __all__ = [
     "beta_identity_check",
     "max_admissible_eps",
 ]
-
-
-def _radius(pts: np.ndarray) -> np.ndarray:
-    """|x| of points pts (M, N).
-
-    The one formula for the cutoff's radius, so that a radius shared by
-    the members of a family gives each member its own values bit for bit.
-    """
-    return _length(pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +183,12 @@ class CutoffTheta:
 
     def value(self, x):
         pts, squeeze = _as_batch(x, np.shape(x)[-1])
-        out = self._value_at(_radius(pts))
+        out = self._value_at(_length(pts))
         return out[0] if squeeze else out
 
     def gradient(self, x):
         pts, squeeze = _as_batch(x, np.shape(x)[-1])
-        out = self._gradient_at(pts, _radius(pts))
+        out = self._gradient_at(pts, _length(pts))
         return out[0] if squeeze else out
 
 
@@ -263,13 +253,13 @@ class OptimalityPhi:
 
     def value(self, x):
         pts, squeeze = _as_batch(x, self.cfg.dim)
-        out = self._value_at(_radius(pts), hardy_factor(pts, self.cfg, self.beta))
+        out = self._value_at(_length(pts), hardy_factor(pts, self.cfg, self.beta))
         return out[0] if squeeze else out
 
     def gradient(self, x):
         pts, squeeze = _as_batch(x, self.cfg.dim)
         out = self._gradient_at(
-            pts, _radius(pts), hardy_factor(pts, self.cfg, self.beta)
+            pts, _length(pts), hardy_factor(pts, self.cfg, self.beta)
         )
         return out[0] if squeeze else out
 
@@ -393,20 +383,21 @@ def energy_reports(
     """`energy_report` of every function at every exponent, in one call.
 
     Returns ``reports[j][b]``, the report of ``functions[j]`` at
-    ``betas[b]``.  Each integral kind is one `IntegrandBundle` with one
-    row per function, and all bundles go to one `integrate_many` call, so
-    the pole balls and the mid region are built once for the whole corpus
-    and the far shells once per support radius.  The integrals that do
-    not depend on the exponent (Dirichlet, V-mass, L2-mass and, if any
-    exponent is not ``p.beta``, the inverse-square mass) are integrated
-    once; the W-mass and the remainder once per distinct exponent.  The
-    bundles share one `_Nodes` per slice of nodes, so mu, V, W, the
-    inverse-square sum, the Hardy factor at each exponent and each
-    function's value and gradient are evaluated once per node for the
-    whole call, and the `OptimalityPhi` members of one exponent share |x|
-    and the Hardy factor.  Every report equals, bit
-    for bit, the `energy_report` of its function at its exponent alone
-    (apart from ``cells``, the node count of the whole call).
+    ``betas[b]``.  Each integral kind is one `Integrand` per function, and
+    all of them go to one `integrate_many` call, so the pole balls and the
+    mid region are built once for the whole corpus and the far shells once
+    per support radius, for the functions of that support.  The integrals
+    that do not depend on the exponent (Dirichlet, V-mass, L2-mass and, if
+    any exponent is not ``p.beta``, the inverse-square mass) are
+    integrated once; the W-mass and the remainder once per distinct
+    exponent.  The integrands share one `_Nodes` per slice of nodes
+    (`_slice_nodes`), so mu, V, W, the inverse-square sum, the Hardy
+    factor at each exponent and each function's value and gradient are
+    evaluated once per node for the whole call, and the `OptimalityPhi`
+    members of one exponent share |x| and the Hardy factor.  Every report
+    equals, bit for bit, the `energy_report` of its function at its
+    exponent alone (apart from ``cells``, the node count of the whole
+    call).
 
     `allow_truncation` is one flag for every function or a sequence of
     one flag per function.  Raises as `energy_report`.
@@ -452,38 +443,23 @@ def energy_reports(
         table.append(
             ("remainder", b, [j for j in everyone if not reduced(functions[j], b)])
         )
-    table = [(kind, b, members) for kind, b, members in table if members]
 
-    # integrate_many calls every bundle on one slice, with the same array
-    # and on one thread, before the next slice: one entry per thread
-    # holds the _Nodes of the current slice.
-    current = threading.local()
+    nodes_of = _slice_nodes(cfg, w, p)
 
-    def nodes_of(x):
-        if getattr(current, "x", None) is not x:
-            current.x, current.nodes = x, _Nodes(x, cfg, w, p)
-        return current.nodes
-
-    def bundle(kind, beta, members):
-        extra = () if beta is None else (beta,)
-
-        def func(x):
-            row = getattr(nodes_of(x), kind)
-            return np.stack([row(functions[j], *extra) for j in members])
-
-        rows = tuple(
-            Integrand(
-                func=None,
-                pole_exponents=[exponent(kind, functions[j])] * cfg.n_poles,
-                support_radius=functions[j].support_radius,
-                allow_truncation=allow[j],
-                name=kind,
-            )
-            for j in members
+    def integrand(kind, beta, j):
+        phi, extra = functions[j], () if beta is None else (beta,)
+        return Integrand(
+            func=lambda x: getattr(nodes_of(x), kind)(phi, *extra),
+            pole_exponents=[exponent(kind, phi)] * cfg.n_poles,
+            support_radius=phi.support_radius,
+            allow_truncation=allow[j],
+            name=kind,
         )
-        return IntegrandBundle(func=func, rows=rows, name=kind)
 
-    results = iter(integrate_many([bundle(*entry) for entry in table], cfg, spec))
+    integrands = [
+        integrand(kind, b, j) for kind, b, members in table for j in members
+    ]
+    results = iter(integrate_many(integrands, cfg, spec))
     got = {
         (kind, b): {j: next(results) for j in members} for kind, b, members in table
     }
@@ -512,9 +488,9 @@ def energy_reports(
 class _Nodes:
     """The fields of one slice of quadrature nodes, each evaluated once.
 
-    `energy_reports` makes one per slice, shared by all its kind bundles,
-    and the Gram bundle of `experiments.spectral_bound` one per slice; the
-    methods named after the integral kinds give one function's row.  mu,
+    `_slice_nodes` makes one per slice, shared by every integrand of an
+    `energy_reports` or `experiments.spectral_bound` call; the methods
+    named after the integral kinds give one function's integrand.  mu,
     V, W and the inverse-square sum are evaluated once, on first use, the
     Hardy factor once per exponent, and each test function's value and
     gradient once per function.  All of them read one `PoleFrame` of the
@@ -553,7 +529,7 @@ class _Nodes:
 
     @cached_property
     def radius(self):
-        return _radius(self.x)
+        return _length(self.x)
 
     def hardy(self, beta):
         if beta not in self._hardy:
@@ -607,6 +583,23 @@ class _Nodes:
         _, grad_ratio = self.hardy(beta)
         d = g - v[:, None] * grad_ratio
         return np.einsum("ij,ij->i", d, d) * self.mu
+
+
+def _slice_nodes(cfg: PoleConfig, w: WeightSpec, p: HardyParams):
+    """nodes_of(x): the `_Nodes` of slice x, one per slice for every caller.
+
+    integrate_many calls every integrand of a rule on one slice, with the
+    same array and on one thread, before the next slice: one entry per
+    thread holds the _Nodes of the current slice.
+    """
+    current = threading.local()
+
+    def nodes_of(x):
+        if getattr(current, "x", None) is not x:
+            current.x, current.nodes = x, _Nodes(x, cfg, w, p)
+        return current.nodes
+
+    return nodes_of
 
 
 def _annulus_remainder(

@@ -36,17 +36,15 @@ absorb the collars exactly.
 Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
 integrate_many call and shared by every integrand of the batch (the far
-shells once per distinct support radius).  The work is slice by slice:
-each rule cuts its nodes once into slices of whole shells (pole balls,
-far shells) or whole cells (mid region), about CHUNK // K nodes for the K
-rows of the whole batch, and on each slice calls every integrand of the
-batch in batch order, on one thread, with one and the same array of
-points; so evaluators may share the work of a slice across integrands.
-An IntegrandBundle computes the features its rows share (test functions,
-weight, potentials) once per slice and returns all its rows, and a plain
-Integrand is a bundle of one row.  Each shell's or cell's sum is one
-in-order bincount, and no (K, n) array of the whole node set is ever
-held.  The deterministic rules (pole balls, far shells,
+shells once per distinct support radius, for the integrands of that
+support only).  The work is slice by slice: each rule cuts its nodes once
+into slices of whole shells (pole balls, far shells) or whole cells (mid
+region), about CHUNK // K nodes for the K integrands it evaluates, and on
+each slice calls each of them in batch order, on one thread, with one and
+the same array of points; so evaluators may share the work of a slice
+(test functions, weight, potentials) across integrands.  Each shell's or
+cell's sum is one in-order bincount, and no (K, n) array of the whole
+node set is ever held.  The deterministic rules (pole balls, far shells,
 integrate_radial_annulus) estimate their error as the difference between
 a high and a low order of the same rule.
 
@@ -54,9 +52,8 @@ Determinism: region (b) is the only stochastic region; its stream is a
 Philox counter-based substream derived from (seed, region), partial sums
 are reduced in a fixed order with math.fsum, and worker parallelism only
 maps slices, so results are reproducible for a fixed seed regardless of
-scheduling.  A row's value depends only on the spec and its own
-integrand: a bundle row equals, bit for bit, the same integrand passed
-alone.
+scheduling.  A result depends only on the spec and its own integrand:
+it equals, bit for bit, the same integrand passed alone.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from .fields import _length
 __all__ = [
     "QuadratureSpec",
     "Integrand",
-    "IntegrandBundle",
     "IntegralResult",
     "sphere_surface_measure",
     "unit_sphere_rule",
@@ -93,8 +89,8 @@ __all__ = [
 # Hard cap on field evaluations per integrate() call.
 MAX_EVALS = 1 << 29
 
-# Nodes per evaluation of a one-row integrand; a batch of K rows in all is
-# evaluated on slices of about CHUNK // K nodes.  Fixed, so that the worker
+# Nodes per evaluation of one integrand; a rule evaluating K integrands
+# cuts its nodes into slices of about CHUNK // K.  Fixed, so that the worker
 # count cannot change results.
 CHUNK = 1 << 17
 
@@ -150,8 +146,8 @@ class QuadratureSpec:
 class Integrand:
     """A pointwise evaluator plus the metadata quadrature needs.
 
-    integrate_many handles a plain Integrand as an IntegrandBundle of one
-    row: func is called once per slice of nodes and gives one result.
+    integrate_many calls func once per slice of nodes of every rule the
+    integrand takes part in, and gives one result per integrand.
 
     func            callable mapping points (M, N) -> values (M,)
     pole_exponents  declared growth |x - a_i|^-p_i near each pole
@@ -172,23 +168,6 @@ class Integrand:
 
 
 @dataclass
-class IntegrandBundle(Integrand):
-    """K integrands evaluated together, sharing the work of their features.
-
-    func maps points (M, N) -> values (K, M); row k of its output is the
-    integrand whose metadata is rows[k].  Quadrature reads only the rows'
-    pole_exponents, support_radius and allow_truncation (their own func is
-    never called and may be None), and integrate_many returns one result
-    per row, in row order, each equal bit for bit to what rows[k] with
-    func(x)[k] as its func would give passed alone.  The bundle's own
-    pole_exponents, support_radius and allow_truncation are not read.
-    """
-
-    pole_exponents: Sequence[float] = ()
-    rows: tuple[Integrand, ...] = ()
-
-
-@dataclass
 class IntegralResult:
     """Value with separated error channels.
 
@@ -197,7 +176,8 @@ class IntegralResult:
     (two-level differences of the product rules, the uncertainty of the
     geometric closures of the pole balls and the far shells).  cells counts
     the nodes of the whole integrate_many call, the same for every result
-    of the call; a node counts once however many rows are evaluated at it.
+    of the call; a node counts once however many integrands are evaluated
+    at it.
     truncated is set when a borderline pole exponent left the innermost
     ball unresolved; eta is the innermost resolved radius (the truncation
     scale).
@@ -274,32 +254,15 @@ def local_integrability_check(exponents: Sequence[float], dim: int) -> None:
             )
 
 
-def _rows(f: Integrand) -> tuple[Integrand, ...]:
-    """The integrands an evaluator computes; a plain one is its own row."""
-    return f.rows if isinstance(f, IntegrandBundle) else (f,)
-
-
 def _as_integrand(field, cfg: PoleConfig) -> Integrand:
     if not isinstance(field, Integrand):
         return Integrand(func=field, pole_exponents=[0.0] * cfg.n_poles)
-    if not _rows(field):
-        raise ValueError("an IntegrandBundle needs at least one row")
-    for row in _rows(field):
-        if len(row.pole_exponents) != cfg.n_poles:
-            raise ValueError(
-                f"pole_exponents has {len(row.pole_exponents)} entries "
-                f"for {cfg.n_poles} poles"
-            )
+    if len(field.pole_exponents) != cfg.n_poles:
+        raise ValueError(
+            f"pole_exponents has {len(field.pole_exponents)} entries "
+            f"for {cfg.n_poles} poles"
+        )
     return field
-
-
-def _blocks(integrands):
-    """(integrand, slice of its rows in the flat row order) per integrand."""
-    out, start = [], 0
-    for f in integrands:
-        out.append((f, slice(start, start + len(_rows(f)))))
-        start += len(_rows(f))
-    return out
 
 
 def _validate_spec(cfg: PoleConfig, spec: QuadratureSpec) -> None:
@@ -367,28 +330,24 @@ def _map_slices(work, slices) -> None:
             list(ex.map(lambda ij: work(*ij), slices))
 
 
-def _eval_rows(f: Integrand, pts: np.ndarray) -> np.ndarray:
-    """Values of every row of f at pts, shape (rows, M): one call of f.func."""
-    shape = (len(_rows(f)), pts.shape[0])
-    if pts.shape[0] == 0:
-        return np.zeros(shape)
-    vals = np.asarray(f.func(pts), dtype=float)
-    if vals.shape != shape and not (shape[0] == 1 and vals.shape == shape[1:]):
-        raise ValueError(
-            f"integrand {f.name!r} returned shape {vals.shape}, expected {shape}"
-        )
-    return vals.reshape(shape)
-
-
 def _eval_batch(integrands, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Values of every row of the batch at pts times weights, shape (rows, M).
+    """Values of every integrand of the batch at pts times weights, (K, M).
 
-    Each integrand is called once, in batch order, on this same array, and
-    its rows are written into the result before the next one is called.
+    Each integrand is called once, in batch order, on this same array (none
+    is called on an empty one), and its values are written into the result
+    before the next one is called.
     """
-    out = np.empty((sum(len(_rows(f)) for f in integrands), pts.shape[0]))
-    for f, at in _blocks(integrands):
-        out[at] = _eval_rows(f, pts)
+    out = np.empty((len(integrands), pts.shape[0]))
+    if pts.shape[0] == 0:
+        return out
+    for k, f in enumerate(integrands):
+        vals = np.asarray(f.func(pts), dtype=float)
+        if vals.shape != out.shape[1:]:
+            raise ValueError(
+                f"integrand {f.name!r} returned shape {vals.shape}, "
+                f"expected {out.shape[1:]}"
+            )
+        out[k] = vals
     out *= weights
     return out
 
@@ -430,9 +389,10 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     edges[l+1] gets Gauss-Legendre nodes in radius (weights carry r^(N-1),
     times radial_weight(r) if given) and the product angular rule, and its
     terms are summed into shell shell_of_panel[l] (default: shell l).
-    Returns per-row per-shell sums, shape (rows, shells), in panel order,
-    plus the node count.  The bins are cut once for the whole batch; each
-    slice is evaluated by every integrand in turn (`_eval_batch`).
+    Returns per-integrand per-shell sums, shape (K, shells), in panel
+    order, plus the node count.  The bins are cut once for the whole
+    batch; each slice is evaluated by every integrand in turn
+    (`_eval_batch`).
     """
     dim = center.shape[0]
     xi, wq = np.polynomial.legendre.leggauss(radial_order)
@@ -451,7 +411,7 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
     shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
     bounds = np.searchsorted(shells, np.arange(n_shells + 1))
-    sums = np.empty((sum(len(_rows(f)) for f in integrands), n_shells))
+    sums = np.empty((len(integrands), n_shells))
 
     def work(i, j):
         a, b = bounds[i], bounds[j]
@@ -477,7 +437,7 @@ def _pole_ball_pass(
     With fade=True the partition-of-unity collar is applied, so the pass
     contributes integral of f * psi_pole over the ball; fade=False gives
     the raw ball (used for whole-ball integrals such as the H3 check).
-    Returns per-row per-shell sums, shape (rows, L), ordered outermost
+    Returns per-integrand per-shell sums, shape (K, L), ordered outermost
     shell first, plus the evaluation count.
     """
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
@@ -556,8 +516,7 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
 def _pole_region(integrands, cfg, spec):
     """Region (a): all pole balls, with a two-level error estimate."""
     dim = cfg.dim
-    rows = [r for f in integrands for r in _rows(f)]
-    K = len(rows)
+    K = len(integrands)
     values = np.zeros(K)
     truncs = np.zeros(K)
     truncated = [False] * K
@@ -572,7 +531,7 @@ def _pole_region(integrands, cfg, spec):
             spec.radial_order,
         )
         cells += n
-        for k, f in enumerate(rows):
+        for k, f in enumerate(integrands):
             p = float(f.pole_exponents[i])
             borderline = p >= dim - 1e-9
             inner_hi, err_inner, trunc_flag = _inner_closure(hi[k], p, dim, borderline)
@@ -656,8 +615,8 @@ def _mid_region(integrands, cfg, spec):
     batch is evaluated on the one node set of _mid_rule, a slice of whole
     cells at a time: per antithetic half, every integrand in turn on that
     half's points of the slice (`_eval_batch`).  The per-cell means and
-    variances of every row are kept, shape (rows, cells), and summed per
-    row at the end.
+    variances of every integrand are kept, shape (K, cells), and summed
+    per integrand at the end.
     """
     reps, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
 
@@ -674,7 +633,7 @@ def _mid_region(integrands, cfg, spec):
     live_masks = [mask[live] for mask, _, _ in halves]
     bounds = cell_bounds(live)
     starts = [cell_bounds(mask) for mask, _, _ in halves]
-    K = sum(len(_rows(f)) for f in integrands)
+    K = len(integrands)
     means = np.empty((K, C))
     var_means = np.empty((K, C))
 
@@ -708,13 +667,13 @@ def _far_region(integrands, dim, spec, support):
     One collar shell over [0.8, 1] * far_radius carries the rising far
     weight; log-spaced plateau shells run on to `support`, or for unbounded
     support to _FAR_CUT * far_radius plus a geometric closure (declared
-    ratio q^-tail_exponent for the shell ratio q).  Every row of the given
-    integrands is integrated on these shells; the caller keeps the rows
-    whose support is `support`.  Returns (values, trunc_bounds, nodes) per
-    row; a trunc bound adds the collar's and the plateau's two-level
-    differences and the closure uncertainty.
+    ratio q^-tail_exponent for the shell ratio q).  The caller passes the
+    integrands of this support only, and each is integrated on these
+    shells.  Returns (values, trunc_bounds, nodes) per integrand; a trunc
+    bound adds the collar's and the plateau's two-level differences and
+    the closure uncertainty.
     """
-    K = sum(len(_rows(f)) for f in integrands)
+    K = len(integrands)
     R = spec.far_radius
     r_t = _TAIL_RISE_START * R
     r_out = _FAR_CUT * R if support is None else support
@@ -751,27 +710,26 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     """Integrate several integrands on one shared domain decomposition.
 
     The pole balls and the mid region share one node set over the whole
-    batch; the far shells run once per distinct support_radius, so every
-    value depends only on the spec and its own integrand.  Pole exponents
-    and support radii may differ per integrand.  A field may be a callable,
-    an Integrand or an IntegrandBundle; a bundle contributes one result per
-    row.  Returns a list of IntegralResult in input (and row) order; no
-    fields give an empty list, once the spec is validated.
+    batch; the far shells run once per distinct support_radius, for the
+    integrands of that support, so every value depends only on the spec
+    and its own integrand.  Pole exponents and support radii may differ per
+    integrand.  A field may be a callable or an Integrand.  Returns a list
+    of IntegralResult in input order; no fields give an empty list, once
+    the spec is validated.
 
     Evaluation is slice-major.  Each rule (a pole ball or far-shell pass,
     an antithetic half of the mid region) cuts its nodes once into slices
-    for the whole batch, and on each slice calls every integrand that
-    takes part in the rule once, in batch order, on one thread and with
-    the same array object, before it moves to the next slice.  An
-    evaluator may therefore keep the work of a slice, keyed on the
-    identity of that array, for the later integrands of the batch.
+    for the integrands that take part in it, and on each slice calls each
+    of them once, in batch order, on one thread and with the same array
+    object, before it moves to the next slice.  An evaluator may therefore
+    keep the work of a slice, keyed on the identity of that array, for the
+    later integrands of the batch.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
-    rows = [r for f in integrands for r in _rows(f)]
     _validate_spec(cfg, spec)
-    if not rows:
+    if not integrands:
         return []
-    for f in rows:
+    for f in integrands:
         if f.allow_truncation:
             for i, p in enumerate(f.pole_exponents):
                 if p > cfg.dim + 1e-9:
@@ -793,8 +751,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
         2 * cfg.n_poles * spec.radial_levels * spec.radial_order * dirs_count
         + spec.mc_samples
     )
-    # A bundle row costs as much as an integrand of its own.
-    est_nodes *= len(rows)
+    est_nodes *= len(integrands)
     if est_nodes > MAX_EVALS:
         raise BudgetExceeded(
             f"about {est_nodes:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
@@ -805,18 +762,13 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     )
     mid_vals, mid_errs, cells_b = _mid_region(integrands, cfg, spec)
 
-    far_vals, far_truncs = np.zeros((2, len(rows)))
+    far_vals, far_truncs = np.zeros((2, len(integrands)))
     cells_c = 0
-    for support in dict.fromkeys(f.support_radius for f in rows):
-        # The integrands with a row of this support, and those rows.
-        blocks = [
-            (f, at) for f, at in _blocks(integrands)
-            if any(r.support_radius == support for r in _rows(f))
-        ]
-        idx = np.concatenate([np.arange(at.start, at.stop) for _, at in blocks])
-        mine = np.array([rows[k].support_radius == support for k in idx])
-        vals, truncs, n = _far_region([f for f, _ in blocks], dim, spec, support)
-        far_vals[idx[mine]], far_truncs[idx[mine]] = vals[mine], truncs[mine]
+    for support in dict.fromkeys(f.support_radius for f in integrands):
+        at = [k for k, f in enumerate(integrands) if f.support_radius == support]
+        far_vals[at], far_truncs[at], n = _far_region(
+            [integrands[k] for k in at], dim, spec, support
+        )
         cells_c += n
 
     return [
@@ -828,7 +780,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             truncated=truncated[k],
             eta=eta if truncated[k] else 0.0,
         )
-        for k in range(len(rows))
+        for k in range(len(integrands))
     ]
 
 

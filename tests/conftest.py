@@ -1,9 +1,13 @@
-"""Shared fixtures: canonical pole geometries and lean quadrature specs."""
+"""Shared fixtures: canonical pole geometries, lean quadrature specs, and a
+recorder of what each far-shell slice of nodes evaluates."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from multipolar_hardy import PoleConfig, QuadratureSpec, WeightSpec
+from multipolar_hardy import functionals, quadrature
 
 
 @pytest.fixture
@@ -58,3 +62,58 @@ def borderline_spec() -> QuadratureSpec:
         mc_samples=100_000,
         seed=1234,
     )
+
+
+@pytest.fixture
+def far_slices(monkeypatch):
+    """watch(module) -> slices, filled in as `module.integrate_many` runs.
+
+    slices maps each far-shell slice of nodes (by the identity of its
+    array) to (array, supports, functions): the support radii of the
+    integrands called on it, and the test functions whose value or
+    gradient `functionals._Nodes` evaluates on it.
+    """
+    far_pass = []
+    slices = {}
+
+    def entry(x):
+        return slices.setdefault(id(x), (x, set(), set()))
+
+    def watch(module):
+        far_region = quadrature._far_region
+        original_many = module.integrate_many
+
+        def in_far_pass(*args):
+            far_pass.append(True)
+            try:
+                return far_region(*args)
+            finally:
+                far_pass.pop()
+
+        def called(f):
+            def func(x):
+                if far_pass:
+                    entry(x)[1].add(f.support_radius)
+                return f.func(x)
+
+            return dataclasses.replace(f, func=func)
+
+        def many(fields, cfg, spec):
+            return original_many([called(f) for f in fields], cfg, spec)
+
+        def evaluated(method):
+            def wrapper(self, phi):
+                if far_pass:
+                    entry(self.x)[2].add(phi)
+                return method(self, phi)
+
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_far_region", in_far_pass)
+        monkeypatch.setattr(module, "integrate_many", many)
+        for name in ("value", "gradient"):
+            method = getattr(functionals._Nodes, name)
+            monkeypatch.setattr(functionals._Nodes, name, evaluated(method))
+        return slices
+
+    return watch

@@ -108,9 +108,14 @@ class TestOneLedgerCall:
         )
         assert len(records) == 3
         assert len(ledger_calls) == 1
-        # dirichlet, v_mass, l2_mass and w_mass; the remainder reduces to
-        # the annulus rule.
-        assert [len(f.rows) for f in ledger_calls[0]] == [3] * 4
+        # dirichlet, v_mass, l2_mass and w_mass, one integrand per function
+        # with that function's support; the remainder reduces to the
+        # annulus rule.
+        kinds = ["dirichlet", "v_mass", "l2_mass", "w_mass"]
+        supports = [2.0 / eps for eps in (0.25, 0.2, 0.125)]
+        assert [(f.name, f.support_radius) for f in ledger_calls[0]] == [
+            (kind, s) for kind in kinds for s in supports
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +320,7 @@ class TestSpectralBound:
         captured = {}
 
         def capture(integrands, cfg, spec):
-            # The Gram entries are the rows of one bundle.
-            (bundle,) = integrands
-            captured.update((r.name, r.support_radius) for r in bundle.rows)
+            captured.update((f.name, f.support_radius) for f in integrands)
             raise Captured
 
         monkeypatch.setattr(experiments_module, "integrate_many", capture)
@@ -339,29 +342,39 @@ class TestSpectralBound:
         self, two_poles_n3, lean_spec, monkeypatch
     ):
         """The OptimalityPhi members of one exponent share one Hardy factor
-        per slice of the Gram bundle, through one pole frame."""
+        per slice of nodes, through one pole frame: on each distinct slice
+        array the Gram entries evaluate it once if any entry there has a
+        member, and not at all if none has (the far shells of bump x bump)."""
         import multipolar_hardy.experiments as experiments_module
 
         monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
-        counts = {"slices": 0, "hardy": 0}
+        slices = []  # [slice array, hardy calls, whether a phi_eps entry ran]
         original_hardy = functionals.hardy_factor
         original_many = experiments_module.integrate_many
 
         def counted_hardy(*args, **kwargs):
-            counts["hardy"] += 1
+            slices[-1][1] += 1
             return original_hardy(*args, **kwargs)
 
-        def counted_func(func):
+        def counted_func(f):
+            # Entry names are a_i_j and b_i_j; basis member 0 is the bump,
+            # so every entry but a_0_0 and b_0_0 has a phi_eps member.
+            member = f.name[2:] != "0_0"
+
             def wrapper(x):
-                counts["slices"] += 1
-                return func(x)
+                if not slices or slices[-1][0] is not x:
+                    slices.append([x, 0, False])
+                slices[-1][2] |= member
+                return f.func(x)
 
             return wrapper
 
-        def counted_many(bundles, cfg, spec):
-            bundles = [dataclasses.replace(b, func=counted_func(b.func)) for b in bundles]
-            return original_many(bundles, cfg, spec)
+        def counted_many(integrands, cfg, spec):
+            integrands = [
+                dataclasses.replace(f, func=counted_func(f)) for f in integrands
+            ]
+            return original_many(integrands, cfg, spec)
 
         monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
         monkeypatch.setattr(experiments_module, "integrate_many", counted_many)
@@ -371,7 +384,37 @@ class TestSpectralBound:
         ]
         spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
                        allow_truncation=True)
-        assert counts["hardy"] == counts["slices"] > 0
+        assert len({id(x) for x, _, _ in slices}) == len(slices)
+        assert [hardy for _, hardy, _ in slices] == [
+            int(member) for _, _, member in slices
+        ]
+        assert 0 < sum(member for _, _, member in slices) < len(slices)
+
+    def test_far_shells_evaluate_only_their_support(
+        self, two_poles_n3, lean_spec, far_slices, monkeypatch
+    ):
+        """A far-shell pass runs only the Gram entries of its own support, so
+        each far slice evaluates the value and gradient of exactly the basis
+        members of those entries."""
+        import multipolar_hardy.experiments as experiments_module
+
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        p = derive_params(two_poles_n3, 0.0)
+        basis = bump_basis(1, 3) + [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
+            for eps in (0.25, 0.125)
+        ]
+        # A pair vanishes wherever either member does.
+        members = {None: {0}, 8.0: {0, 1, 2}, 16.0: {0, 2}}
+        slices = far_slices(experiments_module)
+        spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
+                       allow_truncation=True)
+        seen = set()
+        for _, supports, evaluated in slices.values():
+            (support,) = supports
+            seen.add(support)
+            assert evaluated == {basis[k] for k in members[support]}
+        assert seen == set(members)
 
     def test_prefixes_of_one_assembly_equal_separate_bounds(
         self, two_poles_n3, lean_spec

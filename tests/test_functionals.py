@@ -478,14 +478,15 @@ class TestBetaIdentity:
 
 
 # --------------------------------------------------------------------------
-# the bundled ledger against the per-integrand one
+# the shared-node ledger against the per-integrand one
 # --------------------------------------------------------------------------
 
 
 def reference_energy_report(phi, cfg, w, p, spec, *, beta=None, allow_truncation=False):
     """The energy ledger with one integrand per integral, each evaluating
     phi, its gradient, mu and the potentials on its own: the reference the
-    one-bundle ledger must reproduce bitwise."""
+    ledger, whose integrands share one `_Nodes` per slice, must reproduce
+    bitwise."""
     beta = p.beta if beta is None else float(beta)
     w_params = dataclasses.replace(p, beta=beta)
 
@@ -569,8 +570,8 @@ class TestBundledLedger:
          ("optimal", None), ("optimal", 0.7)],
     )
     def test_matches_per_integrand_reference(self, two_poles_n3, lean_spec, case, beta):
-        """Every integral of the one-bundle ledger, at beta = p.beta and away
-        from it, equals the per-integrand ledger's bit for bit."""
+        """Every integral of the shared-node ledger, at beta = p.beta and
+        away from it, equals the per-integrand ledger's bit for bit."""
         w, k_mu = WeightSpec.unit(), 0.0
         if case == "polyexp":
             w, k_mu = WeightSpec.polyexp(gamma=0.5), -0.6
@@ -683,10 +684,10 @@ class TestCorpusLedger:
     ):
         """A near-optimal family of one exponent evaluates the Hardy factor
         once per slice of nodes, whatever its size: once for all its members
-        and all the kind bundles of the ledger together."""
+        and all the integrands of the ledger together."""
         monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
-        slices = []  # the distinct slice arrays handed to the kind bundles
+        slices = []  # the distinct slice arrays handed to the integrands
         counts = {"calls": 0, "hardy": 0}
         inside = []
         original_hardy = functionals.hardy_factor
@@ -733,11 +734,12 @@ class TestCorpusLedger:
     def test_one_pole_frame_per_slice_per_kind_bundle(
         self, weight, two_poles_n3, monkeypatch
     ):
-        """Every kind bundle builds at most one pole frame per slice of
-        nodes, and the whole ledger, all its kind bundles together, builds
-        just one (in the first kind that needs one: the unit mu needs none);
-        it also evaluates the Hardy factor once per exponent, and each
-        function's value and gradient once."""
+        """On each distinct slice array the whole ledger, all its integrands
+        together, builds just one pole frame (in the first kind that needs
+        one: the unit mu needs none); it also evaluates the Hardy factor
+        once per exponent, and the value and gradient of each function
+        whose integrands the slice serves once: every function on pole and
+        mid slices, on a far-shell slice the functions of its support."""
         monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         cfg = two_poles_n3
         if weight == "unit":
@@ -754,8 +756,10 @@ class TestCorpusLedger:
             pole_radius=0.9, far_radius=6.0, radial_levels=10, mc_samples=20_000,
             seed=17,
         )
-        slices = []  # (the slice's array, [(kind, event)] of its bundle calls)
-        inside = []  # the kind bundle being evaluated
+        # (the slice's array, [(kind, event)] of its calls, the supports of
+        # the integrands called on it)
+        slices = []
+        inside = []  # the kind of the integrand being evaluated
         original_many = functionals.integrate_many
         original_hardy = functionals.hardy_factor
         original_init = fields.PoleFrame.__init__
@@ -764,25 +768,25 @@ class TestCorpusLedger:
             if inside:
                 slices[-1][1].append((inside[-1], event))
 
-        def counted_func(kind, func):
+        def counted_func(f):
             def wrapper(x):
                 if not slices or slices[-1][0] is not x:
-                    slices.append((x, []))
-                inside.append(kind)
+                    slices.append((x, [], set()))
+                slices[-1][2].add(f.support_radius)
+                inside.append(f.name)
                 record("call")
                 try:
-                    return func(x)
+                    return f.func(x)
                 finally:
                     inside.pop()
 
             return wrapper
 
-        def counted_many(bundles, cfg, spec):
-            bundles = [
-                dataclasses.replace(b, func=counted_func(b.name, b.func))
-                for b in bundles
+        def counted_many(integrands, cfg, spec):
+            integrands = [
+                dataclasses.replace(f, func=counted_func(f)) for f in integrands
             ]
-            return original_many(bundles, cfg, spec)
+            return original_many(integrands, cfg, spec)
 
         def counted_hardy(frame, cfg, beta):
             record(("hardy", beta))
@@ -812,15 +816,46 @@ class TestCorpusLedger:
         energy_reports(functions, cfg, w, p, spec, betas)
 
         kinds = {"dirichlet", "l2_mass", "v_mass", "inv_sq_mass", "w_mass", "remainder"}
-        once = Counter(
-            [("hardy", b) for b in betas]
-            + [(label, id(phi)) for phi in functions for label in ("value", "gradient")]
-        )
         assert len(slices) > 10
-        for _, events in slices:
+        assert len({id(x) for x, _, _ in slices}) == len(slices)
+        for _, events, supports in slices:
+            members = [phi for phi in functions if phi.support_radius in supports]
+            once = Counter(
+                [("hardy", b) for b in betas]
+                + [(label, id(phi)) for phi in members
+                   for label in ("value", "gradient")]
+            )
             assert {kind for kind, e in events if e == "call"} == kinds
             assert [kind for kind, e in events if e == "frame"] == [framer]
             assert Counter(e for _, e in events if e not in ("call", "frame")) == once
+        # Far-shell slices serve one support each.
+        assert any(len(supports) == 1 for _, _, supports in slices)
+
+    def test_far_shells_evaluate_only_their_support(
+        self, two_poles_n3, lean_spec, far_slices, monkeypatch
+    ):
+        """A far-shell pass runs only the integrands of its own support, so
+        each far slice evaluates the value and gradient of exactly the
+        functions whose support that pass runs to."""
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        p = derive_params(two_poles_n3, 0.0)
+        functions = [GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)] + [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
+            for eps in (0.25, 0.125)
+        ]
+        slices = far_slices(functionals)
+        energy_reports(
+            functions, two_poles_n3, WeightSpec.unit(), p, lean_spec, [p.beta],
+            allow_truncation=True,
+        )
+        seen = set()
+        for _, supports, evaluated in slices.values():
+            (support,) = supports
+            seen.add(support)
+            assert evaluated == {
+                phi for phi in functions if phi.support_radius == support
+            }
+        assert seen == {None, 8.0, 16.0}
 
     def test_empty_corpus_and_flag_count(self, two_poles_n3, lean_spec):
         p = derive_params(two_poles_n3, 0.0)

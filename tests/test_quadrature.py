@@ -21,7 +21,6 @@ from multipolar_hardy import (
     BudgetExceeded,
     ConfigError,
     Integrand,
-    IntegrandBundle,
     NonIntegrableSingularity,
     OptimalityPhi,
     PoleConfig,
@@ -638,36 +637,29 @@ class TestMidRegionNodeSet:
 
 
 # --------------------------------------------------------------------------
-# integrand bundles: one evaluator for K rows
+# one batch, slice by slice: every integrand on the rules of its support
 # --------------------------------------------------------------------------
 
 
-def bundle_of(rows):
-    """A bundle whose func stacks the rows' own funcs."""
-    return IntegrandBundle(
-        func=lambda pts: np.stack([r.func(pts) for r in rows]), rows=tuple(rows)
-    )
-
-
-def mixed_rows(cfg, w):
-    """Unbounded bumps beside compactly supported rows of two near-optimal
-    functions, two of them borderline (p == N, truncated)."""
+def mixed_integrands(cfg, w):
+    """Unbounded bumps beside compactly supported integrands of two
+    near-optimal functions, two of them borderline (p == N, truncated)."""
     p = derive_params(cfg, 0.0)
-    rows = weighted_bumps(cfg, w, 3)
+    out = weighted_bumps(cfg, w, 3)
     for eps in (0.25, 0.125):
         phi = OptimalityPhi(cfg=cfg, R=1.0, eps=eps, beta=p.beta)
-        rows.append(Integrand(
+        out.append(Integrand(
             func=lambda x, phi=phi: phi.value(x) ** 2,
             pole_exponents=[2.0 * p.beta] * cfg.n_poles,
             support_radius=phi.support_radius,
         ))
-        rows.append(Integrand(
+        out.append(Integrand(
             func=lambda x, phi=phi: potential_v(x, cfg) * phi.value(x) ** 2,
             pole_exponents=[2.0 * p.beta + 2.0] * cfg.n_poles,
             support_radius=phi.support_radius,
             allow_truncation=True,
         ))
-    return rows
+    return out
 
 
 def region_of(pts, cfg, spec):
@@ -687,8 +679,8 @@ def result_fields(res):
 class TestBundle:
     @pytest.fixture()
     def sliced_spec(self):
-        """Deep enough that a 7-row bundle needs several slices of pole
-        shells and of mid-region cells."""
+        """Deep enough that a batch of 7 integrands needs several slices of
+        pole shells and of mid-region cells."""
         return QuadratureSpec(
             pole_radius=0.9, far_radius=6.0, radial_levels=24,
             mc_samples=200_000, seed=5,
@@ -698,29 +690,31 @@ class TestBundle:
     def test_rows_equal_separate_integrands(
         self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, workers
     ):
-        """Every row of a bundle gives the value, errors, truncation flag
-        and eta of the same integrand passed alone, bit for bit."""
+        """Every integrand of a batch gives the value, errors, truncation
+        flag and eta of the same integrand passed alone, bit for bit."""
         monkeypatch.setenv("MHARDY_WORKERS", workers)
-        rows = mixed_rows(two_poles_n3, unit_weight)
-        bundle = bundle_of(rows)
+        batch = mixed_integrands(two_poles_n3, unit_weight)
         regions = []
 
         def recorded(pts):
             regions.append(region_of(pts, two_poles_n3, sliced_spec))
-            return bundle.func(pts)
+            return batch[0].func(pts)
 
-        alone = integrate_many(rows, two_poles_n3, sliced_spec)
+        alone = [
+            integrate_many([f], two_poles_n3, sliced_spec)[0] for f in batch
+        ]
         together = integrate_many(
-            [IntegrandBundle(func=recorded, rows=bundle.rows)], two_poles_n3,
-            sliced_spec,
+            [dataclasses.replace(batch[0], func=recorded), *batch[1:]],
+            two_poles_n3, sliced_spec,
         )
-        mixed = integrate_many(
-            [rows[0], bundle_of(rows[1:])], two_poles_n3, sliced_spec
-        )
+        split = [
+            *integrate_many(batch[:1], two_poles_n3, sliced_spec),
+            *integrate_many(batch[1:], two_poles_n3, sliced_spec),
+        ]
         assert [result_fields(r) for r in together] == [
             result_fields(r) for r in alone
         ]
-        assert [result_fields(r) for r in mixed] == [result_fields(r) for r in alone]
+        assert [result_fields(r) for r in split] == [result_fields(r) for r in alone]
         assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
         # Two levels per pole ball, two antithetic halves: more calls than
         # that means the rules were cut into several slices.
@@ -734,21 +728,30 @@ class TestBundle:
         """Evaluation is slice-major: on each slice of nodes every integrand
         of the batch that takes part in the rule is called once, in batch
         order, on one thread, with the same array object, before the next
-        slice; every row still equals the same integrand passed alone."""
+        slice.  A far-shell slice calls exactly the integrands of its
+        support.  Every result still equals the same integrand alone."""
         monkeypatch.setenv("MHARDY_WORKERS", workers)
-        rows = mixed_rows(two_poles_n3, unit_weight)
-        # Unbounded and compact rows in both bundles, a plain integrand
-        # between them.
-        batch = [
-            bundle_of([rows[0], rows[3], rows[4]]),
-            rows[1],
-            bundle_of([rows[5], rows[2], rows[6]]),
-        ]
+        mixed = mixed_integrands(two_poles_n3, unit_weight)
+        # Unbounded and compact integrands interleaved.
+        batch = [mixed[k] for k in (0, 3, 4, 1, 5, 2, 6)]
         calls = []  # (thread, slice array, batch index)
+        # Mid-region cells may also lie wholly beyond the far onset, so far
+        # slices are told apart by the rule that is running.
+        far_pass = []
+        far_region = quadrature._far_region
+
+        def in_far_pass(*args):
+            far_pass.append(True)
+            try:
+                return far_region(*args)
+            finally:
+                far_pass.pop()
+
+        monkeypatch.setattr(quadrature, "_far_region", in_far_pass)
 
         def recorded(k, f):
             def func(pts):
-                calls.append((threading.get_ident(), pts, k))
+                calls.append((threading.get_ident(), pts, k, bool(far_pass)))
                 return f.func(pts)
 
             return dataclasses.replace(f, func=func)
@@ -756,37 +759,47 @@ class TestBundle:
         together = integrate_many(
             [recorded(k, f) for k, f in enumerate(batch)], two_poles_n3, sliced_spec
         )
-        alone = integrate_many(
-            [rows[k] for k in (0, 3, 4, 1, 5, 2, 6)], two_poles_n3, sliced_spec
-        )
+        alone = [
+            integrate_many([f], two_poles_n3, sliced_spec)[0] for f in batch
+        ]
         assert [result_fields(r) for r in together] == [
             result_fields(r) for r in alone
         ]
 
         runs, current = [], {}  # runs of calls on one thread with one array
-        for thread, pts, k in calls:
+        for thread, pts, k, far in calls:
             run = current.get(thread)
             if run is None or run[0] is not pts:
-                run = current[thread] = (pts, [])
+                run = current[thread] = (pts, [], far)
                 runs.append(run)
             run[1].append(k)
         # No array is visited twice: each slice is one run, on one thread.
-        assert len({id(pts) for pts, _ in runs}) == len(runs)
+        assert len({id(pts) for pts, _, _ in runs}) == len(runs)
         by_region = {}
-        for pts, order in runs:
-            region = region_of(pts, two_poles_n3, sliced_spec)
+        for pts, order, far in runs:
+            if far:
+                region = "far"
+            else:
+                pole = region_of(pts, two_poles_n3, sliced_spec) == "pole"
+                region = "pole" if pole else "mid"
             by_region.setdefault(region, []).append(order)
         assert sorted(by_region) == ["far", "mid", "pole"]
         for region in ("pole", "mid"):
-            assert by_region[region] == [[0, 1, 2]] * len(by_region[region])
-        # Far shells run per support: the unbounded rows' shells call all
-        # three, the compact rows' shells only the bundle holding them.
-        assert all(order in ([0, 1, 2], [0], [2]) for order in by_region["far"])
-        assert [0, 1, 2] in by_region["far"]
+            assert by_region[region] == [list(range(7))] * len(by_region[region])
+        # Far shells run per support, each pass on its own integrands only:
+        # the unbounded bumps, and the two compact supports 8 and 16.
+        supports = [f.support_radius for f in batch]
+        own = {
+            s: [k for k in range(7) if supports[k] == s] for s in set(supports)
+        }
+        assert sorted(own.values()) == [[0, 3, 5], [1, 2], [4, 6]]
+        assert {tuple(order) for order in by_region["far"]} == {
+            tuple(ks) for ks in own.values()
+        }
 
     def test_budget_counts_rows(self, two_poles_n3, lean_spec, monkeypatch):
-        """A K-row bundle trips the evaluation cap exactly where K separate
-        integrands do."""
+        """The evaluation cap counts integrands: K of them trip it at K
+        times the nodes of one."""
         dirs = unit_sphere_rule(3)[0].shape[0]
         nodes = (
             2 * two_poles_n3.n_poles * lean_spec.radial_levels
@@ -794,28 +807,24 @@ class TestBundle:
             + lean_spec.mc_samples
         )
         monkeypatch.setattr(quadrature, "MAX_EVALS", 3 * nodes)
-        rows = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])] * 4
-        for batch in (rows[:3], [bundle_of(rows[:3])]):
-            assert len(integrate_many(batch, two_poles_n3, lean_spec)) == 3
-        for batch in (rows, [bundle_of(rows)]):
-            with pytest.raises(BudgetExceeded):
-                integrate_many(batch, two_poles_n3, lean_spec)
+        batch = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])] * 4
+        assert len(integrate_many(batch[:3], two_poles_n3, lean_spec)) == 3
+        with pytest.raises(BudgetExceeded):
+            integrate_many(batch, two_poles_n3, lean_spec)
 
     @pytest.mark.parametrize("k", [1, 8, 64])
     def test_slices_bound_the_evaluation_size(self, two_poles_n3, sliced_spec, k):
-        """A K-row bundle's func never sees more than CHUNK // K points, or
-        one shell or cell where that is larger: the peak memory of an
-        evaluation stays flat in K."""
+        """In a batch of K integrands no func sees more than CHUNK // K
+        points, or one shell or cell where that is larger: the peak memory
+        of an evaluation stays flat in K."""
         sizes = []
 
         def func(pts):
             sizes.append(pts.shape[0])
-            return np.tile(gaussian(pts), (k, 1))
+            return np.ones(pts.shape[0])
 
-        rows = tuple(Integrand(func=None, pole_exponents=[0.0, 0.0]) for _ in range(k))
-        results = integrate_many(
-            [IntegrandBundle(func=func, rows=rows)], two_poles_n3, sliced_spec
-        )
+        batch = [Integrand(func=func, pole_exponents=[0.0, 0.0]) for _ in range(k)]
+        results = integrate_many(batch, two_poles_n3, sliced_spec)
         assert len(results) == k
         # The outermost pole shell is split in two panels at the fade onset.
         shell = 2 * sliced_spec.radial_order * unit_sphere_rule(3)[0].shape[0]
@@ -823,17 +832,15 @@ class TestBundle:
         assert max(sizes) <= max(quadrature.CHUNK // k, shell, pairs)
 
     def test_rejects_misshapen_rows(self, two_poles_n3, lean_spec):
-        rows = (Integrand(func=None, pole_exponents=[0.0, 0.0]),) * 2
-        bad = IntegrandBundle(func=lambda pts: gaussian(pts)[None, :], rows=rows)
-        with pytest.raises(ValueError, match="shape"):
-            integrate_many([bad], two_poles_n3, lean_spec)
-        with pytest.raises(ValueError, match="row"):
-            integrate_many([IntegrandBundle(func=gaussian)], two_poles_n3, lean_spec)
-        short = (Integrand(func=None, pole_exponents=[0.0]),)
+        """An integrand must give one value per point, and one pole exponent
+        per pole."""
+        for bad in (lambda pts: gaussian(pts)[None, :], lambda pts: 1.0):
+            integrand = Integrand(func=bad, pole_exponents=[0.0, 0.0])
+            with pytest.raises(ValueError, match="shape"):
+                integrate_many([integrand], two_poles_n3, lean_spec)
+        short = Integrand(func=gaussian, pole_exponents=[0.0])
         with pytest.raises(ValueError, match="pole_exponents"):
-            integrate_many(
-                [IntegrandBundle(func=gaussian, rows=short)], two_poles_n3, lean_spec
-            )
+            integrate_many([short], two_poles_n3, lean_spec)
 
     def test_empty_batch(self, two_poles_n3, lean_spec):
         """No fields give no results, once the spec is validated."""
