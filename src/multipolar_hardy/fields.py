@@ -231,25 +231,30 @@ def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
     its boundedness from above is the hypothesis certified by
     `experiments.h2_certify`.
 
-    The bracket (x - a_i) . grad(mu)/mu - K_mu is assembled with its
-    diagonal term (x - a_i) . (x - a_i)/|x - a_i|^2 simplified
-    algebraically, so the null cases above evaluate to exactly 0.0 even
-    arbitrarily close to the poles, where a one-ulp residue would be
-    amplified by the 1/|x - a_i|^2 factor.
+    With grad(mu)/mu = g = sum_j c_j (x - a_j) (`_log_grad_coeff`), the
+    bracket (x - a_i) . g - K_mu is assembled with its own term
+    c_i |x - a_i|^2 simplified algebraically (to -gamma - delta m
+    |x - a_i|^m), and the other poles' terms as the contraction
+    (x - a_i) . (g - c_i (x - a_i)), one pole at a time on (M, N) arrays.
+    For a single pole g - c_i (x - a_i) is exactly 0, so the null cases
+    above evaluate to exactly 0.0 even arbitrarily close to the poles,
+    where a one-ulp residue would be amplified by the 1/|x - a_i|^2
+    factor.  W is linear in beta: beta enters only as the last factor,
+    applied to a beta-free sum.
     """
     frame = _frame(x, cfg)
     diffs, dist = frame.diffs, frame.dist
     bracket = np.full((frame.pts.shape[0], cfg.n_poles), -p.k_mu)
     if not w.is_unit:
         coeff = _log_grad_coeff(dist, w)
-        dots = np.einsum("min,mjn->mij", diffs, diffs)
-        cross = np.einsum("mij,mj->mi", dots, coeff)
-        diag = np.einsum("mii->mi", dots) * coeff
+        g = np.einsum("mi,min->mn", coeff, diffs)
         if w.gamma != 0.0:
             bracket -= w.gamma
         if w.delta > 0.0:
             bracket -= w.delta * w.m * dist**w.m
-        bracket += cross - diag
+        for i in range(cfg.n_poles):
+            d_i = diffs[:, i, :]
+            bracket[:, i] += np.einsum("mn,mn->m", d_i, g - coeff[:, i, None] * d_i)
     vals = -p.beta * np.sum(bracket / dist**2, axis=1)
     return _maybe_scalar(vals, frame.single)
 

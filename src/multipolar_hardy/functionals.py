@@ -27,11 +27,12 @@ The ledger is one `integrate_many` call however many functions and
 exponents it covers, with one `Integrand` per integral kind and function.
 `integrate_many` hands every integrand the same array of each slice of
 nodes in turn, and they all share one `_Nodes` of that slice.  So each
-field is evaluated once per node for the whole ledger: mu, V, W and the
-inverse-square sum, all from one `fields.PoleFrame` of the slice (the
-pole differences, distances and their log sum, computed once); the Hardy
-factor once per exponent; and each test function's value and gradient
-once.  The `OptimalityPhi` members of one exponent (the sharpness family
+field is evaluated once per node for the whole ledger: mu, V, W (once
+for every exponent, as W is linear in beta) and the inverse-square sum,
+all from one `fields.PoleFrame` of the slice (the pole differences,
+distances and their log sum, computed once); the Hardy factor once per
+exponent; and each test function's value and gradient once.  The
+`OptimalityPhi` members of one exponent (the sharpness family
 ``theta_eps f``) share |x| and the Hardy factor ``f``, read from the same
 frame.  A far-shell slice evaluates only the functions of its support.
 """
@@ -391,13 +392,14 @@ def energy_reports(
     any exponent is not ``p.beta``, the inverse-square mass) are
     integrated once; the W-mass and the remainder once per distinct
     exponent.  The integrands share one `_Nodes` per slice of nodes
-    (`_slice_nodes`), so mu, V, W, the inverse-square sum, the Hardy
-    factor at each exponent and each function's value and gradient are
-    evaluated once per node for the whole call, and the `OptimalityPhi`
-    members of one exponent share |x| and the Hardy factor.  Every report
-    equals, bit for bit, the `energy_report` of its function at its
-    exponent alone (apart from ``cells``, the node count of the whole
-    call).
+    (`_slice_nodes`), so mu, V, the inverse-square sum, the Hardy factor
+    at each exponent and each function's value and gradient are evaluated
+    once per node for the whole call, and the `OptimalityPhi` members of
+    one exponent share |x| and the Hardy factor.  W is evaluated once per
+    node for all exponents: it is linear in beta, so each exponent's W is
+    that multiple of the one at beta = 1.  Every report equals, bit for
+    bit, the `energy_report` of its function at its exponent alone (apart
+    from ``cells``, the node count of the whole call).
 
     `allow_truncation` is one flag for every function or a sequence of
     one flag per function.  Raises as `energy_report`.
@@ -493,9 +495,13 @@ class _Nodes:
     named after the integral kinds give one function's integrand.  mu,
     V, W and the inverse-square sum are evaluated once, on first use, the
     Hardy factor once per exponent, and each test function's value and
-    gradient once per function.  All of them read one `PoleFrame` of the
-    slice, built on first use, so the pole differences, distances and
-    their log sum are computed once per slice; the unit mu needs no frame.
+    gradient once per function.  W is linear in beta, so it is evaluated
+    once, at beta = 1 (`w_unit`), and `w_pot(beta)` is ``beta * w_unit``:
+    `fields.potential_w` applies beta last, to a beta-free sum, and
+    rounding is symmetric in sign, so this is W at beta bit for bit.  All
+    of them read one `PoleFrame` of the slice, built on first use, so the
+    pole differences, distances and their log sum are computed once per
+    slice; the unit mu needs no frame.
     `OptimalityPhi` members share |x| and the Hardy factor at their
     exponent, through the same `_value_at` and `_gradient_at` as their own
     `value` and `gradient`; every other test function is evaluated by its
@@ -506,7 +512,6 @@ class _Nodes:
     def __init__(self, x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
         self.x, self.cfg, self.w, self.p = x, cfg, w, p
         self._hardy = {}
-        self._w_pot = {}
         self._values = {}
         self._gradients = {}
 
@@ -536,11 +541,13 @@ class _Nodes:
             self._hardy[beta] = hardy_factor(self.frame, self.cfg, beta)
         return self._hardy[beta]
 
+    @cached_property
+    def w_unit(self):
+        params = dataclasses.replace(self.p, beta=1.0)
+        return potential_w(self.frame, self.cfg, self.w, params)
+
     def w_pot(self, beta):
-        if beta not in self._w_pot:
-            params = dataclasses.replace(self.p, beta=beta)
-            self._w_pot[beta] = potential_w(self.frame, self.cfg, self.w, params)
-        return self._w_pot[beta]
+        return beta * self.w_unit
 
     def value(self, phi):
         if id(phi) not in self._values:

@@ -6,6 +6,8 @@ central finite differences, so the vectorized einsum code in the package
 never certifies itself.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,12 +231,41 @@ class TestPotentialW:
             (WeightSpec.polyexp(gamma=0.0, delta=0.5, m=1.5), 0.2),
         ],
     )
-    def test_matches_naive(self, two_poles_n3, w, k_mu):
+    def test_matches_naive(self, two_poles_n3, three_poles_n4, w, k_mu):
+        """Off the poles and at 1e-3 from each pole; with three poles more
+        than one other pole enters each bracket's cross term."""
+        for cfg in (two_poles_n3, three_poles_n4):
+            p = derive_params(cfg, k_mu)
+            near = np.random.default_rng(3).normal(size=(cfg.n_poles, cfg.dim))
+            near *= 1e-3 / np.linalg.norm(near, axis=1)[:, None]
+            pts = np.vstack([points_off_poles(cfg, 20), cfg.poles + near])
+            vals = potential_w(pts, cfg, w, p)
+            expected = [naive_w(x, cfg, w, p) for x in pts]
+            np.testing.assert_allclose(vals, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "w, k_mu",
+        [
+            (WeightSpec.polyexp(gamma=0.5), -0.6),
+            (WeightSpec.polyexp(gamma=0.9, delta=0.3, m=2.0), -0.9),
+            (WeightSpec.polyexp(gamma=0.0, delta=0.5, m=1.5), 0.2),
+        ],
+    )
+    def test_linear_in_beta_bitwise(self, two_poles_n3, w, k_mu):
+        """W at beta is beta times W at 1, bit for bit: beta is applied
+        last, to a beta-free sum, which is what lets one evaluation per
+        node serve every exponent."""
         p = derive_params(two_poles_n3, k_mu)
-        pts = points_off_poles(two_poles_n3, 20)
-        vals = potential_w(pts, two_poles_n3, w, p)
-        expected = [naive_w(x, two_poles_n3, w, p) for x in pts]
-        np.testing.assert_allclose(vals, expected, rtol=1e-10, atol=1e-12)
+        pts = np.vstack([
+            points_off_poles(two_poles_n3, 50),
+            two_poles_n3.poles + np.array([1e-3, 0.0, 0.0]),
+        ])
+        unit = potential_w(pts, two_poles_n3, w, dataclasses.replace(p, beta=1.0))
+        for beta in [0.05, 0.1, 0.15, 0.2, p.beta]:
+            params = dataclasses.replace(p, beta=beta)
+            assert np.array_equal(
+                potential_w(pts, two_poles_n3, w, params), beta * unit
+            )
 
     def test_unit_weight_is_exactly_zero(self, two_poles_n3):
         p = derive_params(two_poles_n3, 0.0)

@@ -585,19 +585,25 @@ class TestBundledLedger:
         assert energy_report(*args, beta=beta, allow_truncation=allow) == expected
 
     def test_one_call_equals_one_report_per_beta(self, two_poles_n3, lean_spec):
-        """The multi-exponent ledger shares its exponent-free integrals and
-        still gives each exponent's report exactly."""
-        p = derive_params(two_poles_n3, 0.0)
-        w = WeightSpec.unit()
-        phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
-        betas = [0.2, p.beta, 0.8]
-        args = (two_poles_n3, w, p, lean_spec)
-        (reports,) = energy_reports([phi], *args, betas, allow_truncation=True)
-        assert reports == [
-            energy_report(phi, *args, beta=b, allow_truncation=True) for b in betas
-        ]
-        assert reports[1].inv_sq_mass is None
-        assert reports[0].inv_sq_mass is reports[2].inv_sq_mass
+        """The multi-exponent ledger shares its exponent-free integrals, and
+        W between its exponents, and still gives each exponent's report
+        exactly.  At the unit weight with K_mu = 0, W vanishes; the
+        gamma = 1/2 weight has a W of every sign."""
+        for w, k_mu, other in [
+            (WeightSpec.unit(), 0.0, 0.2),
+            (WeightSpec.polyexp(gamma=0.5), -0.6, 0.35),
+        ]:
+            p = derive_params(two_poles_n3, k_mu)
+            phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
+            betas = [other, p.beta, 0.8]
+            args = (two_poles_n3, w, p, lean_spec)
+            (reports,) = energy_reports([phi], *args, betas, allow_truncation=True)
+            assert reports == [
+                energy_report(phi, *args, beta=b, allow_truncation=True)
+                for b in betas
+            ]
+            assert reports[1].inv_sq_mass is None
+            assert reports[0].inv_sq_mass is reports[2].inv_sq_mass
 
     def test_rejects_nonpositive_beta_anywhere(self, two_poles_n3, lean_spec):
         phi = GaussianBump(center=np.array([1.0, 0.0, 0.0]), width=0.8)
@@ -729,6 +735,46 @@ class TestCorpusLedger:
             )
             assert counts["hardy"] == len(slices) > 0
             assert counts["calls"] > len(slices)
+
+    def test_w_once_per_slice_for_every_exponent(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        """A ledger at three exponents evaluates W once per slice of nodes,
+        for all its exponents and integrands together."""
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        w, p = WeightSpec.polyexp(gamma=0.5), derive_params(two_poles_n3, -0.6)
+        slices = []  # the distinct slice arrays handed to the integrands
+        calls = []  # the slice each potential_w call was made on
+        original_w = functionals.potential_w
+        original_many = functionals.integrate_many
+
+        def counted_w(*args, **kwargs):
+            calls.append(slices[-1])
+            return original_w(*args, **kwargs)
+
+        def counted_func(func):
+            def wrapper(x):
+                if not slices or slices[-1] is not x:
+                    slices.append(x)
+                return func(x)
+
+            return wrapper
+
+        def counted_many(integrands, cfg, spec):
+            integrands = [
+                dataclasses.replace(f, func=counted_func(f.func)) for f in integrands
+            ]
+            return original_many(integrands, cfg, spec)
+
+        monkeypatch.setattr(functionals, "potential_w", counted_w)
+        monkeypatch.setattr(functionals, "integrate_many", counted_many)
+        functions = corpus(two_poles_n3, p)[:3]
+        energy_reports(
+            functions, two_poles_n3, w, p, lean_spec, [p.beta, 0.35, 0.1]
+        )
+        assert len(slices) > 0
+        assert len(calls) == len(slices)
+        assert all(a is b for a, b in zip(calls, slices))
 
     @pytest.mark.parametrize("weight", ["unit", "gamma"])
     def test_one_pole_frame_per_slice_per_kind_bundle(
