@@ -119,11 +119,13 @@ class GaussianBump:
         out = np.exp(-0.5 * np.einsum("ij,ij->i", d, d) / self.width**2)
         return out[0] if squeeze else out
 
+    def _gradient_at(self, pts, value):
+        """The gradient at points pts (M, N) where the bump takes `value`."""
+        return -((pts - self.center) / self.width**2) * value[:, None]
+
     def gradient(self, x):
         pts, squeeze = _as_batch(x, self.center.shape[0])
-        d = pts - self.center
-        vals = np.exp(-0.5 * np.einsum("ij,ij->i", d, d) / self.width**2)
-        out = -(d / self.width**2) * vals[:, None]
+        out = self._gradient_at(pts, self.value(pts))
         return out[0] if squeeze else out
 
 
@@ -504,8 +506,10 @@ class _Nodes:
     slice; the unit mu needs no frame.
     `OptimalityPhi` members share |x| and the Hardy factor at their
     exponent, through the same `_value_at` and `_gradient_at` as their own
-    `value` and `gradient`; every other test function is evaluated by its
-    own `value` and `gradient`.  Values and gradients are kept by the
+    `value` and `gradient`; a `GaussianBump`'s gradient comes from the
+    value already held, through the `_gradient_at` its own `gradient`
+    uses, so its exponential is evaluated once per node; every other test
+    function is evaluated by its own `value` and `gradient`.  Values and gradients are kept by the
     identity of the function, which the caller keeps alive for the slice.
     """
 
@@ -562,6 +566,8 @@ class _Nodes:
         if id(phi) not in self._gradients:
             if isinstance(phi, OptimalityPhi):
                 g = phi._gradient_at(self.x, self.radius, self.hardy(phi.beta))
+            elif isinstance(phi, GaussianBump):
+                g = phi._gradient_at(self.x, self.value(phi))
             else:
                 g = phi.gradient(self.x)
             self._gradients[id(phi)] = g

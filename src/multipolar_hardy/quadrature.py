@@ -15,7 +15,12 @@ and summed with compensated summation in a fixed order:
 
 (b) the bounded complement B(0, far_radius) minus the pole balls, by
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
-    with antithetic pairs and the pair budget split evenly over the cells.
+    with antithetic pairs and the pair budget split evenly over the cells
+    (strata).  Only live strata are partitioned and summed: a stratum
+    whose box lies outside the far ball or inside a pole core, by a test
+    with a rounding margin, holds no node of nonzero mid weight and adds
+    exactly 0.  Its Philox variates are still drawn, so every live node is
+    that of the full box, and the result is the full box's bit for bit.
 
 (c) the far field beyond 0.8 * far_radius, in origin-centred shells with
     the same product angular rule: one collar shell where the far weight
@@ -44,7 +49,9 @@ each slice calls each of them in batch order, on one thread, with one and
 the same array of points; so evaluators may share the work of a slice
 (test functions, weight, potentials) across integrands.  Each shell's or
 cell's sum is one in-order bincount, and no (K, n) array of the whole
-node set is ever held.  The deterministic rules (pole balls, far shells,
+node set is ever held.  The shell rules build a slice's nodes and
+weights only when the slice is evaluated, so a pass holds no array of
+all its nodes either.  The deterministic rules (pole balls, far shells,
 integrate_radial_annulus) estimate their error as the difference between
 a high and a low order of the same rule.
 
@@ -369,16 +376,19 @@ def _slices(bounds: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return out
 
 
-def _binned(bins: np.ndarray, vals: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-row bin sums of vals (K, M) over bins (M,): shape (K, n_bins).
+def _binned(bins: np.ndarray, n_bins: int, *rows: np.ndarray) -> list[np.ndarray]:
+    """Per-row bin sums over bins (M,) of each (K, M) array: (K, n_bins) each.
 
-    One bincount over the flattened rows; each bin still sums its terms in
-    node order, exactly as a bincount of that row alone.
+    One bincount index over the flattened rows serves every array; each bin
+    still sums its terms in node order, exactly as a bincount of that row
+    alone.
     """
-    k = vals.shape[0]
+    k = rows[0].shape[0]
     index = (np.arange(k)[:, None] * n_bins + bins[None, :]).ravel()
-    out = np.bincount(index, weights=vals.ravel(), minlength=k * n_bins)
-    return out.reshape(k, n_bins)
+    return [
+        np.bincount(index, weights=v.ravel(), minlength=k * n_bins).reshape(k, n_bins)
+        for v in rows
+    ]
 
 
 def _shell_sums(integrands, center, edges, radial_order, angular_order,
@@ -391,8 +401,9 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     terms are summed into shell shell_of_panel[l] (default: shell l).
     Returns per-integrand per-shell sums, shape (K, shells), in panel
     order, plus the node count.  The bins are cut once for the whole
-    batch; each slice is evaluated by every integrand in turn
-    (`_eval_batch`).
+    batch; each slice's nodes and weights are built when the slice is
+    evaluated, so no array of the whole pass is held, and each slice is
+    evaluated by every integrand in turn (`_eval_batch`).
     """
     dim = center.shape[0]
     xi, wq = np.polynomial.legendre.leggauss(radial_order)
@@ -406,20 +417,21 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
         shell_of_panel = np.arange(len(edges) - 1)
     n_shells = int(shell_of_panel[-1]) + 1
     dirs, wa = unit_sphere_rule(dim, angular_order)
-    pts = center[None, None, None, :] + r[:, :, None, None] * dirs[None, None, :, :]
-    pts = pts.reshape(-1, dim)
-    wts = (w[:, :, None] * wa[None, None, :]).reshape(-1)
-    shells = np.repeat(shell_of_panel, radial_order * dirs.shape[0])
-    bounds = np.searchsorted(shells, np.arange(n_shells + 1))
+    per_panel = radial_order * dirs.shape[0]
+    # panels[k] is the first panel of shell k; panels[-1] the panel count.
+    panels = np.searchsorted(shell_of_panel, np.arange(n_shells + 1))
     sums = np.empty((len(integrands), n_shells))
 
     def work(i, j):
-        a, b = bounds[i], bounds[j]
-        vals = _eval_batch(integrands, pts[a:b], wts[a:b])
-        sums[:, i:j] = _binned(shells[a:b] - i, vals, j - i)
+        p, q = panels[i], panels[j]
+        pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
+        wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
+        vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
+        shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
+        sums[:, i:j] = _binned(shells, j - i, vals)[0]
 
-    _map_slices(work, _slices(bounds, CHUNK // len(sums)))
-    return sums, pts.shape[0]
+    _map_slices(work, _slices(panels * per_panel, CHUNK // len(sums)))
+    return sums, len(shell_of_panel) * per_panel
 
 
 def _log_edges(r_in: float, r_out: float) -> np.ndarray:
@@ -552,39 +564,80 @@ def _strata_grid(dim: int, mc_samples: int):
     return int(np.clip(s, 2, cap))
 
 
+# Rounding margin of the dead-stratum test, in units of far_radius: far
+# above the few ulps by which a computed node or distance may stray.
+_DEAD_MARGIN = 1e-9
+
+
+def _live_strata(cfg, spec, grid, h):
+    """Indices of the strata whose box can hold a node of the mid region.
+
+    grid holds each stratum's integer coordinates, h the box side.  A
+    stratum is dead if its box lies outside B(0, far_radius), where the far
+    weight is exactly 1 and every pole weight is 0 (the far ball encloses
+    the pole balls), or inside a pole core B(a_i, 0.7 pole_radius), which
+    the core mask drops.  Both tests keep a margin of _DEAD_MARGIN *
+    far_radius, so no rounding of a node or of its distances can carry it
+    across either boundary: every node of a dead stratum has
+    _mid_partition's mask False.
+    """
+    R = spec.far_radius
+    slack = _DEAD_MARGIN * R
+    lo = -R + grid * h
+    hi = lo + h
+    # The box's nearest point to the origin; its farthest corner from a pole.
+    dead = _length(np.maximum(np.maximum(lo, -hi), 0.0)) >= R + slack
+    core = _POLE_FADE_START * spec.pole_radius
+    for pole in cfg.poles:
+        far = _length(np.maximum(np.abs(lo - pole), np.abs(hi - pole)))
+        dead |= far <= core - slack
+    return np.flatnonzero(~dead)
+
+
 def _mid_partition(pts, cfg, spec):
     """Mid-region partition weight at box points, kept where it is nonzero.
 
     Returns (mask, pts[mask], weight[mask]); the mask drops the pole cores
-    (where the pole weight is 1) and every point of zero weight.
+    (where the pole weight is 1) and every point of zero weight.  The poles
+    are taken one at a time, on 1-D columns: the nearest-pole distance is a
+    running np.minimum, which is exact, and the pole weights are summed in
+    pole order.  The pole balls are disjoint, so at most two of those terms
+    are nonzero and every order of summation gives the same bits.
     """
-    r0 = _length(pts)
-    weight = 1.0 - _tail_partition_weight(r0, spec.far_radius)
-    # One pole at a time: an (n, P, N) difference array would set the peak
-    # memory of the whole integrate_many call.
-    dist = np.empty((pts.shape[0], cfg.n_poles))
-    for i, pole in enumerate(cfg.poles):
-        dist[:, i] = _length(pts - pole)
-    weight = weight - _pole_partition_weight(dist, spec.pole_radius).sum(axis=1)
-    core = _POLE_FADE_START * spec.pole_radius
-    mask = (np.min(dist, axis=1) > core) & (weight != 0.0)
+    weight = 1.0 - _tail_partition_weight(_length(pts), spec.far_radius)
+    nearest = pole_sum = None
+    for pole in cfg.poles:
+        dist = _length(pts - pole)
+        pole_weight = _pole_partition_weight(dist, spec.pole_radius)
+        if nearest is None:
+            nearest, pole_sum = dist, pole_weight
+        else:
+            np.minimum(nearest, dist, out=nearest)
+            pole_sum += pole_weight
+    weight -= pole_sum
+    mask = (nearest > _POLE_FADE_START * spec.pole_radius) & (weight != 0.0)
     return mask, pts[mask], weight[mask]
 
 
 def _mid_rule(cfg, spec):
     """Node set of region (b), built once per integrate_many call.
 
-    Samples come in antithetic pairs (u, 1-u) within each cell.  The pair
-    budget is split evenly over the cells, so the node set is a pure
-    function of the spec and the geometry -- in particular it does not
+    Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
+    The pair budget is split evenly over the strata, so the node set is a
+    pure function of the spec and the geometry -- in particular it does not
     depend on which integrands share the batch, and Gram-type computations
     reuse identical nodes across runs with different batch compositions.
 
-    Returns (reps, halves, cells, pairs, cell_vol): reps maps each pair to
-    its cell index in range(cells), and halves holds the _mid_partition of
-    the u points and of the 1-u points.  Only the masked points and
-    weights are kept; the offsets and full-size temporaries are released
-    once both halves are built.
+    Only the live strata (`_live_strata`) are partitioned: a dead one holds
+    no node of nonzero mid weight, so it adds exactly 0 to every sum.  The
+    Philox block is still drawn whole, dead strata included, so the stream
+    and every live node are those of the full box.
+
+    Returns (strata, halves, cells, pairs, cell_vol): strata lists the live
+    strata in increasing order, and halves holds the _mid_partition of
+    their u points and of their 1-u points, pair by pair in stratum order.
+    Only the masked points and weights are kept; the offsets and full-size
+    temporaries are released once both halves are built.
     """
     dim = cfg.dim
     R = spec.far_radius
@@ -592,19 +645,20 @@ def _mid_rule(cfg, spec):
     C = s**dim
     h = 2.0 * R / s
 
-    # Cell index -> integer grid coordinates, fixed C-order.
+    # Stratum index -> integer grid coordinates, fixed C-order.
     grid = np.stack(
         np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
+    strata = _live_strata(cfg, spec, grid, h)
+    corners = grid[strata][:, None, :]
 
     pairs = max(2, spec.mc_samples // (2 * C))
     rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
-    u = rng.random((C * pairs, dim))
-    reps = np.repeat(np.arange(C), pairs)
-    first = _mid_partition(-R + (grid[reps] + u) * h, cfg, spec)
+    u = rng.random((C * pairs, dim)).reshape(C, pairs, dim)[strata]
+    first = _mid_partition((-R + (corners + u) * h).reshape(-1, dim), cfg, spec)
     np.subtract(1.0, u, out=u)
-    second = _mid_partition(-R + (grid[reps] + u) * h, cfg, spec)
-    return reps, (first, second), C, pairs, h**dim
+    second = _mid_partition((-R + (corners + u) * h).reshape(-1, dim), cfg, spec)
+    return strata, (first, second), C, pairs, h**dim
 
 
 def _mid_region(integrands, cfg, spec):
@@ -613,51 +667,62 @@ def _mid_region(integrands, cfg, spec):
     Antithetic pairs cancel the linear part of smooth integrands; the
     variance estimate treats pair averages as the iid unit.  The whole
     batch is evaluated on the one node set of _mid_rule, a slice of whole
-    cells at a time: per antithetic half, every integrand in turn on that
-    half's points of the slice (`_eval_batch`).  The per-cell means and
-    variances of every integrand are kept, shape (K, cells), and summed
-    per integrand at the end.
-    """
-    reps, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
+    strata at a time: per antithetic half, every integrand in turn on that
+    half's points of the slice (`_eval_batch`).
 
-    def cell_bounds(mask):
-        """Index of each cell's first True entry among the True entries."""
-        counts = np.count_nonzero(mask.reshape(C, pairs), axis=1)
+    Only live pairs, those with a node in either half, are held; a pair
+    with none, like a dead stratum, adds exactly 0 to its stratum's sums.
+    Each half's values are added at integer positions into the slice's
+    zeroed pair values, so a pair holds the sum of its two halves, a
+    missing half counting as 0 (adding into +0 can at most turn a -0 into
+    +0, which no bin sum, started at +0, can see).  One bincount index
+    per slice gives both the sums and the sums of squares, each bin in
+    node order.  The per-stratum means and variances of every integrand
+    are kept, shape (K, live strata), and summed per integrand with
+    math.fsum over the strata that hold a live pair.  fsum is exactly
+    rounded, so leaving out the others, whose terms are exactly 0, changes
+    no bit.
+    """
+    strata, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
+    S = len(strata)
+
+    def stratum_bounds(mask):
+        """Index of each stratum's first True entry among the True entries."""
+        counts = np.count_nonzero(mask.reshape(S, pairs), axis=1)
         return np.concatenate([[0], np.cumsum(counts)])
 
-    # Only the live pairs, those with a node in either half, are held: a
-    # pair with none adds exactly 0 to its cell's sums.  Cell c's live
-    # pairs sit at bounds[c]:bounds[c+1] of the live_* arrays.
+    # Stratum k's live pairs sit at bounds[k]:bounds[k+1] of live_masks
+    # and stratum_of_pair.
     live = halves[0][0] | halves[1][0]
-    live_cells = reps[live]
     live_masks = [mask[live] for mask, _, _ in halves]
-    bounds = cell_bounds(live)
-    starts = [cell_bounds(mask) for mask, _, _ in halves]
+    bounds = stratum_bounds(live)
+    stratum_of_pair = np.repeat(np.arange(S), np.diff(bounds))
+    starts = [stratum_bounds(mask) for mask, _, _ in halves]
     K = len(integrands)
-    means = np.empty((K, C))
-    var_means = np.empty((K, C))
+    means = np.empty((K, S))
+    var_means = np.empty((K, S))
 
     def work(i, j):
         u0, u1 = bounds[i], bounds[j]
-        half_vals = np.zeros((2, K, u1 - u0))
-        for out, held, (_, pts, weight), first in zip(
-            half_vals, live_masks, halves, starts
-        ):
+        vals = np.zeros((K, u1 - u0))
+        for held, (_, pts, weight), first in zip(live_masks, halves, starts):
             a, b = first[i], first[j]
-            out[:, held[u0:u1]] = _eval_batch(integrands, pts[a:b], weight[a:b])
-        vals = 0.5 * (half_vals[0] + half_vals[1])
-        cells = live_cells[u0:u1] - i
-        sums = _binned(cells, vals, j - i)
-        sumsq = _binned(cells, vals**2, j - i)
+            at = np.flatnonzero(held[u0:u1])
+            vals[:, at] += _eval_batch(integrands, pts[a:b], weight[a:b])
+        vals *= 0.5
+        sums, sumsq = _binned(stratum_of_pair[u0:u1] - i, j - i, vals, vals**2)
         mean = sums / pairs
         var = np.maximum(0.0, sumsq / pairs - mean**2)
         means[:, i:j] = mean
-        # Unbiased variance of the cell mean over antithetic pairs.
+        # Unbiased variance of the stratum mean over antithetic pairs.
         var_means[:, i:j] = var / (pairs - 1)
 
     _map_slices(work, _slices(bounds, CHUNK // K))
-    values = np.array([cell_vol * math.fsum(m) for m in means])
-    stderrs = np.array([cell_vol * math.sqrt(math.fsum(v)) for v in var_means])
+    held = np.flatnonzero(np.diff(bounds))
+    values, stderrs = np.empty(K), np.empty(K)
+    for k in range(K):
+        values[k] = cell_vol * math.fsum(means[k, held].tolist())
+        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k, held].tolist()))
     return values, stderrs, int(2 * C * pairs)
 
 

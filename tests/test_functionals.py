@@ -99,6 +99,21 @@ class TestGaussianBump:
             phi.gradient(pts), fd_gradient(phi.value, pts), atol=1e-9
         )
 
+    def test_gradient_from_held_value_is_bitwise(self, two_poles_n3, unit_weight):
+        """The node context builds the gradient from the value it already
+        holds; that, `gradient` and the direct formula agree bit for bit."""
+        phi = GaussianBump(center=np.array([1.0, 0.3, -0.2]), width=0.8)
+        pts = np.random.default_rng(5).uniform(-3, 3, size=(200, 3))
+        nodes = functionals._Nodes(
+            pts, two_poles_n3, unit_weight, derive_params(two_poles_n3, 0.0)
+        )
+        d = pts - phi.center
+        value = np.exp(-0.5 * np.einsum("ij,ij->i", d, d) / 0.8**2)
+        direct = -(d / 0.8**2) * value[:, None]
+        assert nodes.gradient(phi).tolist() == direct.tolist()
+        assert phi.gradient(pts).tolist() == direct.tolist()
+        assert phi.gradient(pts[3]).tolist() == direct[3].tolist()
+
     def test_metadata(self):
         phi = GaussianBump(center=np.zeros(3), width=1.0)
         assert phi.support_radius is None
@@ -853,7 +868,7 @@ class TestCorpusLedger:
         monkeypatch.setattr(functionals, "hardy_factor", counted_hardy)
         monkeypatch.setattr(fields.PoleFrame, "__init__", counted_init)
         for cls, names in [
-            (GaussianBump, ("value", "gradient")),
+            (GaussianBump, ("value", "_gradient_at")),
             (CutoffTheta, ("value", "gradient")),
             (OptimalityPhi, ("_value_at", "_gradient_at")),
         ]:

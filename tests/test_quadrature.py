@@ -10,6 +10,7 @@ composition or worker count.
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from multipolar_hardy import (
     sphere_flux,
     sphere_surface_measure,
     derive_params,
+    enclosing_radius,
+    min_pole_gap,
     potential_v,
     unit_sphere_rule,
     weight_value,
@@ -568,6 +571,59 @@ def assert_same_region(new, ref):
     assert new[2] == ref[2]
 
 
+def mid_geometry(case):
+    """A pole configuration and spec that press on the dead-stratum test."""
+    two = PoleConfig(dim=3, poles=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    if case == "mc_bump":
+        return two, QuadratureSpec(
+            pole_radius=1.0, far_radius=6.0, radial_levels=14,
+            mc_samples=400_000, seed=7,
+        )
+    if case == "odd_grid":
+        # An odd grid: the middle strata straddle the coordinate planes.
+        return two, QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=20,
+            mc_samples=60_000, seed=1234,
+        )
+    if case == "enclosing":
+        # The far sphere touches the outer pole ball.
+        return two, QuadratureSpec(
+            pole_radius=0.9, far_radius=enclosing_radius(two, 0.9),
+            radial_levels=10, mc_samples=100_000, seed=5,
+        )
+    if case == "core_strata":
+        # Touching pole balls on a fine grid: whole strata inside a core.
+        return two, QuadratureSpec(
+            pole_radius=min_pole_gap(two), far_radius=3.0, radial_levels=10,
+            mc_samples=400_000, seed=11,
+        )
+    if case == "n4":
+        cfg = PoleConfig(dim=4, poles=np.array(
+            [[0.0, 0.0, 0.0, 0.0], [1.8, 0.3, 0.0, 0.0], [-0.4, 1.5, 0.7, 0.0]]
+        ))
+        return cfg, QuadratureSpec(
+            pole_radius=0.6, far_radius=5.0, radial_levels=10,
+            mc_samples=80_000, seed=3,
+        )
+    if case == "n6":
+        cfg = PoleConfig(dim=6, poles=np.array(
+            [[0.0] * 6, [1.5, 0.4, 0.0, 0.0, 0.0, 0.0]]
+        ))
+        return cfg, QuadratureSpec(
+            pole_radius=min_pole_gap(cfg), far_radius=3.5, radial_levels=10,
+            mc_samples=100_000, seed=3,
+        )
+    if case == "nine_poles":
+        # numpy sums a pole axis of length >= 8 pairwise, not in order.
+        cfg = PoleConfig(dim=3, poles=np.array([[i - 4.0, 0.0, 0.0] for i in range(9)]))
+        gap = min_pole_gap(cfg)
+        return cfg, QuadratureSpec(
+            pole_radius=gap, far_radius=enclosing_radius(cfg, gap),
+            radial_levels=10, mc_samples=300_000, seed=9,
+        )
+    raise ValueError(case)
+
+
 class TestMidRegionNodeSet:
     @pytest.mark.parametrize("weight", ["unit_weight", "power_weight"])
     @pytest.mark.parametrize("count", [1, 5])
@@ -593,6 +649,64 @@ class TestMidRegionNodeSet:
             quadrature._mid_region(integrands, three_poles_n4, spec),
             reference_mid_region(integrands, three_poles_n4, spec),
         )
+
+    @pytest.mark.parametrize("case", ["enclosing", "n6", "nine_poles", "core_strata"])
+    def test_matches_reference_on_edge_geometries(self, case, power_weight):
+        """Skipping dead strata and the pole-by-pole partition change no
+        bit, with the far sphere on a pole ball, in N = 6, with a pole
+        axis numpy sums pairwise, and with strata inside a pole core."""
+        cfg, spec = mid_geometry(case)
+        integrands = weighted_bumps(cfg, power_weight, 2)
+        assert_same_region(
+            quadrature._mid_region(integrands, cfg, spec),
+            reference_mid_region(integrands, cfg, spec),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "case",
+        ["mc_bump", "odd_grid", "enclosing", "core_strata", "n4", "n6", "nine_poles"],
+    )
+    def test_dead_strata_hold_no_node(self, case, seed):
+        """Every node of a skipped stratum, in either antithetic half, is
+        one that _mid_partition drops."""
+        cfg, spec = mid_geometry(case)
+        spec = dataclasses.replace(spec, seed=seed)
+        dim, R = cfg.dim, spec.far_radius
+        s = quadrature._strata_grid(dim, spec.mc_samples)
+        C, h = s**dim, 2.0 * R / s
+        grid = np.stack(
+            np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
+        ).reshape(-1, dim)
+        dead = np.setdiff1d(np.arange(C), quadrature._live_strata(cfg, spec, grid, h))
+        assert dead.size > 0
+        if case == "core_strata":
+            centres = -R + (grid[dead] + 0.5) * h
+            gaps = np.linalg.norm(centres[:, None, :] - cfg.poles[None], axis=2)
+            assert np.any(gaps.min(axis=1) < spec.pole_radius)
+        pairs = max(2, spec.mc_samples // (2 * C))
+        rng = np.random.Generator(
+            np.random.Philox(key=spec.seed ^ quadrature._REGION_MID)
+        )
+        u = rng.random((C * pairs, dim)).reshape(C, pairs, dim)[dead]
+        for half in (u, 1.0 - u):
+            pts = (-R + (grid[dead][:, None, :] + half) * h).reshape(-1, dim)
+            mask, _, _ = quadrature._mid_partition(pts, cfg, spec)
+            assert not mask.any()
+
+    def test_partition_skips_dead_strata(self, two_poles_n3, lean_spec, monkeypatch):
+        """Neither antithetic half partitions the whole box."""
+        seen = []
+        original = quadrature._mid_partition
+
+        def counted(pts, cfg, spec):
+            seen.append(pts.shape[0])
+            return original(pts, cfg, spec)
+
+        monkeypatch.setattr(quadrature, "_mid_partition", counted)
+        _, _, C, pairs, _ = quadrature._mid_rule(two_poles_n3, lean_spec)
+        assert len(seen) == 2
+        assert max(seen) < C * pairs
 
     def test_matches_reference_across_worker_counts(
         self, two_poles_n3, lean_spec, monkeypatch
@@ -811,6 +925,24 @@ class TestBundle:
         assert len(integrate_many(batch[:3], two_poles_n3, lean_spec)) == 3
         with pytest.raises(BudgetExceeded):
             integrate_many(batch, two_poles_n3, lean_spec)
+
+    def test_shell_pass_holds_no_array_of_all_its_nodes(self):
+        """A pole-ball or far-shell pass builds each slice's nodes when it
+        evaluates that slice."""
+        dim, levels = 4, 36
+        edges = 0.9 * 2.0 ** -np.arange(levels + 1.0)
+        batch = [
+            Integrand(func=lambda x: np.ones(x.shape[0]), pole_exponents=[])
+            for _ in range(8)
+        ]
+        tracemalloc.start()
+        try:
+            _, nodes = quadrature._shell_sums(batch, np.zeros(dim), edges, 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Less than half of what the points of the whole pass would take.
+        assert peak < nodes * dim * 8 / 2
 
     @pytest.mark.parametrize("k", [1, 8, 64])
     def test_slices_bound_the_evaluation_size(self, two_poles_n3, sliced_spec, k):
