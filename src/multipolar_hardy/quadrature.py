@@ -6,12 +6,23 @@ and summed with compensated summation in a fixed order:
 (a) a ball B(a_i, pole_radius) around each pole, in spherical coordinates
     centred at the pole: geometrically graded radial shells
     [r_{k+1}, r_k], r_k = pole_radius * 2^-k, k = 0 .. radial_levels-1,
-    Gauss-Legendre in radius within each shell, and a fixed product
-    Gauss-Jacobi x trapezoid rule in the angles.  For a declared pole
-    exponent p < N the per-shell sums decay geometrically and the unresolved
-    inner ball is restored by summing the geometric tail; at the borderline
-    p == N the integral is only defined as a truncation at the innermost
-    radius eta (callers must opt in via Integrand.allow_truncation).
+    Gauss-Legendre in radius within each shell, and a product
+    Gauss-Jacobi x trapezoid rule in the angles whose order falls with
+    depth (the linear degree vector of hp quadrature on geometric meshes):
+    the outer four shells (r >= pole_radius / 16), the fade panel among
+    them, get the dimension's full order, every deeper shell order 3.  Near
+    its pole an integrand is a power of the distance times a factor smooth
+    on some scale s (a bump's width, the distance to the other poles), so
+    on a sphere of radius r its degree-k angular part is O((r/s)^k).
+    Order 3 integrates every spherical polynomial of degree 5 exactly,
+    leaving O((r/s)^6): rounding level below pole_radius / 16 for the
+    shipped integrands, while the angular error of the full order sits in
+    the outer shells, where the collar, the test functions and the other
+    poles vary.  For a declared pole exponent p < N the per-shell sums
+    decay geometrically and the unresolved inner ball is restored by
+    summing the geometric tail; at the borderline p == N the integral is
+    only defined as a truncation at the innermost radius eta (callers must
+    opt in via Integrand.allow_truncation).
 
 (b) the bounded complement B(0, far_radius) minus the pole balls, by
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
@@ -23,12 +34,13 @@ and summed with compensated summation in a fixed order:
     that of the full box, and the result is the full box's bit for bit.
 
 (c) the far field beyond 0.8 * far_radius, in origin-centred shells with
-    the same product angular rule: one collar shell where the far weight
-    rises, then log-spaced shells of about half an octave out to the
-    integrand's support radius, or to _FAR_CUT * far_radius for unbounded
-    support.  The unbounded remainder beyond that cut is closed from the
-    last shell sums as the pole balls close their inner ball, with the
-    declared decay |x|^-(N+tail_exponent) as the fallback ratio.
+    the product angular rule at the dimension's full order: one collar
+    shell where the far weight rises, then log-spaced shells of about half
+    an octave out to the integrand's support radius, or to _FAR_CUT *
+    far_radius for unbounded support.  The unbounded remainder beyond that
+    cut is closed from the last shell sums as the pole balls close their
+    inner ball, with the declared decay |x|^-(N+tail_exponent) as the
+    fallback ratio.
 
 The regions are joined by a smooth partition of unity rather than sharp
 indicators: a quintic collar fades each pole ball out over the outer 30%
@@ -103,6 +115,12 @@ CHUNK = 1 << 17
 
 # Default polar-angle orders per ambient dimension (azimuth gets twice this).
 _ANGULAR_ORDER = {3: 10, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}
+
+# Angular schedule of the faded pole balls of integrate_many: the rule's own
+# order on the outermost _POLE_FULL_SHELLS shells (r >= pole_radius / 16),
+# _POLE_DEEP_ORDER on every deeper one (see `_graded_pole_ball`).
+_POLE_FULL_SHELLS = 4
+_POLE_DEEP_ORDER = 3
 
 _REGION_MID = 13
 
@@ -446,11 +464,13 @@ def _pole_ball_pass(
 ):
     """Shell-by-shell sums over one graded pole ball.
 
-    With fade=True the partition-of-unity collar is applied, so the pass
-    contributes integral of f * psi_pole over the ball; fade=False gives
-    the raw ball (used for whole-ball integrals such as the H3 check).
-    Returns per-integrand per-shell sums, shape (K, L), ordered outermost
-    shell first, plus the evaluation count.
+    Every shell gets the one `angular_order`.  With fade=True the
+    partition-of-unity collar is applied, so the pass contributes integral
+    of f * psi_pole over the ball; fade=False gives the raw ball (used for
+    whole-ball integrals such as the H3 check, and for the deep shells of
+    `_graded_pole_ball`, which lie inside the fade onset).  Returns
+    per-integrand per-shell sums, shape (K, L), ordered outermost shell
+    first, plus the evaluation count.
     """
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
     shell_of_panel = np.arange(levels)
@@ -518,11 +538,42 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
     so the difference is the error of the coarser pass.
     `integrate_pole_ball` reports the low level, so the difference is the
     error of the reported value.
+
+    `_pole_region`'s rule applies its angular schedule at both levels: the
+    outer shells get the level's order (10 and 6 at N = 3), the deep
+    shells order 3 at both, since a third off order 3 is below the floor.
+    There the levels differ in their radial points only, and the
+    difference measures the outer shells' angular error and every shell's
+    radial error.
     """
     order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
     hi, n_hi = rule(radial_order, order_hi)
     lo, n_lo = rule(max(4, radial_order - 3), max(3, (2 * order_hi) // 3))
     return hi, lo, n_hi + n_lo
+
+
+def _graded_pole_ball(integrands, cfg, center, spec, radial_order, angular_order):
+    """Per-shell sums of one faded pole ball under the angular schedule.
+
+    The outermost _POLE_FULL_SHELLS shells, the fade panel among them, get
+    `angular_order`; every deeper shell gets _POLE_DEEP_ORDER.  The deep
+    shells lie inside the fade onset, where the pole weight is exactly 1,
+    so they are the unfaded ball of radius pole_radius * 2^-_POLE_FULL_SHELLS
+    and their sums are those of the same shells in one faded pass.  Returns
+    (sums, nodes) as `_pole_ball_pass`, outermost shell first.
+    """
+    outer, nodes = _pole_ball_pass(
+        integrands, cfg, center, spec.pole_radius, _POLE_FULL_SHELLS,
+        radial_order, angular_order,
+    )
+    deep_levels = spec.radial_levels - _POLE_FULL_SHELLS
+    if deep_levels == 0:
+        return outer, nodes
+    deep, deep_nodes = _pole_ball_pass(
+        integrands, cfg, center, spec.pole_radius * 2.0 ** -_POLE_FULL_SHELLS,
+        deep_levels, radial_order, _POLE_DEEP_ORDER, fade=False,
+    )
+    return np.concatenate([outer, deep], axis=1), nodes + deep_nodes
 
 
 def _pole_region(integrands, cfg, spec):
@@ -536,9 +587,7 @@ def _pole_region(integrands, cfg, spec):
     for i in range(cfg.n_poles):
         center = cfg.poles[i]
         hi, lo, n = _two_level(
-            lambda q, order: _pole_ball_pass(
-                integrands, cfg, center, spec.pole_radius, spec.radial_levels, q, order
-            ),
+            lambda q, order: _graded_pole_ball(integrands, cfg, center, spec, q, order),
             dim,
             spec.radial_order,
         )

@@ -32,6 +32,7 @@ from multipolar_hardy import (
     integrate_radial_annulus,
     sphere_flux,
     sphere_surface_measure,
+    GaussianBump,
     derive_params,
     enclosing_radius,
     min_pole_gap,
@@ -200,6 +201,102 @@ class TestPoleBall:
             integrate_pole_ball(
                 lambda p: np.ones(len(p)), cfg, 0, 1.0, levels=8, exponent=3.0
             )
+
+
+def uniform_pole_region(integrands, cfg, spec, order):
+    """Region (a) with every shell of every pole ball at one angular order:
+    the high level of the rule before the angular schedule, at `order`."""
+    values = np.zeros(len(integrands))
+    for i, center in enumerate(cfg.poles):
+        sums, _ = quadrature._pole_ball_pass(
+            integrands, cfg, center, spec.pole_radius, spec.radial_levels,
+            spec.radial_order, order,
+        )
+        for k, f in enumerate(integrands):
+            p = float(f.pole_exponents[i])
+            inner, _, _ = quadrature._inner_closure(
+                sums[k], p, cfg.dim, p >= cfg.dim - 1e-9
+            )
+            values[k] += math.fsum(sums[k]) + inner
+    return values
+
+
+def two_poles(dim):
+    return PoleConfig(dim=dim, poles=np.array([[0.0] * dim, [2.0] + [0.0] * (dim - 1)]))
+
+
+class TestGradedPoleBalls:
+    """The faded pole balls keep the full angular order on their outer four
+    shells and use order 3 below; against the same balls at a high uniform
+    order the values stay within 1e-7 relative and within their bounds."""
+
+    @staticmethod
+    def integrands(dim, power_weight):
+        cfg = two_poles(dim)
+        out = []
+        if dim == 3:
+            bump = GaussianBump(center=[0.3, 0.0, 0.0], width=0.45)
+            out += [
+                Integrand(
+                    func=lambda x: potential_v(x, cfg) * bump.value(x) ** 2,
+                    pole_exponents=[2.0, 2.0], name="bump v_mass",
+                ),
+                Integrand(
+                    func=lambda x: np.sum(bump.gradient(x) ** 2, axis=1),
+                    pole_exponents=[0.0, 0.0], name="bump dirichlet",
+                ),
+                Integrand(
+                    func=lambda x: weight_value(x, cfg, power_weight)
+                    * bump.value(x) ** 2,
+                    pole_exponents=[0.5, 0.5], name="gamma 1/2 l2_mass",
+                ),
+            ]
+        p = derive_params(cfg, 0.0)
+        phi = OptimalityPhi(cfg=cfg, R=1.0, eps=0.2, beta=p.beta)
+        out.append(Integrand(
+            func=lambda x: np.sum(phi.gradient(x) ** 2, axis=1),
+            pole_exponents=[float(dim)] * 2, support_radius=phi.support_radius,
+            allow_truncation=True, name="phi_eps dirichlet",
+        ))
+        return cfg, out
+
+    @pytest.mark.parametrize("dim, order", [(3, 24), (4, 16)])
+    def test_matches_high_order_balls(self, dim, order, power_weight, borderline_spec):
+        cfg, integrands = self.integrands(dim, power_weight)
+        values, truncs, truncated, _, _ = quadrature._pole_region(
+            integrands, cfg, borderline_spec
+        )
+        reference = uniform_pole_region(integrands, cfg, borderline_spec, order)
+        assert truncated[-1]
+        for f, value, trunc, ref in zip(integrands, values, truncs, reference):
+            assert abs(value - ref) <= 1e-7 * abs(ref), f.name
+            assert abs(value - ref) <= trunc, f.name
+
+    def test_tiers_are_shells_of_one_faded_pass(self, power_weight, borderline_spec):
+        """Each tier's sums are, bit for bit, those of its shells in one
+        faded pass at the tier's order: the deep shells lie inside the fade
+        onset, where the pole weight is exactly 1."""
+        cfg, integrands = self.integrands(3, power_weight)
+        full, deep = quadrature._ANGULAR_ORDER[3], quadrature._POLE_DEEP_ORDER
+        outer = quadrature._POLE_FULL_SHELLS
+        for center in cfg.poles:
+            graded, _ = quadrature._graded_pole_ball(
+                integrands, cfg, center, borderline_spec, 8, full
+            )
+            tiers = ((full, slice(None, outer)), (deep, slice(outer, None)))
+            for order, shells in tiers:
+                one_pass, _ = quadrature._pole_ball_pass(
+                    integrands, cfg, center, borderline_spec.pole_radius,
+                    borderline_spec.radial_levels, 8, order,
+                )
+                assert np.array_equal(graded[:, shells], one_pass[:, shells])
+
+    def test_evaluates_fewer_nodes(self, power_weight, borderline_spec):
+        """At 36 levels in N = 4 the pole region evaluates a fifth of the
+        698,708 nodes of the uniform rule."""
+        cfg, integrands = self.integrands(4, power_weight)
+        *_, cells = quadrature._pole_region(integrands, cfg, borderline_spec)
+        assert cells == 139_348
 
 
 class TestRadialAnnulus:
@@ -830,10 +927,41 @@ class TestBundle:
         ]
         assert [result_fields(r) for r in split] == [result_fields(r) for r in alone]
         assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
-        # Two levels per pole ball, two antithetic halves: more calls than
-        # that means the rules were cut into several slices.
-        assert regions.count("pole") > 2 * two_poles_n3.n_poles
+        # Two angular tiers and two levels per pole ball, two antithetic
+        # halves: more mid calls than that means the cells were cut into
+        # several slices.
+        assert regions.count("pole") >= 4 * two_poles_n3.n_poles
         assert regions.count("mid") > 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_graded_pole_slices_keep_values_in_n4(
+        self, unit_weight, sliced_spec, monkeypatch, workers
+    ):
+        """In N = 4 the full-order tier of a pole ball is cut into several
+        slices for a batch of 7; every integrand of the mixed batch of
+        bumps and truncated phi_eps still gives bit for bit what it gives
+        alone."""
+        monkeypatch.setenv("MHARDY_WORKERS", workers)
+        cfg = two_poles(4)
+        spec = dataclasses.replace(sliced_spec, mc_samples=20_000)
+        batch = mixed_integrands(cfg, unit_weight)
+        pole_calls = []
+
+        def recorded(pts):
+            pole_calls.append(region_of(pts, cfg, spec) == "pole")
+            return batch[0].func(pts)
+
+        together = integrate_many(
+            [dataclasses.replace(batch[0], func=recorded), *batch[1:]], cfg, spec
+        )
+        alone = [integrate_many([f], cfg, spec)[0] for f in batch]
+        assert [result_fields(r) for r in together] == [
+            result_fields(r) for r in alone
+        ]
+        assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
+        # Two angular tiers and two levels per pole ball: more calls than
+        # that means a tier was cut into several slices.
+        assert sum(pole_calls) > 4 * cfg.n_poles
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_every_integrand_sees_each_slice_in_turn(
