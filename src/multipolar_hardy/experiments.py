@@ -797,8 +797,11 @@ def h3_h4_certify(
 ) -> HypothesisReport:
     """Certify the density hypothesis H3 and the optimality pair H4.
 
-    H3 integrates the weight over shrinking pole balls and checks the
-    quadratic rescaling decays; H4 i) is exponent bookkeeping at the
+    H3 integrates the weight over eight nested pole balls
+    delta_0 * 2^-k and checks the quadratic rescaling decays; the balls of
+    one pole are one `integrate_pole_ball` ladder, so one pass per level
+    of its two-level rule gives all eight, each bit for bit the ball
+    integrated alone.  H4 i) is exponent bookkeeping at the
     poles; H4 ii) bounds the weight by a power far from the poles and
     checks the exponent inequality that the sharpness proof consumes.
     The H4 ii) sample directions are drawn from a stream keyed by `seed`.
@@ -817,15 +820,15 @@ def h3_h4_certify(
     values = np.empty((n, deltas.size))
     errors = np.empty((n, deltas.size))
     for i in range(n):
-        for k, d in enumerate(deltas):
-            res = integrate_pole_ball(
-                lambda x: weight_value(x, cfg, w),
-                cfg,
-                i,
-                float(d),
-                levels=12,
-                exponent=max(gamma, 0.0),
-            )
+        ladder = integrate_pole_ball(
+            lambda x: weight_value(x, cfg, w),
+            cfg,
+            i,
+            deltas,
+            levels=12,
+            exponent=max(gamma, 0.0),
+        )
+        for k, (d, res) in enumerate(zip(deltas, ladder)):
             values[i, k] = res.value / d**2
             errors[i, k] = res.error / d**2
     # The scaled masses behave like delta^(N - 2 - gamma); demand strict

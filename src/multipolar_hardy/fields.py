@@ -29,7 +29,8 @@ use, sum_i log|x - a_i|, which mu and f share), so kernels evaluated on
 one frame compute the pole geometry once between them.  A kernel given
 plain points builds its own frame, with the same values bit for bit.
 Distances are the squares summed in axis order, then the square root
-(`_length`).  Evaluating within the resolution guard of a pole raises
+(`_length`), and sums over the poles add the columns in pole order
+(`_pole_sum`).  Evaluating within the resolution guard of a pole raises
 AtPole; each guarded kernel checks the frame it is given, and
 integration routines are responsible for keeping their nodes clear of
 the guard.
@@ -83,6 +84,20 @@ def _length(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _pole_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the pole axis of a (M, n) array, shape (M,).
+
+    The columns are added in pole order, one running column sum.  For up
+    to 7 poles this is `np.sum(a, axis=1)` bit for bit, at a fraction of
+    its cost on a short axis; from 8 poles on numpy's reduction sums
+    pairwise, and the two may differ by a few ulps.
+    """
+    out = a[:, 0].copy()
+    for i in range(1, a.shape[1]):
+        out += a[:, i]
+    return out
+
+
 class PoleFrame:
     """A batch of points with its differences and distances to every pole.
 
@@ -106,7 +121,7 @@ class PoleFrame:
 
     @cached_property
     def log_dist_sum(self) -> np.ndarray:
-        return np.sum(np.log(self.dist), axis=1)
+        return _pole_sum(np.log(self.dist))
 
 
 def _frame(x, cfg: PoleConfig, guarded: bool = True) -> PoleFrame:
@@ -171,7 +186,7 @@ def weight_log_value(x, cfg: PoleConfig, w: WeightSpec):
     if w.gamma != 0.0:
         log_mu -= w.gamma * frame.log_dist_sum
     if w.delta > 0.0:
-        log_mu -= w.delta * np.sum(frame.dist**w.m, axis=1)
+        log_mu -= w.delta * _pole_sum(frame.dist**w.m)
     return _maybe_scalar(log_mu, frame.single)
 
 
@@ -255,7 +270,7 @@ def potential_w(x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
         for i in range(cfg.n_poles):
             d_i = diffs[:, i, :]
             bracket[:, i] += np.einsum("mn,mn->m", d_i, g - coeff[:, i, None] * d_i)
-    vals = -p.beta * np.sum(bracket / dist**2, axis=1)
+    vals = -p.beta * _pole_sum(bracket / dist**2)
     return _maybe_scalar(vals, frame.single)
 
 
@@ -282,7 +297,7 @@ def laplacian_ratio(x, cfg: PoleConfig, beta: float):
     frame = _frame(x, cfg)
     n = cfg.n_poles
     coeff = n * beta * beta - beta * (cfg.dim - 2.0)
-    vals = (coeff * np.sum(1.0 / frame.dist**2, axis=1)
+    vals = (coeff * _pole_sum(1.0 / frame.dist**2)
             - beta * beta * potential_v(frame, cfg))
     return _maybe_scalar(vals, frame.single)
 

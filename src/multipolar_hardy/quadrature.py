@@ -467,10 +467,13 @@ def _pole_ball_pass(
     Every shell gets the one `angular_order`.  With fade=True the
     partition-of-unity collar is applied, so the pass contributes integral
     of f * psi_pole over the ball; fade=False gives the raw ball (used for
-    whole-ball integrals such as the H3 check, and for the deep shells of
-    `_graded_pole_ball`, which lie inside the fade onset).  Returns
-    per-integrand per-shell sums, shape (K, L), ordered outermost shell
-    first, plus the evaluation count.
+    the whole-ball integrals of `integrate_pole_ball`, and for the deep
+    shells of `_graded_pole_ball`, which lie inside the fade onset).  The
+    octave shells of an unfaded pass are those of every ball
+    radius * 2^-k inside it: shells k .. k + m - 1 of the pass are, node
+    for node, the m shells of that ball.  Returns per-integrand per-shell
+    sums, shape (K, L), ordered outermost shell first, plus the evaluation
+    count.
     """
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
     shell_of_panel = np.arange(levels)
@@ -525,19 +528,34 @@ def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
     return (*_geometric_closure(shell_sums, 2.0 ** (-(dim - p))), False)
 
 
+def _level_orders(dim: int, radial_order: int, angular_order: int | None = None):
+    """(radial, angular) orders of the high and the low level of `_two_level`.
+
+    The low level drops three radial points and a third of the angular
+    order, which defaults to the dimension's.
+    """
+    order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
+    return (
+        (radial_order, order_hi),
+        (max(4, radial_order - 3), max(3, (2 * order_hi) // 3)),
+    )
+
+
 def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = None):
     """Run a deterministic product rule at a high and a derived low order.
 
-    rule(radial_order, angular_order) returns (sums, nodes).  The low level
-    drops three radial points and a third of the angular order; callers
-    take the hi-minus-lo difference as the rule's error estimate.  Returns
-    (hi_sums, lo_sums, nodes of both levels).
+    rule(radial_order, angular_order) returns (sums, nodes), at the orders
+    of `_level_orders`; callers take the hi-minus-lo difference as the
+    rule's error estimate.  Returns (hi_sums, lo_sums, nodes of both
+    levels).
 
     A caller may report either level.  `_pole_region`, `_far_region` and
     `integrate_radial_annulus` report the high level,
     so the difference is the error of the coarser pass.
     `integrate_pole_ball` reports the low level, so the difference is the
-    error of the reported value.
+    error of the reported value; its rule is one unfaded pass per level
+    over a whole dyadic ladder of balls, and its "sums" are each ball's
+    (value, closure error), read off that pass.
 
     `_pole_region`'s rule applies its angular schedule at both levels: the
     outer shells get the level's order (10 and 6 at N = 3), the deep
@@ -546,9 +564,9 @@ def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = No
     difference measures the outer shells' angular error and every shell's
     radial error.
     """
-    order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
-    hi, n_hi = rule(radial_order, order_hi)
-    lo, n_lo = rule(max(4, radial_order - 3), max(3, (2 * order_hi) // 3))
+    (hi, n_hi), (lo, n_lo) = (
+        rule(*orders) for orders in _level_orders(dim, radial_order, angular_order)
+    )
     return hi, lo, n_hi + n_lo
 
 
@@ -574,6 +592,26 @@ def _graded_pole_ball(integrands, cfg, center, spec, radial_order, angular_order
         deep_levels, radial_order, _POLE_DEEP_ORDER, fade=False,
     )
     return np.concatenate([outer, deep], axis=1), nodes + deep_nodes
+
+
+def _pole_region_nodes(cfg, spec) -> int:
+    """Nodes `_pole_region` evaluates, as `_graded_pole_ball` builds them.
+
+    Per pole and level of `_two_level`: the outer _POLE_FULL_SHELLS shells
+    and the fade panel at the level's angular order, every deeper shell at
+    _POLE_DEEP_ORDER, each panel with the level's radial points.
+    """
+    dim = cfg.dim
+
+    def directions(order):
+        return unit_sphere_rule(dim, order)[0].shape[0]
+
+    deep = (spec.radial_levels - _POLE_FULL_SHELLS) * directions(_POLE_DEEP_ORDER)
+    per_ball = sum(
+        q * ((_POLE_FULL_SHELLS + 1) * directions(order) + deep)
+        for q, order in _level_orders(dim, spec.radial_order)
+    )
+    return cfg.n_poles * per_ball
 
 
 def _pole_region(integrands, cfg, spec):
@@ -860,12 +898,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             )
 
     dim = cfg.dim
-    dirs_count = unit_sphere_rule(dim)[0].shape[0]
-    est_nodes = (
-        2 * cfg.n_poles * spec.radial_levels * spec.radial_order * dirs_count
-        + spec.mc_samples
-    )
-    est_nodes *= len(integrands)
+    est_nodes = (_pole_region_nodes(cfg, spec) + spec.mc_samples) * len(integrands)
     if est_nodes > MAX_EVALS:
         raise BudgetExceeded(
             f"about {est_nodes:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
@@ -936,39 +969,68 @@ def integrate_pole_ball(
     func,
     cfg: PoleConfig,
     pole_index: int,
-    radius: float,
+    radius: float | Sequence[float],
     levels: int,
     exponent: float,
     radial_order: int = 8,
-) -> IntegralResult:
-    """Integrate over a single ball B(a_i, radius) with graded shells.
+) -> IntegralResult | list[IntegralResult]:
+    """Integrate over the ball B(a_i, radius), or a dyadic ladder of balls.
 
-    The unresolved inner ball is closed by the geometric-tail rule for a
-    strict exponent p < N, so the result approximates the full ball.  The
-    value is the pass at `radial_order` (>= 4) and the default angular
-    order.  `_two_level` runs that pass as its low level under a refined
-    high level, so their difference, plus the inner-closure uncertainty,
-    estimates the error of the value itself.
+    Each ball gets `levels` octave shells.  The unresolved inner ball is
+    closed by the geometric-tail rule for a strict exponent p < N, so the
+    result approximates the full ball.  The value is the pass at
+    `radial_order` (>= 4) and the default angular order.  `_two_level`
+    runs that pass as its low level under a refined high level, so their
+    difference, plus the inner-closure uncertainty, estimates the error of
+    the value itself.
+
+    radius is a float, which gives one IntegralResult, or a ladder of m
+    nested radii r_0 * 2^-k, k = 0 .. m-1, which gives a list of m; each
+    entry must equal r_0 * 2.0**-k exactly, else ValueError.  Ball k's
+    shells, with edges r_0 * 2^-(k+j), are shells k .. k + levels - 1 of
+    one pass over levels + m - 1 shells from r_0, so each level runs one
+    pass for the whole ladder.  Ball k's value is the fsum of its window
+    plus the inner closure of that window: every node, shell sum, value
+    and error is, bit for bit, that of the ball integrated alone.  cells
+    counts the nodes of the whole call.
     """
     local_integrability_check([exponent], cfg.dim)
+    radii = np.atleast_1d(np.asarray(radius, dtype=float))
+    m = radii.size
+    if (
+        radii.ndim != 1
+        or m == 0
+        or not radii[0] > 0.0
+        or not np.array_equal(radii, radii[0] * 2.0 ** -np.arange(m, dtype=float))
+    ):
+        raise ValueError(
+            f"radius must be > 0 or a ladder r0 * 2**-k with r0 > 0, got {radius!r}"
+        )
     f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
 
-    def ball(q, order):
+    def balls(q, order):
         sums, n = _pole_ball_pass(
-            [f], cfg, cfg.poles[pole_index], radius, levels, q, order, fade=False
+            [f], cfg, cfg.poles[pole_index], radii[0], levels + m - 1, q, order,
+            fade=False,
         )
-        inner, err, _ = _inner_closure(sums[0], exponent, cfg.dim, truncate=False)
-        return (math.fsum(sums[0]) + inner, err), n
+        out = []
+        for k in range(m):
+            shells = sums[0, k : k + levels]
+            inner, err, _ = _inner_closure(shells, exponent, cfg.dim, truncate=False)
+            out.append((math.fsum(shells) + inner, err))
+        return out, n
 
     order = _ANGULAR_ORDER.get(cfg.dim, 4)
     # The high level one step up, whose derived low level is exactly
     # (radial_order, order).
-    (fine, _), (value, err), n = _two_level(
-        ball, cfg.dim, radial_order + 3, (3 * order + 1) // 2
-    )
-    return IntegralResult(
-        value=value, stderr=0.0, trunc_bound=abs(fine - value) + err, cells=n
-    )
+    fine, coarse, n = _two_level(balls, cfg.dim, radial_order + 3, (3 * order + 1) // 2)
+    results = [
+        IntegralResult(
+            value=value, stderr=0.0, trunc_bound=abs(hi - value) + err, cells=n
+        )
+        for (hi, _), (value, err) in zip(fine, coarse)
+    ]
+    return results[0] if np.ndim(radius) == 0 else results
 
 
 def sphere_flux(vector_func, center, radius: float, dim: int,

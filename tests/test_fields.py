@@ -31,7 +31,7 @@ from multipolar_hardy import (
     weight_log_value,
     weight_value,
 )
-from multipolar_hardy.fields import _length
+from multipolar_hardy.fields import _length, _pole_sum
 
 RNG = np.random.default_rng(97)
 
@@ -411,6 +411,15 @@ class TestPoleFrame:
         stacked = flat.reshape(100, 4, dim)
         for v in (flat, stacked):
             assert _length(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pole_sum_is_np_sum_bit_for_bit(self, n):
+        """Up to 7 poles the running column sum is numpy's reduction over
+        the pole axis, on terms of mixed sign spanning 22 decades."""
+        rng = np.random.default_rng(n)
+        scales = 10.0 ** rng.uniform(-11, 11, size=(2000, n))
+        a = rng.standard_normal((2000, n)) * scales
+        assert _pole_sum(a).tobytes() == np.sum(a, axis=1).tobytes()
 
     @pytest.mark.parametrize("weight", sorted(FRAME_WEIGHTS))
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])

@@ -39,6 +39,7 @@ from multipolar_hardy import (
     potential_v,
     unit_sphere_rule,
     weight_value,
+    WeightSpec,
 )
 
 
@@ -202,6 +203,45 @@ class TestPoleBall:
                 lambda p: np.ones(len(p)), cfg, 0, 1.0, levels=8, exponent=3.0
             )
 
+    LADDER_WEIGHTS = {
+        "unit": WeightSpec.unit(),
+        "power": WeightSpec.polyexp(gamma=0.5),
+        "power-exp": WeightSpec.polyexp(gamma=0.5, delta=0.3),
+    }
+
+    @pytest.mark.parametrize("weight", sorted(LADDER_WEIGHTS))
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_ladder_equals_its_rungs(self, dim, weight):
+        """One ladder call gives, bit for bit, each ball's value and bound
+        from a call on that ball alone."""
+        w = self.LADDER_WEIGHTS[weight]
+        cfg = two_poles(dim)
+        exponent = 0.0 if w.is_unit else w.gamma
+        radii = 0.9 * 2.0 ** -np.arange(5.0)
+
+        def mu(x):
+            return weight_value(x, cfg, w)
+
+        ladder = integrate_pole_ball(mu, cfg, 1, radii, levels=12, exponent=exponent)
+        assert len(ladder) == len(radii)
+        for radius, res in zip(radii, ladder):
+            alone = integrate_pole_ball(
+                mu, cfg, 1, float(radius), levels=12, exponent=exponent
+            )
+            assert res.value == alone.value
+            assert res.trunc_bound == alone.trunc_bound
+
+    @pytest.mark.parametrize(
+        "radius",
+        [[1.0, 0.5, 0.26], [1.0, 0.6], [0.5, 1.0], [], [[1.0, 0.5]], 0.0, [-1.0, -0.5]],
+    )
+    def test_rejects_a_ladder_that_is_not_dyadic(self, radius):
+        cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            integrate_pole_ball(
+                lambda p: np.ones(len(p)), cfg, 0, radius, levels=8, exponent=0.0
+            )
+
 
 def uniform_pole_region(integrands, cfg, spec, order):
     """Region (a) with every shell of every pole ball at one angular order:
@@ -290,6 +330,14 @@ class TestGradedPoleBalls:
                     borderline_spec.radial_levels, 8, order,
                 )
                 assert np.array_equal(graded[:, shells], one_pass[:, shells])
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_node_count_is_that_of_the_pass(self, dim, borderline_spec):
+        """The count the evaluation cap uses is the pole region's cells."""
+        cfg = two_poles(dim)
+        ones = Integrand(func=lambda x: np.ones(x.shape[0]), pole_exponents=[0.0, 0.0])
+        *_, cells = quadrature._pole_region([ones], cfg, borderline_spec)
+        assert quadrature._pole_region_nodes(cfg, borderline_spec) == cells
 
     def test_evaluates_fewer_nodes(self, power_weight, borderline_spec):
         """At 36 levels in N = 4 the pole region evaluates a fifth of the
@@ -1042,10 +1090,8 @@ class TestBundle:
     def test_budget_counts_rows(self, two_poles_n3, lean_spec, monkeypatch):
         """The evaluation cap counts integrands: K of them trip it at K
         times the nodes of one."""
-        dirs = unit_sphere_rule(3)[0].shape[0]
         nodes = (
-            2 * two_poles_n3.n_poles * lean_spec.radial_levels
-            * lean_spec.radial_order * dirs
+            quadrature._pole_region_nodes(two_poles_n3, lean_spec)
             + lean_spec.mc_samples
         )
         monkeypatch.setattr(quadrature, "MAX_EVALS", 3 * nodes)
