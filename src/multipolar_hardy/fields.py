@@ -87,12 +87,14 @@ def _length(v: np.ndarray) -> np.ndarray:
 def _pole_sum(a: np.ndarray) -> np.ndarray:
     """Sums over the pole axis of a (M, n) array, shape (M,).
 
-    The columns are added in pole order, one running column sum.  For up
-    to 7 poles this is `np.sum(a, axis=1)` bit for bit, at a fraction of
-    its cost on a short axis; from 8 poles on numpy's reduction sums
-    pairwise, and the two may differ by a few ulps.
+    The columns are added in pole order, one running column sum started,
+    as numpy's reduction is, from +0 (so a row of -0 terms sums to +0).
+    For up to 7 poles this is `np.sum(a, axis=1)` bit for bit, signed
+    zeros included, at a fraction of its cost on a short axis; from 8
+    poles on numpy's reduction sums pairwise, and the two may differ by a
+    few ulps.
     """
-    out = a[:, 0].copy()
+    out = 0.0 + a[:, 0]
     for i in range(1, a.shape[1]):
         out += a[:, i]
     return out
@@ -112,8 +114,23 @@ class PoleFrame:
 
     def __init__(self, x, cfg: PoleConfig):
         self.pts, self.single = _as_batch(x, cfg.dim)
-        self.diffs = self.pts[:, None, :] - cfg.poles[None, :, :]
-        self.dist = _length(self.diffs)
+        # Column by column: each difference x_k - a_ik is formed once, on
+        # a contiguous column, stored, and squared into its distance in
+        # axis order, so diffs and dist are those of the broadcast
+        # difference and `_length` bit for bit.
+        m, (n, dim) = self.pts.shape[0], cfg.poles.shape
+        cols = [self.pts[:, k].copy() for k in range(dim)]
+        self.diffs = np.empty((m, n, dim))
+        self.dist = np.empty((m, n))
+        for i, pole in enumerate(cfg.poles):
+            for k in range(dim):
+                d = cols[k] - pole[k]
+                self.diffs[:, i, k] = d
+                if k == 0:
+                    sq = d * d
+                else:
+                    sq += d * d
+            self.dist[:, i] = np.sqrt(sq)
 
     @property
     def shape(self) -> tuple:

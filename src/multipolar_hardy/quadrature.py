@@ -26,12 +26,15 @@ and summed with compensated summation in a fixed order:
 
 (b) the bounded complement B(0, far_radius) minus the pole balls, by
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
-    with antithetic pairs and the pair budget split evenly over the cells
-    (strata).  Only live strata are partitioned and summed: a stratum
-    whose box lies outside the far ball or inside a pole core, by a test
-    with a rounding margin, holds no node of nonzero mid weight and adds
-    exactly 0.  Its Philox variates are still drawn, so every live node is
-    that of the full box, and the result is the full box's bit for bit.
+    with antithetic pairs.  Only live strata get pairs: a stratum whose
+    box lies outside the far ball or inside a pole core, by a test with a
+    rounding margin, could hold no node of nonzero mid weight.  The live
+    strata share the pair budget in proportion to (1 + d/pole_radius)^-2,
+    d the distance from the stratum's box to the nearest pole, at least
+    2 pairs each: the singular masses put almost all of the variance in
+    the strata next to a pole, so this (Neyman-type) allocation spends
+    the pairs where the variance is.  Each stratum's mean and variance
+    are taken over its own pairs.
 
 (c) the far field beyond 0.8 * far_radius, in origin-centred shells with
     the product angular rule at the dimension's full order: one collar
@@ -151,7 +154,9 @@ class QuadratureSpec:
     pole_radius   radius of the graded ball around each pole (<= min_pole_gap)
     far_radius    outer radius of the mid region; the far field starts at 0.8x
     radial_levels geometric shell count per pole ball (>= 4)
-    mc_samples    total sample budget for the stratified-MC region (>= 1e3)
+    mc_samples    sample budget of the stratified-MC region (>= 1e3): its
+                  S live strata of C share S * max(2, mc_samples // (2 C))
+                  antithetic pairs, weighted toward the poles
     seed          64-bit seed of the mid region, the only stochastic one
     tail_exponent declared decay s > 0 in |x|^-(N+s) of unbounded integrands;
                   closes their far shells when the measured ratio is unstable
@@ -655,6 +660,14 @@ def _strata_grid(dim: int, mc_samples: int):
 # above the few ulps by which a computed node or distance may stray.
 _DEAD_MARGIN = 1e-9
 
+# A live stratum at distance d from the nearest pole gets pairs in
+# proportion to (1 + d / pole_radius)^-_PAIR_DECAY.  The V- and W-masses
+# grow like |x - a_i|^-2 toward a pole, so their spread over a stratum
+# falls about as d^-2 with its distance (Neyman allocation, n_s ~ sigma_s);
+# a steeper decay cut the variance further but starved the far strata,
+# whose variance estimates then put more than 1% of the z-scores past 3.
+_PAIR_DECAY = 2
+
 
 def _live_strata(cfg, spec, grid, h):
     """Indices of the strata whose box can hold a node of the mid region.
@@ -679,6 +692,18 @@ def _live_strata(cfg, spec, grid, h):
         far = _length(np.maximum(np.abs(lo - pole), np.abs(hi - pole)))
         dead |= far <= core - slack
     return np.flatnonzero(~dead)
+
+
+def _pole_box_distance(cfg, lo, hi):
+    """Distance from each box [lo, hi] (rows) to its nearest pole.
+
+    The distance from a box to a point is that of the box's nearest point,
+    so 0 for a box that holds a pole.
+    """
+    return np.min(
+        [_length(np.maximum(np.maximum(lo - pole, pole - hi), 0.0)) for pole in cfg.poles],
+        axis=0,
+    )
 
 
 def _mid_partition(pts, cfg, spec):
@@ -706,25 +731,17 @@ def _mid_partition(pts, cfg, spec):
     return mask, pts[mask], weight[mask]
 
 
-def _mid_rule(cfg, spec):
-    """Node set of region (b), built once per integrate_many call.
+def _mid_pairs(cfg, spec):
+    """The strata of region (b) and the pair count of each live one.
 
-    Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
-    The pair budget is split evenly over the strata, so the node set is a
-    pure function of the spec and the geometry -- in particular it does not
-    depend on which integrands share the batch, and Gram-type computations
-    reuse identical nodes across runs with different batch compositions.
-
-    Only the live strata (`_live_strata`) are partitioned: a dead one holds
-    no node of nonzero mid weight, so it adds exactly 0 to every sum.  The
-    Philox block is still drawn whole, dead strata included, so the stream
-    and every live node are those of the full box.
-
-    Returns (strata, halves, cells, pairs, cell_vol): strata lists the live
-    strata in increasing order, and halves holds the _mid_partition of
-    their u points and of their 1-u points, pair by pair in stratum order.
-    Only the masked points and weights are kept; the offsets and full-size
-    temporaries are released once both halves are built.
+    Returns (h, grid, strata, n): the box side h, the integer coordinates
+    of the live strata (`_live_strata`, in increasing stratum order),
+    those indices, and their pair counts.  The live strata
+    share the budget of S * max(2, mc_samples // (2 C)) pairs (S live
+    strata of C) in proportion to (1 + d_s / pole_radius)^-_PAIR_DECAY,
+    d_s the distance from the box to the nearest pole, rounded down, with
+    at least 2 pairs per stratum: so n_s falls with d_s, and the total is
+    at most the budget plus 2 S.
     """
     dim = cfg.dim
     R = spec.far_radius
@@ -737,45 +754,86 @@ def _mid_rule(cfg, spec):
         np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
     strata = _live_strata(cfg, spec, grid, h)
-    corners = grid[strata][:, None, :]
+    grid = grid[strata]
+    lo = -R + grid * h
+    d = _pole_box_distance(cfg, lo, lo + h)
+    share = (1.0 + d / spec.pole_radius) ** -_PAIR_DECAY
+    budget = len(strata) * max(2, spec.mc_samples // (2 * C))
+    n = np.maximum(2, np.floor(budget * share / math.fsum(share)).astype(np.int64))
+    return h, grid, strata, n
 
-    pairs = max(2, spec.mc_samples // (2 * C))
+
+def _mid_nodes_count(cfg, spec) -> int:
+    """Nodes `_mid_rule` draws: both antithetic halves of every pair."""
+    return 2 * int(_mid_pairs(cfg, spec)[3].sum())
+
+
+def _mid_rule(cfg, spec):
+    """Node set of region (b), built once per integrate_many call.
+
+    Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
+    Only the live strata (`_live_strata`) get pairs, and their pair counts
+    (`_mid_pairs`) depend on the spec and the geometry only, so the node
+    set is a pure function of them -- in particular it does not depend on
+    which integrands share the batch, and Gram-type computations reuse
+    identical nodes across runs with different batch compositions.  The
+    pairs are drawn stratum by stratum, in stratum order, from one Philox
+    stream keyed by the seed.
+
+    Returns (strata, halves, n, cell_vol): strata lists the live strata in
+    increasing order and n their pair counts, and halves holds the
+    _mid_partition of their u points and of their 1-u points, pair by pair
+    in stratum order.  Only the masked points and weights are kept; the
+    uniform draws and full-size temporaries are released once both halves
+    are built.  Points are built one coordinate at a time.
+    """
+    dim = cfg.dim
+    R = spec.far_radius
+    h, grid, strata, n = _mid_pairs(cfg, spec)
     rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
-    u = rng.random((C * pairs, dim)).reshape(C, pairs, dim)[strata]
-    first = _mid_partition((-R + (corners + u) * h).reshape(-1, dim), cfg, spec)
+    u = rng.random((int(n.sum()), dim))
+    pts = np.empty_like(u)
+
+    def half():
+        for k in range(dim):
+            pts[:, k] = -R + (np.repeat(grid[:, k], n) + u[:, k]) * h
+        return _mid_partition(pts, cfg, spec)
+
+    first = half()
     np.subtract(1.0, u, out=u)
-    second = _mid_partition((-R + (corners + u) * h).reshape(-1, dim), cfg, spec)
-    return strata, (first, second), C, pairs, h**dim
+    second = half()
+    return strata, (first, second), n, h**dim
 
 
 def _mid_region(integrands, cfg, spec):
     """Region (b): stratified MC over the blended bounded complement.
 
     Antithetic pairs cancel the linear part of smooth integrands; the
-    variance estimate treats pair averages as the iid unit.  The whole
-    batch is evaluated on the one node set of _mid_rule, a slice of whole
-    strata at a time: per antithetic half, every integrand in turn on that
-    half's points of the slice (`_eval_batch`).
+    variance estimate treats pair averages as the iid unit, each stratum's
+    mean and variance taken over its own n_s pairs.  The whole batch is
+    evaluated on the one node set of _mid_rule, a slice of whole strata at
+    a time: per antithetic half, every integrand in turn on that half's
+    points of the slice (`_eval_batch`).
 
     Only live pairs, those with a node in either half, are held; a pair
-    with none, like a dead stratum, adds exactly 0 to its stratum's sums.
-    Each half's values are added at integer positions into the slice's
-    zeroed pair values, so a pair holds the sum of its two halves, a
-    missing half counting as 0 (adding into +0 can at most turn a -0 into
-    +0, which no bin sum, started at +0, can see).  One bincount index
-    per slice gives both the sums and the sums of squares, each bin in
-    node order.  The per-stratum means and variances of every integrand
-    are kept, shape (K, live strata), and summed per integrand with
-    math.fsum over the strata that hold a live pair.  fsum is exactly
-    rounded, so leaving out the others, whose terms are exactly 0, changes
-    no bit.
+    with none adds exactly 0 to its stratum's sums.  Each half's values
+    are added at integer positions into the slice's zeroed pair values, so
+    a pair holds the sum of its two halves, a missing half counting as 0
+    (adding into +0 can at most turn a -0 into +0, which no bin sum,
+    started at +0, can see).  One bincount index per slice gives both the
+    sums and the sums of squares, each bin in node order.  The per-stratum
+    means and variances of every integrand are kept, shape (K, live
+    strata), and summed per integrand with math.fsum over the strata that
+    hold a live pair.  fsum is exactly rounded, so leaving out the others,
+    whose terms are exactly 0, changes no bit.
     """
-    strata, halves, C, pairs, cell_vol = _mid_rule(cfg, spec)
+    strata, halves, n, cell_vol = _mid_rule(cfg, spec)
     S = len(strata)
+    offsets = np.concatenate([[0], np.cumsum(n)[:-1]])
 
     def stratum_bounds(mask):
         """Index of each stratum's first True entry among the True entries."""
-        counts = np.count_nonzero(mask.reshape(S, pairs), axis=1)
+        counts = np.add.reduceat(mask, offsets, dtype=np.int64)
         return np.concatenate([[0], np.cumsum(counts)])
 
     # Stratum k's live pairs sit at bounds[k]:bounds[k+1] of live_masks
@@ -798,6 +856,7 @@ def _mid_region(integrands, cfg, spec):
             vals[:, at] += _eval_batch(integrands, pts[a:b], weight[a:b])
         vals *= 0.5
         sums, sumsq = _binned(stratum_of_pair[u0:u1] - i, j - i, vals, vals**2)
+        pairs = n[i:j]
         mean = sums / pairs
         var = np.maximum(0.0, sumsq / pairs - mean**2)
         means[:, i:j] = mean
@@ -810,7 +869,36 @@ def _mid_region(integrands, cfg, spec):
     for k in range(K):
         values[k] = cell_vol * math.fsum(means[k, held].tolist())
         stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k, held].tolist()))
-    return values, stderrs, int(2 * C * pairs)
+    return values, stderrs, int(2 * n.sum())
+
+
+def _far_edges(spec, support):
+    """Decreasing shell edges of region (c) for one support radius.
+
+    Plateau shells from `support` (or _FAR_CUT * far_radius) in to
+    far_radius, then the collar shell down to the far onset; None when the
+    support ends inside the onset, so that region (c) is empty.
+    """
+    R = spec.far_radius
+    r_t = _TAIL_RISE_START * R
+    r_out = _FAR_CUT * R if support is None else support
+    if r_out <= r_t:
+        return None
+    # The rise weight clamps to exactly 1 at far_radius; ending the collar
+    # shell there keeps every Gauss panel on an analytic integrand.
+    plateau = _log_edges(R, r_out) if r_out > R else np.array([r_out])
+    return np.append(plateau, r_t)
+
+
+def _far_region_nodes(dim, spec, support) -> int:
+    """Nodes `_far_region` evaluates for one support, both levels."""
+    edges = _far_edges(spec, support)
+    if edges is None:
+        return 0
+    return sum(
+        q * (len(edges) - 1) * unit_sphere_rule(dim, order)[0].shape[0]
+        for q, order in _level_orders(dim, spec.radial_order)
+    )
 
 
 def _far_region(integrands, dim, spec, support):
@@ -827,15 +915,10 @@ def _far_region(integrands, dim, spec, support):
     """
     K = len(integrands)
     R = spec.far_radius
-    r_t = _TAIL_RISE_START * R
-    r_out = _FAR_CUT * R if support is None else support
     values, truncs = np.zeros(K), np.zeros(K)
-    if r_out <= r_t:
+    edges = _far_edges(spec, support)
+    if edges is None:
         return values, truncs, 0
-    # The rise weight clamps to exactly 1 at far_radius; ending the collar
-    # shell there keeps every Gauss panel on an analytic integrand.
-    plateau = _log_edges(R, r_out) if r_out > R else np.array([r_out])
-    edges = np.append(plateau, r_t)
     hi, lo, nodes = _two_level(
         lambda q, order: _shell_sums(
             integrands, np.zeros(dim), edges, q, order,
@@ -898,10 +981,15 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             )
 
     dim = cfg.dim
-    est_nodes = (_pole_region_nodes(cfg, spec) + spec.mc_samples) * len(integrands)
-    if est_nodes > MAX_EVALS:
+    # Every integrand is evaluated on the pole and mid nodes and on the far
+    # shells of its own support.
+    shared = _pole_region_nodes(cfg, spec) + _mid_nodes_count(cfg, spec)
+    supports = [f.support_radius for f in integrands]
+    far = {s: _far_region_nodes(dim, spec, s) for s in dict.fromkeys(supports)}
+    est_evals = sum(shared + far[s] for s in supports)
+    if est_evals > MAX_EVALS:
         raise BudgetExceeded(
-            f"about {est_nodes:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
+            f"about {est_evals:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
         )
 
     pole_vals, pole_truncs, truncated, eta, cells_a = _pole_region(
@@ -911,7 +999,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
 
     far_vals, far_truncs = np.zeros((2, len(integrands)))
     cells_c = 0
-    for support in dict.fromkeys(f.support_radius for f in integrands):
+    for support in far:
         at = [k for k, f in enumerate(integrands) if f.support_radius == support]
         far_vals[at], far_truncs[at], n = _far_region(
             [integrands[k] for k in at], dim, spec, support

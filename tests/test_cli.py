@@ -504,6 +504,21 @@ class TestReports:
                     tol = 1e-9 * max(1.0, abs(old_value))
                     assert abs(float(new) - old_value) <= tol, (new, old)
 
+    @pytest.mark.parametrize(
+        "config, reports",
+        [("unit_n3_two_poles", "unit_n3"), ("polyexp_n3_two_poles", "polyexp_n3")],
+    )
+    def test_shipped_certify_bodies_are_byte_identical(self, tmp_path, config, reports):
+        """certify runs no Monte Carlo, so its committed body is what the
+        code writes now byte for byte, the sign of every zero included
+        (which the numeric comparison above cannot see)."""
+        path = str(REPO / "configs" / f"{config}.json")
+        assert main(["certify", "--config", path, "--quiet", "--out", str(tmp_path)]) \
+            == EXIT_OK
+        assert csv_body(tmp_path / "certify.csv") == csv_body(
+            REPO / "out" / reports / "certify.csv"
+        )
+
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         main(["verify", "--config", path, "--quiet"])

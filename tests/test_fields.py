@@ -419,7 +419,33 @@ class TestPoleFrame:
         rng = np.random.default_rng(n)
         scales = 10.0 ** rng.uniform(-11, 11, size=(2000, n))
         a = rng.standard_normal((2000, n)) * scales
-        assert _pole_sum(a).tobytes() == np.sum(a, axis=1).tobytes()
+        # Signed zeros: rows of -0 only, of +0 only, and mixed.
+        zeros = rng.choice([-0.0, 0.0], size=(200, n))
+        zeros[:50] = -0.0
+        zeros[50:100] = 0.0
+        sprinkled = np.where(rng.random((200, n)) < 0.5, zeros, a[:200])
+        for v in (a, zeros, sprinkled):
+            assert _pole_sum(v).tobytes() == np.sum(v, axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+    def test_frame_is_the_broadcast_difference_bit_for_bit(self, dim, n):
+        """The column-by-column frame holds the broadcast differences and
+        their `_length`, signed zeros included."""
+        rng = np.random.default_rng(10 * dim + n)
+        poles = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 2, (n, 1))
+        poles[0, 0] = -0.0
+        poles[-1, -1] = 0.0
+        cfg = PoleConfig(dim=dim, poles=poles)
+        pts = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-8, 3, (300, 1))
+        # Points on a pole coordinate and at +-0, so differences of -0 and +0.
+        pts[:20] = poles[rng.integers(n, size=20)]
+        pts[20:40] = rng.choice([-0.0, 0.0], size=(20, dim))
+        frame = PoleFrame(pts, cfg)
+        diffs = pts[:, None, :] - poles[None, :, :]
+        assert frame.diffs.tobytes() == diffs.tobytes()
+        assert frame.dist.tobytes() == _length(diffs).tobytes()
+        assert frame.diffs.shape == diffs.shape and frame.dist.shape == (300, n)
 
     @pytest.mark.parametrize("weight", sorted(FRAME_WEIGHTS))
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
