@@ -57,9 +57,14 @@ Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
 integrate_many call and shared by every integrand of the batch (the far
 shells once per distinct support radius, for the integrands of that
-support only).  The work is slice by slice: each rule cuts its nodes once
-into slices of whole shells (pole balls, far shells) or whole cells (mid
-region), about CHUNK // K nodes for the K integrands it evaluates, and on
+support only).  integrate_many plans every rule once before it
+evaluates anything: each shell rule is a (nodes, sums) pair, its node
+count and the function that integrates a batch on it, and the mid region
+is its per-stratum pair counts.  The evaluation cap, the reported cells
+and the run all read that one plan.  The work is slice by slice: each
+rule cuts its nodes once into slices of whole shells (pole balls, far
+shells) or whole cells (mid region), about CHUNK // K nodes (at least
+_SLICE_FLOOR) for the K integrands it evaluates, and on
 each slice calls each of them in batch order, on one thread, with one and
 the same array of points; so evaluators may share the work of a slice
 (test functions, weight, potentials) across integrands.  Each shell's or
@@ -112,9 +117,13 @@ __all__ = [
 MAX_EVALS = 1 << 29
 
 # Nodes per evaluation of one integrand; a rule evaluating K integrands
-# cuts its nodes into slices of about CHUNK // K.  Fixed, so that the worker
-# count cannot change results.
+# cuts its nodes into slices of about CHUNK // K, but at least _SLICE_FLOOR.
+# Fixed, so that the worker count cannot change results.  The floor binds
+# only at K > 64, where it bounds the per-slice call overhead of a large
+# batch at the memory of a (K, _SLICE_FLOOR) array of values, K * 2048 * 8
+# bytes (9 MB for a 23-member Gram's 552 integrands).
 CHUNK = 1 << 17
+_SLICE_FLOOR = 2048
 
 # Default polar-angle orders per ambient dimension (azimuth gets twice this).
 _ANGULAR_ORDER = {3: 10, 4: 8, 5: 6, 6: 5, 7: 4, 8: 4}
@@ -207,7 +216,12 @@ class IntegralResult:
     geometric closures of the pole balls and the far shells).  cells counts
     the nodes of the whole integrate_many call, the same for every result
     of the call; a node counts once however many integrands are evaluated
-    at it.
+    at it.  Region (b) counts both halves of every pair it draws, the
+    nodes that its partition mask drops (pole cores, zero weight) included,
+    though no integrand is evaluated there: the mask keeps about 88% of
+    them at N = 3 (pole_radius 1, mc_samples 4e5) and 70% at N = 4
+    (pole_radius 0.9, mc_samples 1e5), so cells, like the evaluation cap,
+    overstates the mid region's evaluations by that margin.
     truncated is set when a borderline pole exponent left the innermost
     ball unresolved; eta is the innermost resolved radius (the truncation
     scale).
@@ -382,14 +396,16 @@ def _eval_batch(integrands, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slices(bounds: np.ndarray, cap: int) -> list[tuple[int, int]]:
-    """Cut the nodes into slices of whole bins, about `cap` nodes each.
+def _slices(bounds: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """Cut the nodes into slices of whole bins for a batch of k integrands.
 
     Bin b holds the nodes bounds[b]:bounds[b+1].  Returns bin ranges (i, j)
-    whose nodes bounds[i]:bounds[j] number at most `cap`, except that a
-    single bin larger than `cap` is a slice of its own: a bin is never
-    split, so its sum stays one in-order reduction.
+    whose nodes bounds[i]:bounds[j] number at most cap = max(CHUNK // k,
+    _SLICE_FLOOR), except that a single bin larger than cap is a slice of
+    its own: a bin is never split, so its sum stays one in-order reduction
+    whatever the cap.
     """
+    cap = max(CHUNK // k, _SLICE_FLOOR)
     out, i, last = [], 0, len(bounds) - 1
     while i < last:
         j = int(np.searchsorted(bounds, bounds[i] + cap, side="right")) - 1
@@ -414,19 +430,20 @@ def _binned(bins: np.ndarray, n_bins: int, *rows: np.ndarray) -> list[np.ndarray
     ]
 
 
-def _shell_sums(integrands, center, edges, radial_order, angular_order,
+def _shell_rule(center, edges, radial_order, angular_order,
                 radial_weight=None, shell_of_panel=None):
-    """Per-shell sums of the product rule over shells centred at `center`.
+    """The product rule over shells centred at `center`, as (nodes, sums).
 
     edges is decreasing, shape (L+1,); panel l between edges[l] and
     edges[l+1] gets Gauss-Legendre nodes in radius (weights carry r^(N-1),
     times radial_weight(r) if given) and the product angular rule, and its
     terms are summed into shell shell_of_panel[l] (default: shell l).
-    Returns per-integrand per-shell sums, shape (K, shells), in panel
-    order, plus the node count.  The bins are cut once for the whole
-    batch; each slice's nodes and weights are built when the slice is
-    evaluated, so no array of the whole pass is held, and each slice is
-    evaluated by every integrand in turn (`_eval_batch`).
+    nodes is the rule's node count.  sums(integrands) returns the
+    per-integrand per-shell sums, shape (K, shells), in panel order; it
+    cuts the bins once for the whole batch, builds each slice's nodes and
+    weights when the slice is evaluated, so no array of the whole pass is
+    held, and has each slice evaluated by every integrand in turn
+    (`_eval_batch`).
     """
     dim = center.shape[0]
     xi, wq = np.polynomial.legendre.leggauss(radial_order)
@@ -443,18 +460,27 @@ def _shell_sums(integrands, center, edges, radial_order, angular_order,
     per_panel = radial_order * dirs.shape[0]
     # panels[k] is the first panel of shell k; panels[-1] the panel count.
     panels = np.searchsorted(shell_of_panel, np.arange(n_shells + 1))
-    sums = np.empty((len(integrands), n_shells))
 
-    def work(i, j):
-        p, q = panels[i], panels[j]
-        pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
-        wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
-        vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
-        shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
-        sums[:, i:j] = _binned(shells, j - i, vals)[0]
+    def sums(integrands):
+        out = np.empty((len(integrands), n_shells))
 
-    _map_slices(work, _slices(panels * per_panel, CHUNK // len(sums)))
-    return sums, len(shell_of_panel) * per_panel
+        def work(i, j):
+            p, q = panels[i], panels[j]
+            pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
+            wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
+            vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
+            shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
+            out[:, i:j] = _binned(shells, j - i, vals)[0]
+
+        _map_slices(work, _slices(panels * per_panel, len(integrands)))
+        return out
+
+    return len(shell_of_panel) * per_panel, sums
+
+
+def _plan_nodes(rules) -> int:
+    """Node count of a list of (nodes, sums) rules."""
+    return sum(nodes for nodes, _ in rules)
 
 
 def _log_edges(r_in: float, r_out: float) -> np.ndarray:
@@ -464,10 +490,9 @@ def _log_edges(r_in: float, r_out: float) -> np.ndarray:
 
 
 def _pole_ball_pass(
-    integrands, cfg, center, radius, levels, radial_order, angular_order,
-    fade: bool = True,
+    center, radius, levels, radial_order, angular_order, fade: bool = True
 ):
-    """Shell-by-shell sums over one graded pole ball.
+    """The shell rule of one graded pole ball, as (nodes, sums).
 
     Every shell gets the one `angular_order`.  With fade=True the
     partition-of-unity collar is applied, so the pass contributes integral
@@ -476,9 +501,8 @@ def _pole_ball_pass(
     shells of `_graded_pole_ball`, which lie inside the fade onset).  The
     octave shells of an unfaded pass are those of every ball
     radius * 2^-k inside it: shells k .. k + m - 1 of the pass are, node
-    for node, the m shells of that ball.  Returns per-integrand per-shell
-    sums, shape (K, L), ordered outermost shell first, plus the evaluation
-    count.
+    for node, the m shells of that ball.  sums gives per-integrand
+    per-shell sums, shape (K, L), ordered outermost shell first.
     """
     edges = radius * 2.0 ** (-np.arange(levels + 1, dtype=float))
     shell_of_panel = np.arange(levels)
@@ -490,8 +514,8 @@ def _pole_ball_pass(
         edges = np.insert(edges, 1, _POLE_FADE_START * radius)
         shell_of_panel = np.insert(shell_of_panel, 0, 0)
         weight = lambda r: _pole_partition_weight(r, radius)
-    return _shell_sums(
-        integrands, center, edges, radial_order, angular_order, weight, shell_of_panel
+    return _shell_rule(
+        center, edges, radial_order, angular_order, weight, shell_of_panel
     )
 
 
@@ -534,10 +558,22 @@ def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
 
 
 def _level_orders(dim: int, radial_order: int, angular_order: int | None = None):
-    """(radial, angular) orders of the high and the low level of `_two_level`.
+    """(radial, angular) orders of the high and the low level of a rule.
 
     The low level drops three radial points and a third of the angular
-    order, which defaults to the dimension's.
+    order, which defaults to the dimension's.  Every deterministic rule
+    runs at both levels and takes the hi-minus-lo difference as its error
+    estimate.  A caller may report either level.  `_pole_region`,
+    `_far_region` and `integrate_radial_annulus` report the high level, so
+    the difference is the error of the coarser pass.  `integrate_pole_ball`
+    reports the low level, so the difference is the error of the reported
+    value.
+
+    `_pole_plan` applies the angular schedule at both levels: the outer
+    shells get the level's order (10 and 6 at N = 3), the deep shells order
+    3 at both, since a third off order 3 is below the floor.  There the
+    levels differ in their radial points only, and the difference measures
+    the outer shells' angular error and every shell's radial error.
     """
     order_hi = angular_order or _ANGULAR_ORDER.get(dim, 4)
     return (
@@ -546,95 +582,53 @@ def _level_orders(dim: int, radial_order: int, angular_order: int | None = None)
     )
 
 
-def _two_level(rule, dim: int, radial_order: int, angular_order: int | None = None):
-    """Run a deterministic product rule at a high and a derived low order.
-
-    rule(radial_order, angular_order) returns (sums, nodes), at the orders
-    of `_level_orders`; callers take the hi-minus-lo difference as the
-    rule's error estimate.  Returns (hi_sums, lo_sums, nodes of both
-    levels).
-
-    A caller may report either level.  `_pole_region`, `_far_region` and
-    `integrate_radial_annulus` report the high level,
-    so the difference is the error of the coarser pass.
-    `integrate_pole_ball` reports the low level, so the difference is the
-    error of the reported value; its rule is one unfaded pass per level
-    over a whole dyadic ladder of balls, and its "sums" are each ball's
-    (value, closure error), read off that pass.
-
-    `_pole_region`'s rule applies its angular schedule at both levels: the
-    outer shells get the level's order (10 and 6 at N = 3), the deep
-    shells order 3 at both, since a third off order 3 is below the floor.
-    There the levels differ in their radial points only, and the
-    difference measures the outer shells' angular error and every shell's
-    radial error.
-    """
-    (hi, n_hi), (lo, n_lo) = (
-        rule(*orders) for orders in _level_orders(dim, radial_order, angular_order)
-    )
-    return hi, lo, n_hi + n_lo
-
-
-def _graded_pole_ball(integrands, cfg, center, spec, radial_order, angular_order):
-    """Per-shell sums of one faded pole ball under the angular schedule.
+def _graded_pole_ball(center, spec, radial_order, angular_order):
+    """The rule of one faded pole ball under the angular schedule.
 
     The outermost _POLE_FULL_SHELLS shells, the fade panel among them, get
     `angular_order`; every deeper shell gets _POLE_DEEP_ORDER.  The deep
     shells lie inside the fade onset, where the pole weight is exactly 1,
     so they are the unfaded ball of radius pole_radius * 2^-_POLE_FULL_SHELLS
     and their sums are those of the same shells in one faded pass.  Returns
-    (sums, nodes) as `_pole_ball_pass`, outermost shell first.
+    (nodes, sums) as `_pole_ball_pass`, outermost shell first.
     """
-    outer, nodes = _pole_ball_pass(
-        integrands, cfg, center, spec.pole_radius, _POLE_FULL_SHELLS,
-        radial_order, angular_order,
+    outer = _pole_ball_pass(
+        center, spec.pole_radius, _POLE_FULL_SHELLS, radial_order, angular_order
     )
     deep_levels = spec.radial_levels - _POLE_FULL_SHELLS
     if deep_levels == 0:
-        return outer, nodes
-    deep, deep_nodes = _pole_ball_pass(
-        integrands, cfg, center, spec.pole_radius * 2.0 ** -_POLE_FULL_SHELLS,
-        deep_levels, radial_order, _POLE_DEEP_ORDER, fade=False,
+        return outer
+    deep = _pole_ball_pass(
+        center, spec.pole_radius * 2.0 ** -_POLE_FULL_SHELLS, deep_levels,
+        radial_order, _POLE_DEEP_ORDER, fade=False,
     )
-    return np.concatenate([outer, deep], axis=1), nodes + deep_nodes
-
-
-def _pole_region_nodes(cfg, spec) -> int:
-    """Nodes `_pole_region` evaluates, as `_graded_pole_ball` builds them.
-
-    Per pole and level of `_two_level`: the outer _POLE_FULL_SHELLS shells
-    and the fade panel at the level's angular order, every deeper shell at
-    _POLE_DEEP_ORDER, each panel with the level's radial points.
-    """
-    dim = cfg.dim
-
-    def directions(order):
-        return unit_sphere_rule(dim, order)[0].shape[0]
-
-    deep = (spec.radial_levels - _POLE_FULL_SHELLS) * directions(_POLE_DEEP_ORDER)
-    per_ball = sum(
-        q * ((_POLE_FULL_SHELLS + 1) * directions(order) + deep)
-        for q, order in _level_orders(dim, spec.radial_order)
+    return outer[0] + deep[0], lambda integrands: np.concatenate(
+        [outer[1](integrands), deep[1](integrands)], axis=1
     )
-    return cfg.n_poles * per_ball
 
 
-def _pole_region(integrands, cfg, spec):
-    """Region (a): all pole balls, with a two-level error estimate."""
+def _pole_plan(cfg, spec):
+    """Region (a)'s rules: per pole, its graded ball at the high and the low
+    level of `_level_orders`, each a (nodes, sums) pair."""
+    return [
+        [
+            _graded_pole_ball(center, spec, q, order)
+            for q, order in _level_orders(cfg.dim, spec.radial_order)
+        ]
+        for center in cfg.poles
+    ]
+
+
+def _pole_region(integrands, cfg, spec, plan):
+    """Region (a): all pole balls of `_pole_plan`, with a two-level error
+    estimate.  Returns (values, trunc_bounds, truncated, eta)."""
     dim = cfg.dim
     K = len(integrands)
     values = np.zeros(K)
     truncs = np.zeros(K)
     truncated = [False] * K
-    cells = 0
-    for i in range(cfg.n_poles):
-        center = cfg.poles[i]
-        hi, lo, n = _two_level(
-            lambda q, order: _graded_pole_ball(integrands, cfg, center, spec, q, order),
-            dim,
-            spec.radial_order,
-        )
-        cells += n
+    for i, levels in enumerate(plan):
+        hi, lo = (sums(integrands) for _, sums in levels)
         for k, f in enumerate(integrands):
             p = float(f.pole_exponents[i])
             borderline = p >= dim - 1e-9
@@ -646,7 +640,7 @@ def _pole_region(integrands, cfg, spec):
             truncs[k] += abs(val_hi - val_lo) + err_inner
             truncated[k] = truncated[k] or trunc_flag
     eta = spec.pole_radius * 2.0 ** (-spec.radial_levels)
-    return values, truncs, truncated, eta, cells
+    return values, truncs, truncated, eta
 
 
 def _strata_grid(dim: int, mc_samples: int):
@@ -763,33 +757,27 @@ def _mid_pairs(cfg, spec):
     return h, grid, strata, n
 
 
-def _mid_nodes_count(cfg, spec) -> int:
-    """Nodes `_mid_rule` draws: both antithetic halves of every pair."""
-    return 2 * int(_mid_pairs(cfg, spec)[3].sum())
-
-
-def _mid_rule(cfg, spec):
+def _mid_rule(cfg, spec, pairs):
     """Node set of region (b), built once per integrate_many call.
 
     Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
     Only the live strata (`_live_strata`) get pairs, and their pair counts
-    (`_mid_pairs`) depend on the spec and the geometry only, so the node
-    set is a pure function of them -- in particular it does not depend on
-    which integrands share the batch, and Gram-type computations reuse
-    identical nodes across runs with different batch compositions.  The
-    pairs are drawn stratum by stratum, in stratum order, from one Philox
-    stream keyed by the seed.
+    (`pairs`, from `_mid_pairs`) depend on the spec and the geometry only,
+    so the node set is a pure function of them -- in particular it does
+    not depend on which integrands share the batch, and Gram-type
+    computations reuse identical nodes across runs with different batch
+    compositions.  The pairs are drawn stratum by stratum, in stratum
+    order, from one Philox stream keyed by the seed.
 
-    Returns (strata, halves, n, cell_vol): strata lists the live strata in
-    increasing order and n their pair counts, and halves holds the
-    _mid_partition of their u points and of their 1-u points, pair by pair
-    in stratum order.  Only the masked points and weights are kept; the
-    uniform draws and full-size temporaries are released once both halves
-    are built.  Points are built one coordinate at a time.
+    Returns the two halves: the _mid_partition of the u points and of the
+    1-u points, pair by pair in stratum order.  Only the masked points and
+    weights are kept; the uniform draws and full-size temporaries are
+    released once both halves are built.  Points are built one coordinate
+    at a time.
     """
     dim = cfg.dim
     R = spec.far_radius
-    h, grid, strata, n = _mid_pairs(cfg, spec)
+    h, grid, _, n = pairs
     rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
     u = rng.random((int(n.sum()), dim))
     pts = np.empty_like(u)
@@ -802,18 +790,19 @@ def _mid_rule(cfg, spec):
     first = half()
     np.subtract(1.0, u, out=u)
     second = half()
-    return strata, (first, second), n, h**dim
+    return first, second
 
 
-def _mid_region(integrands, cfg, spec):
+def _mid_region(integrands, cfg, spec, pairs):
     """Region (b): stratified MC over the blended bounded complement.
 
     Antithetic pairs cancel the linear part of smooth integrands; the
     variance estimate treats pair averages as the iid unit, each stratum's
     mean and variance taken over its own n_s pairs.  The whole batch is
-    evaluated on the one node set of _mid_rule, a slice of whole strata at
-    a time: per antithetic half, every integrand in turn on that half's
-    points of the slice (`_eval_batch`).
+    evaluated on the one node set that _mid_rule draws for `pairs` (from
+    `_mid_pairs`), a slice of whole strata at a time: per antithetic half,
+    every integrand in turn on that half's points of the slice
+    (`_eval_batch`).
 
     Only live pairs, those with a node in either half, are held; a pair
     with none adds exactly 0 to its stratum's sums.  Each half's values
@@ -825,10 +814,11 @@ def _mid_region(integrands, cfg, spec):
     means and variances of every integrand are kept, shape (K, live
     strata), and summed per integrand with math.fsum over the strata that
     hold a live pair.  fsum is exactly rounded, so leaving out the others,
-    whose terms are exactly 0, changes no bit.
+    whose terms are exactly 0, changes no bit.  Returns (values, stderrs).
     """
-    strata, halves, n, cell_vol = _mid_rule(cfg, spec)
-    S = len(strata)
+    h, _, _, n = pairs
+    halves = _mid_rule(cfg, spec, pairs)
+    S = len(n)
     offsets = np.concatenate([[0], np.cumsum(n)[:-1]])
 
     def stratum_bounds(mask):
@@ -856,78 +846,70 @@ def _mid_region(integrands, cfg, spec):
             vals[:, at] += _eval_batch(integrands, pts[a:b], weight[a:b])
         vals *= 0.5
         sums, sumsq = _binned(stratum_of_pair[u0:u1] - i, j - i, vals, vals**2)
-        pairs = n[i:j]
-        mean = sums / pairs
-        var = np.maximum(0.0, sumsq / pairs - mean**2)
+        n_s = n[i:j]
+        mean = sums / n_s
+        var = np.maximum(0.0, sumsq / n_s - mean**2)
         means[:, i:j] = mean
         # Unbiased variance of the stratum mean over antithetic pairs.
-        var_means[:, i:j] = var / (pairs - 1)
+        var_means[:, i:j] = var / (n_s - 1)
 
-    _map_slices(work, _slices(bounds, CHUNK // K))
+    _map_slices(work, _slices(bounds, K))
     held = np.flatnonzero(np.diff(bounds))
+    cell_vol = h**cfg.dim
     values, stderrs = np.empty(K), np.empty(K)
     for k in range(K):
         values[k] = cell_vol * math.fsum(means[k, held].tolist())
         stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k, held].tolist()))
-    return values, stderrs, int(2 * n.sum())
+    return values, stderrs
 
 
-def _far_edges(spec, support):
-    """Decreasing shell edges of region (c) for one support radius.
+def _far_plan(dim, spec, support):
+    """Region (c)'s rules for one support radius: (levels, rho_decl).
 
-    Plateau shells from `support` (or _FAR_CUT * far_radius) in to
-    far_radius, then the collar shell down to the far onset; None when the
-    support ends inside the onset, so that region (c) is empty.
+    The shells run from `support` (or _FAR_CUT * far_radius) in to
+    far_radius, plateau shells about half an octave wide, then the collar
+    shell down to the far onset; every shell carries the rising far weight.
+    levels holds that shell rule at the high and the low level of
+    `_level_orders`, each a (nodes, sums) pair, and is empty when the
+    support ends inside the onset, so that region (c) is empty.  rho_decl
+    is the declared ratio q^-tail_exponent of successive plateau sums of an
+    unbounded integrand, q the shell ratio.
     """
     R = spec.far_radius
     r_t = _TAIL_RISE_START * R
     r_out = _FAR_CUT * R if support is None else support
     if r_out <= r_t:
-        return None
+        return [], 0.0
     # The rise weight clamps to exactly 1 at far_radius; ending the collar
     # shell there keeps every Gauss panel on an analytic integrand.
     plateau = _log_edges(R, r_out) if r_out > R else np.array([r_out])
-    return np.append(plateau, r_t)
-
-
-def _far_region_nodes(dim, spec, support) -> int:
-    """Nodes `_far_region` evaluates for one support, both levels."""
-    edges = _far_edges(spec, support)
-    if edges is None:
-        return 0
-    return sum(
-        q * (len(edges) - 1) * unit_sphere_rule(dim, order)[0].shape[0]
+    edges = np.append(plateau, r_t)
+    levels = [
+        _shell_rule(
+            np.zeros(dim), edges, q, order, lambda r: _tail_partition_weight(r, R)
+        )
         for q, order in _level_orders(dim, spec.radial_order)
-    )
+    ]
+    return levels, (edges[0] / edges[1]) ** -spec.tail_exponent
 
 
-def _far_region(integrands, dim, spec, support):
+def _far_region(integrands, support, plan):
     """Region (c) on the far shells of one support radius.
 
     One collar shell over [0.8, 1] * far_radius carries the rising far
     weight; log-spaced plateau shells run on to `support`, or for unbounded
-    support to _FAR_CUT * far_radius plus a geometric closure (declared
-    ratio q^-tail_exponent for the shell ratio q).  The caller passes the
-    integrands of this support only, and each is integrated on these
-    shells.  Returns (values, trunc_bounds, nodes) per integrand; a trunc
-    bound adds the collar's and the plateau's two-level differences and
-    the closure uncertainty.
+    support to _FAR_CUT * far_radius plus a geometric closure (`plan` is
+    that support's `_far_plan`).  The caller passes the integrands of this
+    support only, and each is integrated on these shells.  Returns
+    (values, trunc_bounds) per integrand; a trunc bound adds the collar's
+    and the plateau's two-level differences and the closure uncertainty.
     """
     K = len(integrands)
-    R = spec.far_radius
     values, truncs = np.zeros(K), np.zeros(K)
-    edges = _far_edges(spec, support)
-    if edges is None:
-        return values, truncs, 0
-    hi, lo, nodes = _two_level(
-        lambda q, order: _shell_sums(
-            integrands, np.zeros(dim), edges, q, order,
-            lambda r: _tail_partition_weight(r, R),
-        ),
-        dim,
-        spec.radial_order,
-    )
-    rho_decl = (edges[0] / edges[1]) ** -spec.tail_exponent
+    levels, rho_decl = plan
+    if not levels:
+        return values, truncs
+    hi, lo = (sums(integrands) for _, sums in levels)
     for k in range(K):
         rest_hi = rest_lo = err = 0.0
         if support is None:
@@ -938,7 +920,7 @@ def _far_region(integrands, dim, spec, support):
         plateau_lo = math.fsum(lo[k, :-1]) + rest_lo
         values[k] = hi[k, -1] + plateau_hi
         truncs[k] = abs(hi[k, -1] - lo[k, -1]) + abs(plateau_hi - plateau_lo) + err
-    return values, truncs, nodes
+    return values, truncs
 
 
 def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
@@ -980,38 +962,37 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
                 f"got {spec.tail_exponent}"
             )
 
-    dim = cfg.dim
-    # Every integrand is evaluated on the pole and mid nodes and on the far
-    # shells of its own support.
-    shared = _pole_region_nodes(cfg, spec) + _mid_nodes_count(cfg, spec)
+    # One plan of every rule's nodes: the cap, the cells and the run all
+    # read it.  Every integrand is evaluated on the pole and mid nodes and
+    # on the far shells of its own support.
+    poles = _pole_plan(cfg, spec)
+    pairs = _mid_pairs(cfg, spec)
     supports = [f.support_radius for f in integrands]
-    far = {s: _far_region_nodes(dim, spec, s) for s in dict.fromkeys(supports)}
-    est_evals = sum(shared + far[s] for s in supports)
+    far = {s: _far_plan(cfg.dim, spec, s) for s in dict.fromkeys(supports)}
+    shared = sum(_plan_nodes(ball) for ball in poles) + 2 * int(pairs[3].sum())
+    far_nodes = {s: _plan_nodes(levels) for s, (levels, _) in far.items()}
+    est_evals = sum(shared + far_nodes[s] for s in supports)
     if est_evals > MAX_EVALS:
         raise BudgetExceeded(
             f"about {est_evals:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
         )
 
-    pole_vals, pole_truncs, truncated, eta, cells_a = _pole_region(
-        integrands, cfg, spec
-    )
-    mid_vals, mid_errs, cells_b = _mid_region(integrands, cfg, spec)
-
+    pole_vals, pole_truncs, truncated, eta = _pole_region(integrands, cfg, spec, poles)
+    mid_vals, mid_errs = _mid_region(integrands, cfg, spec, pairs)
     far_vals, far_truncs = np.zeros((2, len(integrands)))
-    cells_c = 0
-    for support in far:
+    for support, plan in far.items():
         at = [k for k, f in enumerate(integrands) if f.support_radius == support]
-        far_vals[at], far_truncs[at], n = _far_region(
-            [integrands[k] for k in at], dim, spec, support
+        far_vals[at], far_truncs[at] = _far_region(
+            [integrands[k] for k in at], support, plan
         )
-        cells_c += n
+    cells = shared + sum(far_nodes.values())
 
     return [
         IntegralResult(
             value=math.fsum([pole_vals[k], mid_vals[k], far_vals[k]]),
             stderr=float(mid_errs[k]),
             trunc_bound=pole_truncs[k] + far_truncs[k],
-            cells=cells_a + cells_b + cells_c,
+            cells=cells,
             truncated=truncated[k],
             eta=eta if truncated[k] else 0.0,
         )
@@ -1041,15 +1022,14 @@ def integrate_radial_annulus(
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
     f = Integrand(func=func, pole_exponents=[])
     edges = _log_edges(r_in, r_out)
-    hi, lo, n = _two_level(
-        lambda q, order: _shell_sums([f], np.zeros(dim), edges, q, order),
-        dim,
-        radial_order,
-        angular_order,
-    )
-    value, coarse = math.fsum(hi[0]), math.fsum(lo[0])
+    levels = [
+        _shell_rule(np.zeros(dim), edges, q, order)
+        for q, order in _level_orders(dim, radial_order, angular_order)
+    ]
+    value, coarse = (math.fsum(sums([f])[0]) for _, sums in levels)
     return IntegralResult(
-        value=value, stderr=0.0, trunc_bound=abs(value - coarse), cells=n
+        value=value, stderr=0.0, trunc_bound=abs(value - coarse),
+        cells=_plan_nodes(levels),
     )
 
 
@@ -1067,10 +1047,9 @@ def integrate_pole_ball(
     Each ball gets `levels` octave shells.  The unresolved inner ball is
     closed by the geometric-tail rule for a strict exponent p < N, so the
     result approximates the full ball.  The value is the pass at
-    `radial_order` (>= 4) and the default angular order.  `_two_level`
-    runs that pass as its low level under a refined high level, so their
-    difference, plus the inner-closure uncertainty, estimates the error of
-    the value itself.
+    `radial_order` (>= 4) and the default angular order, the low level
+    (`_level_orders`) under a refined high level, so their difference, plus
+    the inner-closure uncertainty, estimates the error of the value itself.
 
     radius is a float, which gives one IntegralResult, or a ladder of m
     nested radii r_0 * 2^-k, k = 0 .. m-1, which gives a list of m; each
@@ -1095,23 +1074,26 @@ def integrate_pole_ball(
             f"radius must be > 0 or a ladder r0 * 2**-k with r0 > 0, got {radius!r}"
         )
     f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
-
-    def balls(q, order):
-        sums, n = _pole_ball_pass(
-            [f], cfg, cfg.poles[pole_index], radii[0], levels + m - 1, q, order,
-            fade=False,
+    order = _ANGULAR_ORDER.get(cfg.dim, 4)
+    # The high level one step up, whose derived low level is exactly
+    # (radial_order, order).
+    passes = [
+        _pole_ball_pass(
+            cfg.poles[pole_index], radii[0], levels + m - 1, q, angular, fade=False
         )
+        for q, angular in _level_orders(cfg.dim, radial_order + 3, (3 * order + 1) // 2)
+    ]
+
+    def balls(sums):
         out = []
         for k in range(m):
             shells = sums[0, k : k + levels]
             inner, err, _ = _inner_closure(shells, exponent, cfg.dim, truncate=False)
             out.append((math.fsum(shells) + inner, err))
-        return out, n
+        return out
 
-    order = _ANGULAR_ORDER.get(cfg.dim, 4)
-    # The high level one step up, whose derived low level is exactly
-    # (radial_order, order).
-    fine, coarse, n = _two_level(balls, cfg.dim, radial_order + 3, (3 * order + 1) // 2)
+    fine, coarse = (balls(sums([f])) for _, sums in passes)
+    n = _plan_nodes(passes)
     results = [
         IntegralResult(
             value=value, stderr=0.0, trunc_bound=abs(hi - value) + err, cells=n

@@ -168,9 +168,10 @@ class TestPoleBall:
         """One graded-ball pass closed by the inner tail: the single-pass
         rule `integrate_pole_ball` used before it had a two-level error."""
         f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
-        sums, n = quadrature._pole_ball_pass(
-            [f], cfg, cfg.poles[0], radius, levels, radial_order, order, fade=False
+        n, rule = quadrature._pole_ball_pass(
+            cfg.poles[0], radius, levels, radial_order, order, fade=False
         )
+        sums = rule([f])
         inner, err, _ = quadrature._inner_closure(sums[0], exponent, cfg.dim, False)
         return math.fsum(sums[0]) + inner, err, n
 
@@ -248,10 +249,10 @@ def uniform_pole_region(integrands, cfg, spec, order):
     the high level of the rule before the angular schedule, at `order`."""
     values = np.zeros(len(integrands))
     for i, center in enumerate(cfg.poles):
-        sums, _ = quadrature._pole_ball_pass(
-            integrands, cfg, center, spec.pole_radius, spec.radial_levels,
-            spec.radial_order, order,
+        _, rule = quadrature._pole_ball_pass(
+            center, spec.pole_radius, spec.radial_levels, spec.radial_order, order
         )
+        sums = rule(integrands)
         for k, f in enumerate(integrands):
             p = float(f.pole_exponents[i])
             inner, _, _ = quadrature._inner_closure(
@@ -303,8 +304,9 @@ class TestGradedPoleBalls:
     @pytest.mark.parametrize("dim, order", [(3, 24), (4, 16)])
     def test_matches_high_order_balls(self, dim, order, power_weight, borderline_spec):
         cfg, integrands = self.integrands(dim, power_weight)
-        values, truncs, truncated, _, _ = quadrature._pole_region(
-            integrands, cfg, borderline_spec
+        values, truncs, truncated, _ = quadrature._pole_region(
+            integrands, cfg, borderline_spec,
+            quadrature._pole_plan(cfg, borderline_spec),
         )
         reference = uniform_pole_region(integrands, cfg, borderline_spec, order)
         assert truncated[-1]
@@ -320,31 +322,38 @@ class TestGradedPoleBalls:
         full, deep = quadrature._ANGULAR_ORDER[3], quadrature._POLE_DEEP_ORDER
         outer = quadrature._POLE_FULL_SHELLS
         for center in cfg.poles:
-            graded, _ = quadrature._graded_pole_ball(
-                integrands, cfg, center, borderline_spec, 8, full
-            )
+            _, graded = quadrature._graded_pole_ball(center, borderline_spec, 8, full)
+            graded = graded(integrands)
             tiers = ((full, slice(None, outer)), (deep, slice(outer, None)))
             for order, shells in tiers:
-                one_pass, _ = quadrature._pole_ball_pass(
-                    integrands, cfg, center, borderline_spec.pole_radius,
+                _, one_pass = quadrature._pole_ball_pass(
+                    center, borderline_spec.pole_radius,
                     borderline_spec.radial_levels, 8, order,
                 )
+                one_pass = one_pass(integrands)
                 assert np.array_equal(graded[:, shells], one_pass[:, shells])
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_node_count_is_that_of_the_pass(self, dim, borderline_spec):
-        """The count the evaluation cap uses is the pole region's cells."""
+        """The count the evaluation cap uses, the pole plan's nodes, is the
+        number of points the pole region evaluates."""
         cfg = two_poles(dim)
-        ones = Integrand(func=lambda x: np.ones(x.shape[0]), pole_exponents=[0.0, 0.0])
-        *_, cells = quadrature._pole_region([ones], cfg, borderline_spec)
-        assert quadrature._pole_region_nodes(cfg, borderline_spec) == cells
+        points = []
 
-    def test_evaluates_fewer_nodes(self, power_weight, borderline_spec):
+        def ones(x):
+            points.append(x.shape[0])
+            return np.ones(x.shape[0])
+
+        plan = quadrature._pole_plan(cfg, borderline_spec)
+        integrand = Integrand(func=ones, pole_exponents=[0.0, 0.0])
+        quadrature._pole_region([integrand], cfg, borderline_spec, plan)
+        assert sum(quadrature._plan_nodes(ball) for ball in plan) == sum(points)
+
+    def test_evaluates_fewer_nodes(self, borderline_spec):
         """At 36 levels in N = 4 the pole region evaluates a fifth of the
         698,708 nodes of the uniform rule."""
-        cfg, integrands = self.integrands(4, power_weight)
-        *_, cells = quadrature._pole_region(integrands, cfg, borderline_spec)
-        assert cells == 139_348
+        plan = quadrature._pole_plan(two_poles(4), borderline_spec)
+        assert sum(quadrature._plan_nodes(ball) for ball in plan) == 139_348
 
 
 class TestRadialAnnulus:
@@ -710,7 +719,7 @@ def reference_mid_region(integrands, cfg, spec):
         var_mean = var / (n - 1)
         values[k] = cell_vol * math.fsum(mean)
         stderrs[k] = cell_vol * math.sqrt(math.fsum(var_mean))
-    return values, stderrs, int(2 * n.sum())
+    return values, stderrs
 
 
 def weighted_bumps(cfg, w, count):
@@ -731,10 +740,16 @@ def weighted_bumps(cfg, w, count):
     return out
 
 
+def mid_region(integrands, cfg, spec):
+    """Region (b) as integrate_many runs it: (values, stderrs)."""
+    return quadrature._mid_region(
+        integrands, cfg, spec, quadrature._mid_pairs(cfg, spec)
+    )
+
+
 def assert_same_region(new, ref):
     assert new[0].tolist() == ref[0].tolist()
     assert new[1].tolist() == ref[1].tolist()
-    assert new[2] == ref[2]
 
 
 def mid_geometry(case):
@@ -801,7 +816,7 @@ class TestMidRegionNodeSet:
         w = request.getfixturevalue(weight)
         integrands = weighted_bumps(two_poles_n3, w, count)
         assert_same_region(
-            quadrature._mid_region(integrands, two_poles_n3, lean_spec),
+            mid_region(integrands, two_poles_n3, lean_spec),
             reference_mid_region(integrands, two_poles_n3, lean_spec),
         )
 
@@ -812,7 +827,7 @@ class TestMidRegionNodeSet:
         )
         integrands = weighted_bumps(three_poles_n4, power_weight, 3)
         assert_same_region(
-            quadrature._mid_region(integrands, three_poles_n4, spec),
+            mid_region(integrands, three_poles_n4, spec),
             reference_mid_region(integrands, three_poles_n4, spec),
         )
 
@@ -825,7 +840,7 @@ class TestMidRegionNodeSet:
         cfg, spec = mid_geometry(case)
         integrands = weighted_bumps(cfg, power_weight, 2)
         assert_same_region(
-            quadrature._mid_region(integrands, cfg, spec),
+            mid_region(integrands, cfg, spec),
             reference_mid_region(integrands, cfg, spec),
         )
 
@@ -870,7 +885,9 @@ class TestMidRegionNodeSet:
             return original(pts, cfg, spec)
 
         monkeypatch.setattr(quadrature, "_mid_partition", counted)
-        strata, _, n, _ = quadrature._mid_rule(two_poles_n3, lean_spec)
+        pairs = quadrature._mid_pairs(two_poles_n3, lean_spec)
+        _, _, strata, n = pairs
+        quadrature._mid_rule(two_poles_n3, lean_spec, pairs)
         grid, _ = strata_grid(two_poles_n3, lean_spec)
         assert seen == [n.sum()] * 2
         assert strata.size == n.size < grid.shape[0]
@@ -882,11 +899,13 @@ class TestMidRegionNodeSet:
     def test_pairs_fall_with_pole_distance(self, case):
         """n_s is non-increasing in the distance from the stratum's box to
         the nearest pole, at least 2, and the total stays within the
-        budget plus 2 per live stratum."""
+        budget plus 2 per live stratum.  The rule draws both halves of
+        every pair, 2 * sum(n_s) nodes, the mid count of the cap."""
         cfg, spec = mid_geometry(case)
         grid, h = strata_grid(cfg, spec)
         live, n_ref, d, budget = reference_pairs(cfg, spec, grid, h)
-        _, _, strata, n = quadrature._mid_pairs(cfg, spec)
+        pairs = quadrature._mid_pairs(cfg, spec)
+        _, _, strata, n = pairs
         assert strata.tolist() == live.tolist()
         assert n.tolist() == n_ref.tolist()
         order = np.argsort(d, kind="stable")
@@ -894,7 +913,8 @@ class TestMidRegionNodeSet:
         assert n.min() >= 2
         assert budget - n.size < n.sum() <= budget + 2 * n.size
         assert n.max() > n.min()
-        assert quadrature._mid_nodes_count(cfg, spec) == 2 * n.sum()
+        halves = quadrature._mid_rule(cfg, spec, pairs)
+        assert sum(mask.size for mask, _, _ in halves) == 2 * n.sum()
 
     def test_matches_reference_across_worker_counts(
         self, two_poles_n3, lean_spec, monkeypatch
@@ -902,13 +922,15 @@ class TestMidRegionNodeSet:
         import dataclasses
 
         spec = dataclasses.replace(lean_spec, mc_samples=600_000)
-        _, halves, _, _ = quadrature._mid_rule(two_poles_n3, spec)
+        halves = quadrature._mid_rule(
+            two_poles_n3, spec, quadrature._mid_pairs(two_poles_n3, spec)
+        )
         assert all(pts.shape[0] > quadrature.CHUNK for _, pts, _ in halves)
         integrands = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])]
         runs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("MHARDY_WORKERS", workers)
-            new = quadrature._mid_region(integrands, two_poles_n3, spec)
+            new = mid_region(integrands, two_poles_n3, spec)
             assert_same_region(
                 new, reference_mid_region(integrands, two_poles_n3, spec)
             )
@@ -1191,9 +1213,11 @@ class TestBundle:
             for r in (None, 8.0, 16.0)
         ]
         alone = [integrate(f, two_poles_n3, spec).cells for f in batch]
-        shared = (
-            quadrature._pole_region_nodes(two_poles_n3, spec)
-            + quadrature._mid_nodes_count(two_poles_n3, spec)
+        # The pole and mid nodes of the plan, which tests above match
+        # against the points that each region evaluates.
+        poles = quadrature._pole_plan(two_poles_n3, spec)
+        shared = sum(quadrature._plan_nodes(ball) for ball in poles) + 2 * int(
+            quadrature._mid_pairs(two_poles_n3, spec)[3].sum()
         )
         assert len(set(alone)) == 3 and min(alone) > shared
         together = integrate_many(batch, two_poles_n3, spec)[0].cells
@@ -1216,18 +1240,20 @@ class TestBundle:
         ]
         tracemalloc.start()
         try:
-            _, nodes = quadrature._shell_sums(batch, np.zeros(dim), edges, 8, 8)
+            nodes, sums = quadrature._shell_rule(np.zeros(dim), edges, 8, 8)
+            sums(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Less than half of what the points of the whole pass would take.
         assert peak < nodes * dim * 8 / 2
 
-    @pytest.mark.parametrize("k", [1, 8, 64])
+    @pytest.mark.parametrize("k", [1, 8, 64, 128])
     def test_slices_bound_the_evaluation_size(self, two_poles_n3, sliced_spec, k):
         """In a batch of K integrands no func sees more than CHUNK // K
-        points, or one shell or cell where that is larger: the peak memory
-        of an evaluation stays flat in K."""
+        points, or the floor of 2048, or one shell or cell where that is
+        larger: the peak memory of an evaluation stays flat in K up to
+        K = 64, and K * 2048 * 8 bytes of values beyond."""
         sizes = []
 
         def func(pts):
@@ -1239,8 +1265,60 @@ class TestBundle:
         assert len(results) == k
         # The outermost pole shell is split in two panels at the fade onset.
         shell = 2 * sliced_spec.radial_order * unit_sphere_rule(3)[0].shape[0]
-        _, _, pairs, _ = quadrature._mid_rule(two_poles_n3, sliced_spec)
-        assert max(sizes) <= max(quadrature.CHUNK // k, shell, pairs.max())
+        pairs = quadrature._mid_pairs(two_poles_n3, sliced_spec)[3]
+        assert max(sizes) <= max(quadrature.CHUNK // k, 2048, shell, pairs.max())
+
+    def test_slice_floor_changes_no_bit(self, two_poles_n3, monkeypatch):
+        """A batch of 100 integrands, where the floor of 2048 nodes per
+        slice binds, gives bit for bit the same results with the floor
+        lowered to CHUNK // 100 and raised to 8192: a bin is never split,
+        so no sum changes, however the slices are cut."""
+        spec = QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=12,
+            mc_samples=20_000, seed=3,
+        )
+        batch = [
+            Integrand(
+                func=lambda x, c=0.01 * k: gaussian(x - c) * (1.0 + x[:, 0]),
+                pole_exponents=[0.0, 0.0],
+                support_radius=(None, 8.0)[k % 2],
+            )
+            for k in range(100)
+        ]
+        runs, slices = [], []
+        for floor in (1, 2048, 8192):
+            sizes = []
+
+            def first(x):
+                sizes.append(x.shape[0])
+                return batch[0].func(x)
+
+            monkeypatch.setattr(quadrature, "_SLICE_FLOOR", floor)
+            results = integrate_many(
+                [dataclasses.replace(batch[0], func=first), *batch[1:]],
+                two_poles_n3, spec,
+            )
+            runs.append([(*result_fields(r), r.cells) for r in results])
+            slices.append(len(sizes))
+        assert runs[0] == runs[1] == runs[2]
+        # Each floor cut the nodes into fewer slices than the one below.
+        assert slices[0] > slices[1] > slices[2]
+
+    def test_mid_pairs_run_once_per_call(self, two_poles_n3, lean_spec, monkeypatch):
+        """The pair counts of the mid region are planned once per call:
+        the evaluation cap and the rule read the same ones."""
+        calls = []
+        original = quadrature._mid_pairs
+
+        def counted(cfg, spec):
+            calls.append(spec)
+            return original(cfg, spec)
+
+        monkeypatch.setattr(quadrature, "_mid_pairs", counted)
+        integrate_many(
+            weighted_bumps(two_poles_n3, WeightSpec.unit(), 3), two_poles_n3, lean_spec
+        )
+        assert len(calls) == 1
 
     def test_rejects_misshapen_rows(self, two_poles_n3, lean_spec):
         """An integrand must give one value per point, and one pole exponent
