@@ -34,7 +34,9 @@ and summed with compensated summation in a fixed order:
     2 pairs each: the singular masses put almost all of the variance in
     the strata next to a pole, so this (Neyman-type) allocation spends
     the pairs where the variance is.  Each stratum's mean and variance
-    are taken over its own pairs.
+    are taken over its own pairs.  The uniforms are drawn once per call;
+    the points are built from them a slice of whole strata at a time,
+    when the slice is evaluated.
 
 (c) the far field beyond 0.8 * far_radius, in origin-centred shells with
     the product angular rule at the dimension's full order: one collar
@@ -69,9 +71,10 @@ each slice calls each of them in batch order, on one thread, with one and
 the same array of points; so evaluators may share the work of a slice
 (test functions, weight, potentials) across integrands.  Each shell's or
 cell's sum is one in-order bincount, and no (K, n) array of the whole
-node set is ever held.  The shell rules build a slice's nodes and
-weights only when the slice is evaluated, so a pass holds no array of
-all its nodes either.  The deterministic rules (pole balls, far shells,
+node set is ever held.  Every rule builds a slice's nodes and weights
+only when the slice is evaluated (region (b) keeps only its uniform
+draws for the whole call), so no rule holds an array of all its nodes
+either.  The deterministic rules (pole balls, far shells,
 integrate_radial_annulus) estimate their error as the difference between
 a high and a low order of the same rule.
 
@@ -728,14 +731,14 @@ def _mid_partition(pts, cfg, spec):
 def _mid_pairs(cfg, spec):
     """The strata of region (b) and the pair count of each live one.
 
-    Returns (h, grid, strata, n): the box side h, the integer coordinates
-    of the live strata (`_live_strata`, in increasing stratum order),
-    those indices, and their pair counts.  The live strata
-    share the budget of S * max(2, mc_samples // (2 C)) pairs (S live
-    strata of C) in proportion to (1 + d_s / pole_radius)^-_PAIR_DECAY,
-    d_s the distance from the box to the nearest pole, rounded down, with
-    at least 2 pairs per stratum: so n_s falls with d_s, and the total is
-    at most the budget plus 2 S.
+    Returns (h, grid, n): the box side h, the integer coordinates of the
+    live strata (`_live_strata`, in increasing stratum order) and their
+    pair counts.  The live strata share the budget of
+    S * max(2, mc_samples // (2 C)) pairs (S live strata of C) in
+    proportion to (1 + d_s / pole_radius)^-_PAIR_DECAY, d_s the distance
+    from the box to the nearest pole, rounded down, with at least 2 pairs
+    per stratum: so n_s falls with d_s, and the total is at most the
+    budget plus 2 S.
     """
     dim = cfg.dim
     R = spec.far_radius
@@ -747,106 +750,60 @@ def _mid_pairs(cfg, spec):
     grid = np.stack(
         np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
-    strata = _live_strata(cfg, spec, grid, h)
-    grid = grid[strata]
+    grid = grid[_live_strata(cfg, spec, grid, h)]
     lo = -R + grid * h
     d = _pole_box_distance(cfg, lo, lo + h)
     share = (1.0 + d / spec.pole_radius) ** -_PAIR_DECAY
-    budget = len(strata) * max(2, spec.mc_samples // (2 * C))
+    budget = grid.shape[0] * max(2, spec.mc_samples // (2 * C))
     n = np.maximum(2, np.floor(budget * share / math.fsum(share)).astype(np.int64))
-    return h, grid, strata, n
-
-
-def _mid_rule(cfg, spec, pairs):
-    """Node set of region (b), built once per integrate_many call.
-
-    Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
-    Only the live strata (`_live_strata`) get pairs, and their pair counts
-    (`pairs`, from `_mid_pairs`) depend on the spec and the geometry only,
-    so the node set is a pure function of them -- in particular it does
-    not depend on which integrands share the batch, and Gram-type
-    computations reuse identical nodes across runs with different batch
-    compositions.  The pairs are drawn stratum by stratum, in stratum
-    order, from one Philox stream keyed by the seed.
-
-    Returns the two halves: the _mid_partition of the u points and of the
-    1-u points, pair by pair in stratum order.  Only the masked points and
-    weights are kept; the uniform draws and full-size temporaries are
-    released once both halves are built.  Points are built one coordinate
-    at a time.
-    """
-    dim = cfg.dim
-    R = spec.far_radius
-    h, grid, _, n = pairs
-    rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
-    u = rng.random((int(n.sum()), dim))
-    pts = np.empty_like(u)
-
-    def half():
-        for k in range(dim):
-            pts[:, k] = -R + (np.repeat(grid[:, k], n) + u[:, k]) * h
-        return _mid_partition(pts, cfg, spec)
-
-    first = half()
-    np.subtract(1.0, u, out=u)
-    second = half()
-    return first, second
+    return h, grid, n
 
 
 def _mid_region(integrands, cfg, spec, pairs):
     """Region (b): stratified MC over the blended bounded complement.
 
-    Antithetic pairs cancel the linear part of smooth integrands; the
-    variance estimate treats pair averages as the iid unit, each stratum's
-    mean and variance taken over its own n_s pairs.  The whole batch is
-    evaluated on the one node set that _mid_rule draws for `pairs` (from
-    `_mid_pairs`), a slice of whole strata at a time: per antithetic half,
-    every integrand in turn on that half's points of the slice
-    (`_eval_batch`).
+    Samples come in antithetic pairs (u, 1-u) within each stratum (cell).
+    Only the live strata (`_live_strata`) get pairs, and their pair counts
+    (`pairs`, from `_mid_pairs`) depend on the spec and the geometry only,
+    so the node set is a pure function of them: it does not depend on
+    which integrands share the batch, and Gram-type computations reuse
+    identical nodes across batch compositions.  The uniforms of every pair
+    are drawn once per call, stratum by stratum in stratum order, from one
+    Philox stream keyed by the seed.
 
-    Only live pairs, those with a node in either half, are held; a pair
-    with none adds exactly 0 to its stratum's sums.  Each half's values
-    are added at integer positions into the slice's zeroed pair values, so
-    a pair holds the sum of its two halves, a missing half counting as 0
-    (adding into +0 can at most turn a -0 into +0, which no bin sum,
-    started at +0, can see).  One bincount index per slice gives both the
-    sums and the sums of squares, each bin in node order.  The per-stratum
-    means and variances of every integrand are kept, shape (K, live
-    strata), and summed per integrand with math.fsum over the strata that
-    hold a live pair.  fsum is exactly rounded, so leaving out the others,
-    whose terms are exactly 0, changes no bit.  Returns (values, stderrs).
+    The work is a slice of whole strata at a time, and a slice builds its
+    points when it is evaluated: per antithetic half, the points of the
+    slice's pairs, their `_mid_partition`, and every integrand in turn on
+    the kept ones (`_eval_batch`).  Each half's values are added at their
+    pairs' positions into the slice's zeroed pair values, so a pair holds
+    the sum of its two halves, a dropped node counting as 0 (adding into
+    +0 can at most turn a -0 into +0, which no bin sum, started at +0, can
+    see).  Antithetic pairs cancel the linear part of smooth integrands;
+    the variance estimate treats pair averages as the iid unit, each
+    stratum's mean and variance taken over its own n_s pairs, both from
+    one bincount index per slice, each bin in node order.  The per-stratum
+    means and variances of every integrand are summed with math.fsum.
+    Returns (values, stderrs).
     """
-    h, _, _, n = pairs
-    halves = _mid_rule(cfg, spec, pairs)
-    S = len(n)
-    offsets = np.concatenate([[0], np.cumsum(n)[:-1]])
-
-    def stratum_bounds(mask):
-        """Index of each stratum's first True entry among the True entries."""
-        counts = np.add.reduceat(mask, offsets, dtype=np.int64)
-        return np.concatenate([[0], np.cumsum(counts)])
-
-    # Stratum k's live pairs sit at bounds[k]:bounds[k+1] of live_masks
-    # and stratum_of_pair.
-    live = halves[0][0] | halves[1][0]
-    live_masks = [mask[live] for mask, _, _ in halves]
-    bounds = stratum_bounds(live)
-    stratum_of_pair = np.repeat(np.arange(S), np.diff(bounds))
-    starts = [stratum_bounds(mask) for mask, _, _ in halves]
+    R = spec.far_radius
+    h, grid, n = pairs
+    bounds = np.concatenate([[0], np.cumsum(n)])
+    rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
+    u = rng.random((int(bounds[-1]), cfg.dim))
     K = len(integrands)
-    means = np.empty((K, S))
-    var_means = np.empty((K, S))
+    means, var_means = np.empty((2, K, len(n)))
 
     def work(i, j):
-        u0, u1 = bounds[i], bounds[j]
-        vals = np.zeros((K, u1 - u0))
-        for held, (_, pts, weight), first in zip(live_masks, halves, starts):
-            a, b = first[i], first[j]
-            at = np.flatnonzero(held[u0:u1])
-            vals[:, at] += _eval_batch(integrands, pts[a:b], weight[a:b])
-        vals *= 0.5
-        sums, sumsq = _binned(stratum_of_pair[u0:u1] - i, j - i, vals, vals**2)
+        a, b = bounds[i], bounds[j]
         n_s = n[i:j]
+        corner = np.repeat(grid[i:j], n_s, axis=0)
+        vals = np.zeros((K, b - a))
+        for half in (u[a:b], 1.0 - u[a:b]):
+            mask, pts, weight = _mid_partition(-R + (corner + half) * h, cfg, spec)
+            vals[:, mask] += _eval_batch(integrands, pts, weight)
+        vals *= 0.5
+        stratum = np.repeat(np.arange(j - i), n_s)
+        sums, sumsq = _binned(stratum, j - i, vals, vals**2)
         mean = sums / n_s
         var = np.maximum(0.0, sumsq / n_s - mean**2)
         means[:, i:j] = mean
@@ -854,12 +811,11 @@ def _mid_region(integrands, cfg, spec, pairs):
         var_means[:, i:j] = var / (n_s - 1)
 
     _map_slices(work, _slices(bounds, K))
-    held = np.flatnonzero(np.diff(bounds))
     cell_vol = h**cfg.dim
     values, stderrs = np.empty(K), np.empty(K)
     for k in range(K):
-        values[k] = cell_vol * math.fsum(means[k, held].tolist())
-        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k, held].tolist()))
+        values[k] = cell_vol * math.fsum(means[k].tolist())
+        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k].tolist()))
     return values, stderrs
 
 
@@ -935,12 +891,13 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     the spec is validated.
 
     Evaluation is slice-major.  Each rule (a pole ball or far-shell pass,
-    an antithetic half of the mid region) cuts its nodes once into slices
-    for the integrands that take part in it, and on each slice calls each
-    of them once, in batch order, on one thread and with the same array
-    object, before it moves to the next slice.  An evaluator may therefore
-    keep the work of a slice, keyed on the identity of that array, for the
-    later integrands of the batch.
+    the mid region) cuts its nodes once into slices for the integrands
+    that take part in it (each antithetic half of a mid-region slice is a
+    slice of its own), and on each slice calls each of them once, in batch
+    order, on one thread and with the same array object, before it moves
+    to the next slice.  An evaluator may therefore keep the work of a
+    slice, keyed on the identity of that array, for the later integrands
+    of the batch.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
     _validate_spec(cfg, spec)
@@ -969,7 +926,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     pairs = _mid_pairs(cfg, spec)
     supports = [f.support_radius for f in integrands]
     far = {s: _far_plan(cfg.dim, spec, s) for s in dict.fromkeys(supports)}
-    shared = sum(_plan_nodes(ball) for ball in poles) + 2 * int(pairs[3].sum())
+    shared = sum(_plan_nodes(ball) for ball in poles) + 2 * int(pairs[2].sum())
     far_nodes = {s: _plan_nodes(levels) for s, (levels, _) in far.items()}
     est_evals = sum(shared + far_nodes[s] for s in supports)
     if est_evals > MAX_EVALS:

@@ -747,6 +747,19 @@ def mid_region(integrands, cfg, spec):
     )
 
 
+def partitioned_points(monkeypatch):
+    """Count the points of every _mid_partition call into the returned list."""
+    seen = []
+    original = quadrature._mid_partition
+
+    def counted(pts, cfg, spec):
+        seen.append(pts.shape[0])
+        return original(pts, cfg, spec)
+
+    monkeypatch.setattr(quadrature, "_mid_partition", counted)
+    return seen
+
+
 def assert_same_region(new, ref):
     assert new[0].tolist() == ref[0].tolist()
     assert new[1].tolist() == ref[1].tolist()
@@ -877,26 +890,20 @@ class TestMidRegionNodeSet:
     def test_partition_skips_dead_strata(self, two_poles_n3, lean_spec, monkeypatch):
         """Each antithetic half partitions the pairs of the live strata
         only, none of the dead ones."""
-        seen = []
-        original = quadrature._mid_partition
-
-        def counted(pts, cfg, spec):
-            seen.append(pts.shape[0])
-            return original(pts, cfg, spec)
-
-        monkeypatch.setattr(quadrature, "_mid_partition", counted)
-        pairs = quadrature._mid_pairs(two_poles_n3, lean_spec)
-        _, _, strata, n = pairs
-        quadrature._mid_rule(two_poles_n3, lean_spec, pairs)
+        seen = partitioned_points(monkeypatch)
+        mid_region(
+            [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])], two_poles_n3, lean_spec
+        )
+        _, _, n = quadrature._mid_pairs(two_poles_n3, lean_spec)
         grid, _ = strata_grid(two_poles_n3, lean_spec)
-        assert seen == [n.sum()] * 2
-        assert strata.size == n.size < grid.shape[0]
+        assert sum(seen) == 2 * n.sum()
+        assert n.size < grid.shape[0]
 
     @pytest.mark.parametrize(
         "case",
         ["mc_bump", "odd_grid", "enclosing", "core_strata", "n4", "n6", "nine_poles"],
     )
-    def test_pairs_fall_with_pole_distance(self, case):
+    def test_pairs_fall_with_pole_distance(self, case, monkeypatch):
         """n_s is non-increasing in the distance from the stratum's box to
         the nearest pole, at least 2, and the total stays within the
         budget plus 2 per live stratum.  The rule draws both halves of
@@ -904,17 +911,17 @@ class TestMidRegionNodeSet:
         cfg, spec = mid_geometry(case)
         grid, h = strata_grid(cfg, spec)
         live, n_ref, d, budget = reference_pairs(cfg, spec, grid, h)
-        pairs = quadrature._mid_pairs(cfg, spec)
-        _, _, strata, n = pairs
-        assert strata.tolist() == live.tolist()
+        _, live_grid, n = quadrature._mid_pairs(cfg, spec)
+        assert live_grid.tolist() == grid[live].tolist()
         assert n.tolist() == n_ref.tolist()
         order = np.argsort(d, kind="stable")
         assert np.all(np.diff(n[order]) <= 0)
         assert n.min() >= 2
         assert budget - n.size < n.sum() <= budget + 2 * n.size
         assert n.max() > n.min()
-        halves = quadrature._mid_rule(cfg, spec, pairs)
-        assert sum(mask.size for mask, _, _ in halves) == 2 * n.sum()
+        seen = partitioned_points(monkeypatch)
+        mid_region(weighted_bumps(cfg, WeightSpec.unit(), 1), cfg, spec)
+        assert sum(seen) == 2 * n.sum()
 
     def test_matches_reference_across_worker_counts(
         self, two_poles_n3, lean_spec, monkeypatch
@@ -922,10 +929,9 @@ class TestMidRegionNodeSet:
         import dataclasses
 
         spec = dataclasses.replace(lean_spec, mc_samples=600_000)
-        halves = quadrature._mid_rule(
-            two_poles_n3, spec, quadrature._mid_pairs(two_poles_n3, spec)
-        )
-        assert all(pts.shape[0] > quadrature.CHUNK for _, pts, _ in halves)
+        _, _, n = quadrature._mid_pairs(two_poles_n3, spec)
+        # Region (b) is cut into at least 2 slices for one integrand.
+        assert len(quadrature._slices(np.concatenate([[0], np.cumsum(n)]), 1)) >= 2
         integrands = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])]
         runs = []
         for workers in ("1", "2"):
@@ -940,11 +946,15 @@ class TestMidRegionNodeSet:
     def test_geometry_is_built_once_per_call(
         self, two_poles_n3, lean_spec, unit_weight, monkeypatch
     ):
+        """The partition weights are computed at as many points for a batch
+        of 6 integrands as for one: once per node, not per integrand.  The
+        points are counted, not the calls, since the mid region cuts a
+        larger batch into more slices."""
         calls = []
         original = quadrature._tail_partition_weight
 
         def counted(r, far_radius):
-            calls.append(r.shape)
+            calls.append(r.size)
             return original(r, far_radius)
 
         monkeypatch.setattr(quadrature, "_tail_partition_weight", counted)
@@ -956,8 +966,28 @@ class TestMidRegionNodeSet:
                 two_poles_n3,
                 lean_spec,
             )
-            counts.append(len(calls))
+            counts.append(sum(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_holds_no_array_of_all_its_points(self, two_poles_n3, lean_spec, monkeypatch):
+        """Region (b) builds each slice's points when it evaluates the
+        slice: one call's traced peak stays below 3 times the bytes of its
+        uniform draws, the one array it keeps for the whole call."""
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
+        spec = dataclasses.replace(lean_spec, mc_samples=2_000_000)
+        pairs = quadrature._mid_pairs(two_poles_n3, spec)
+        n = pairs[-1]
+        batch = [
+            Integrand(func=lambda x: np.ones(x.shape[0]), pole_exponents=[0.0, 0.0])
+            for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            quadrature._mid_region(batch, two_poles_n3, spec, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n.sum() * two_poles_n3.dim * 8
 
 
 class TestMidRegionCalibration:
@@ -1217,7 +1247,7 @@ class TestBundle:
         # against the points that each region evaluates.
         poles = quadrature._pole_plan(two_poles_n3, spec)
         shared = sum(quadrature._plan_nodes(ball) for ball in poles) + 2 * int(
-            quadrature._mid_pairs(two_poles_n3, spec)[3].sum()
+            quadrature._mid_pairs(two_poles_n3, spec)[2].sum()
         )
         assert len(set(alone)) == 3 and min(alone) > shared
         together = integrate_many(batch, two_poles_n3, spec)[0].cells
@@ -1229,9 +1259,11 @@ class TestBundle:
             with pytest.raises(BudgetExceeded):
                 integrate_many(fields, two_poles_n3, spec)
 
-    def test_shell_pass_holds_no_array_of_all_its_nodes(self):
+    def test_shell_pass_holds_no_array_of_all_its_nodes(self, monkeypatch):
         """A pole-ball or far-shell pass builds each slice's nodes when it
         evaluates that slice."""
+        # One worker: each further one holds a slice of its own at once.
+        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         dim, levels = 4, 36
         edges = 0.9 * 2.0 ** -np.arange(levels + 1.0)
         batch = [
@@ -1265,7 +1297,7 @@ class TestBundle:
         assert len(results) == k
         # The outermost pole shell is split in two panels at the fade onset.
         shell = 2 * sliced_spec.radial_order * unit_sphere_rule(3)[0].shape[0]
-        pairs = quadrature._mid_pairs(two_poles_n3, sliced_spec)[3]
+        pairs = quadrature._mid_pairs(two_poles_n3, sliced_spec)[2]
         assert max(sizes) <= max(quadrature.CHUNK // k, 2048, shell, pairs.max())
 
     def test_slice_floor_changes_no_bit(self, two_poles_n3, monkeypatch):
