@@ -21,8 +21,7 @@ kind of value is a config error naming the key path, never converted.
 Reports are CSV tables (17 significant digits; run metadata only in the
 leading ``#`` comment lines, so the bodies from identical config + seed
 are byte-identical) and JSON summaries.  Exit codes: 0 all checks passed,
-1 a numerical check failed, 2 usage or config error.  The environment
-variable MHARDY_WORKERS overrides the evaluation worker count.
+1 a numerical check failed, 2 usage or config error.
 
 The experiment subcommands compute their records and pass/fail verdicts
 with `multipolar_hardy.experiments`; this module only reads the config,
@@ -893,8 +892,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "multipolar potentials."
         ),
         epilog=(
-            "Exit codes: 0 pass, 1 numerical failure, 2 usage/config error. "
-            "Set MHARDY_WORKERS to override the evaluation worker count."
+            "Exit codes: 0 pass, 1 numerical failure, 2 usage/config error."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

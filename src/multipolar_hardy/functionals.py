@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -602,15 +601,16 @@ def _slice_nodes(cfg: PoleConfig, w: WeightSpec, p: HardyParams):
     """nodes_of(x): the `_Nodes` of slice x, one per slice for every caller.
 
     integrate_many calls every integrand of a rule on one slice, with the
-    same array and on one thread, before the next slice: one entry per
-    thread holds the _Nodes of the current slice.
+    same array, before the next slice: one entry holds the _Nodes of the
+    current slice.
     """
-    current = threading.local()
+    current = (None, None)  # (slice array, its _Nodes)
 
     def nodes_of(x):
-        if getattr(current, "x", None) is not x:
-            current.x, current.nodes = x, _Nodes(x, cfg, w, p)
-        return current.nodes
+        nonlocal current
+        if current[0] is not x:
+            current = (x, _Nodes(x, cfg, w, p))
+        return current[1]
 
     return nodes_of
 

@@ -66,31 +66,28 @@ is its per-stratum pair counts.  The evaluation cap, the reported cells
 and the run all read that one plan.  The work is slice by slice: each
 rule cuts its nodes once into slices of whole shells (pole balls, far
 shells) or whole cells (mid region), about CHUNK // K nodes (at least
-_SLICE_FLOOR) for the K integrands it evaluates, and on
-each slice calls each of them in batch order, on one thread, with one and
-the same array of points; so evaluators may share the work of a slice
-(test functions, weight, potentials) across integrands.  Each shell's or
-cell's sum is one in-order bincount, and no (K, n) array of the whole
-node set is ever held.  Every rule builds a slice's nodes and weights
-only when the slice is evaluated (region (b) keeps only its uniform
-draws for the whole call), so no rule holds an array of all its nodes
-either.  The deterministic rules (pole balls, far shells,
-integrate_radial_annulus) estimate their error as the difference between
-a high and a low order of the same rule.
+_SLICE_FLOOR) for the K integrands it evaluates, and on each slice
+calls each of them in batch order, with one and the same array of
+points; so evaluators may share the work of a slice (test functions,
+weight, potentials) across integrands.  Each shell's or cell's sum is
+one in-order bincount, and no (K, n) array of the whole node set is ever
+held.  Every rule builds a slice's nodes and weights only when the slice
+is evaluated (region (b) keeps only its uniform draws for the whole
+call), so no rule holds an array of all its nodes either.  The
+deterministic rules (pole balls, far shells, integrate_radial_annulus)
+estimate their error as the difference between a high and a low order
+of the same rule.
 
 Determinism: region (b) is the only stochastic region; its stream is a
-Philox counter-based substream derived from (seed, region), partial sums
-are reduced in a fixed order with math.fsum, and worker parallelism only
-maps slices, so results are reproducible for a fixed seed regardless of
-scheduling.  A result depends only on the spec and its own integrand:
-it equals, bit for bit, the same integrand passed alone.
+Philox counter-based substream derived from (seed, region), and partial
+sums are reduced in a fixed order with math.fsum, so results are
+reproducible for a fixed seed.  A result depends only on the spec and its
+own integrand: it equals, bit for bit, the same integrand passed alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -120,11 +117,11 @@ __all__ = [
 MAX_EVALS = 1 << 29
 
 # Nodes per evaluation of one integrand; a rule evaluating K integrands
-# cuts its nodes into slices of about CHUNK // K, but at least _SLICE_FLOOR.
-# Fixed, so that the worker count cannot change results.  The floor binds
-# only at K > 64, where it bounds the per-slice call overhead of a large
-# batch at the memory of a (K, _SLICE_FLOOR) array of values, K * 2048 * 8
-# bytes (9 MB for a 23-member Gram's 552 integrands).
+# cuts its nodes into slices of about CHUNK // K, but at least _SLICE_FLOOR,
+# so that a slice's (K, M) values stay near CHUNK floats.  The floor binds
+# only at K > 64, where it bounds the per-slice call overhead of a large batch
+# at the memory of a (K, _SLICE_FLOOR) array of values, K * 2048 * 8 bytes
+# (9 MB for a 23-member Gram's 552 integrands).
 CHUNK = 1 << 17
 _SLICE_FLOOR = 2048
 
@@ -142,21 +139,6 @@ _REGION_MID = 13
 # Unbounded integrands get far shells out to this multiple of far_radius;
 # the remainder beyond is closed geometrically.
 _FAR_CUT = 64.0
-
-
-def worker_count() -> int:
-    """Worker threads for evaluation slices (MHARDY_WORKERS, default 1).
-
-    A value that is not a positive integer raises ConfigError.
-    """
-    raw = os.environ.get("MHARDY_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MHARDY_WORKERS must be a positive integer, got {raw!r}")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -362,21 +344,6 @@ def _tail_partition_weight(r: np.ndarray, far_radius: float) -> np.ndarray:
     return _smoothstep((r - _TAIL_RISE_START * far_radius) / span)
 
 
-def _map_slices(work, slices) -> None:
-    """Run work(i, j) for every (i, j) in slices, on MHARDY_WORKERS threads.
-
-    Each call runs whole on one thread and writes its own disjoint part of
-    the caller's output, so the worker count cannot change a result.
-    """
-    workers = worker_count()
-    if workers == 1 or len(slices) == 1:
-        for i, j in slices:
-            work(i, j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(lambda ij: work(*ij), slices))
-
-
 def _eval_batch(integrands, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Values of every integrand of the batch at pts times weights, (K, M).
 
@@ -466,16 +433,13 @@ def _shell_rule(center, edges, radial_order, angular_order,
 
     def sums(integrands):
         out = np.empty((len(integrands), n_shells))
-
-        def work(i, j):
+        for i, j in _slices(panels * per_panel, len(integrands)):
             p, q = panels[i], panels[j]
             pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
             wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
             vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
             shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
             out[:, i:j] = _binned(shells, j - i, vals)[0]
-
-        _map_slices(work, _slices(panels * per_panel, len(integrands)))
         return out
 
     return len(shell_of_panel) * per_panel, sums
@@ -793,7 +757,7 @@ def _mid_region(integrands, cfg, spec, pairs):
     K = len(integrands)
     means, var_means = np.empty((2, K, len(n)))
 
-    def work(i, j):
+    for i, j in _slices(bounds, K):
         a, b = bounds[i], bounds[j]
         n_s = n[i:j]
         corner = np.repeat(grid[i:j], n_s, axis=0)
@@ -810,7 +774,6 @@ def _mid_region(integrands, cfg, spec, pairs):
         # Unbiased variance of the stratum mean over antithetic pairs.
         var_means[:, i:j] = var / (n_s - 1)
 
-    _map_slices(work, _slices(bounds, K))
     cell_vol = h**cfg.dim
     values, stderrs = np.empty(K), np.empty(K)
     for k in range(K):
@@ -894,10 +857,9 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     the mid region) cuts its nodes once into slices for the integrands
     that take part in it (each antithetic half of a mid-region slice is a
     slice of its own), and on each slice calls each of them once, in batch
-    order, on one thread and with the same array object, before it moves
-    to the next slice.  An evaluator may therefore keep the work of a
-    slice, keyed on the identity of that array, for the later integrands
-    of the batch.
+    order and with the same array object, before it moves to the next
+    slice.  An evaluator may therefore keep the work of a slice, keyed on
+    the identity of that array, for the later integrands of the batch.
     """
     integrands = [_as_integrand(f, cfg) for f in fields]
     _validate_spec(cfg, spec)
@@ -973,10 +935,15 @@ def integrate_radial_annulus(
     """Deterministic product rule over the annulus r_in <= |x| <= r_out.
 
     Used for integrands supported on an origin-centred annulus (cutoff
-    gradients); the error estimate is a two-level difference.
+    gradients).  The value is the pass at `radial_order` (>= 4; the low
+    level of `_level_orders` keeps at least 4 radial points, so a smaller
+    order would report the coarser pass), and the error estimate is the
+    two-level difference.
     """
     if not 0 < r_in < r_out:
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
+    if radial_order < 4:
+        raise ValueError(f"radial_order must be >= 4, got {radial_order}")
     f = Integrand(func=func, pole_exponents=[])
     edges = _log_edges(r_in, r_out)
     levels = [
@@ -1001,9 +968,10 @@ def integrate_pole_ball(
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate over the ball B(a_i, radius), or a dyadic ladder of balls.
 
-    Each ball gets `levels` octave shells.  The unresolved inner ball is
-    closed by the geometric-tail rule for a strict exponent p < N, so the
-    result approximates the full ball.  The value is the pass at
+    i is `pole_index`, in [0, n_poles).  Each ball gets `levels` (>= 1)
+    octave shells.  The unresolved inner ball is closed by the
+    geometric-tail rule for a strict exponent p < N, so the result
+    approximates the full ball.  The value is the pass at
     `radial_order` (>= 4) and the default angular order, the low level
     (`_level_orders`) under a refined high level, so their difference, plus
     the inner-closure uncertainty, estimates the error of the value itself.
@@ -1019,6 +987,12 @@ def integrate_pole_ball(
     counts the nodes of the whole call.
     """
     local_integrability_check([exponent], cfg.dim)
+    if not 0 <= pole_index < cfg.n_poles:
+        raise ValueError(f"pole_index must be in [0, {cfg.n_poles}), got {pole_index}")
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    if radial_order < 4:
+        raise ValueError(f"radial_order must be >= 4, got {radial_order}")
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
     m = radii.size
     if (

@@ -347,7 +347,6 @@ class TestSpectralBound:
         member, and not at all if none has (the far shells of bump x bump)."""
         import multipolar_hardy.experiments as experiments_module
 
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
         slices = []  # [slice array, hardy calls, whether a phi_eps entry ran]
         original_hardy = functionals.hardy_factor
@@ -391,14 +390,13 @@ class TestSpectralBound:
         assert 0 < sum(member for _, _, member in slices) < len(slices)
 
     def test_far_shells_evaluate_only_their_support(
-        self, two_poles_n3, lean_spec, far_slices, monkeypatch
+        self, two_poles_n3, lean_spec, far_slices
     ):
         """A far-shell pass runs only the Gram entries of its own support, so
         each far slice evaluates the value and gradient of exactly the basis
         members of those entries."""
         import multipolar_hardy.experiments as experiments_module
 
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
         basis = bump_basis(1, 3) + [
             OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)

@@ -670,12 +670,10 @@ class TestCorpusLedger:
         "truncated_n4_unit": (4, WeightSpec.unit(), 0.0, 0.7),
     }
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_rows_equal_each_functions_own_report(self, case, workers, monkeypatch):
+    def test_rows_equal_each_functions_own_report(self, case):
         """One call for the corpus gives every function, at beta = p.beta and
         away from it, the integrals of its own energy_report bit for bit."""
-        monkeypatch.setenv("MHARDY_WORKERS", workers)
         dim, w, k_mu, other = self.CASES[case]
         cfg = PoleConfig(dim=dim, poles=np.array([np.zeros(dim), 2.0 * np.eye(dim)[0]]))
         p = derive_params(cfg, k_mu)
@@ -706,7 +704,6 @@ class TestCorpusLedger:
         """A near-optimal family of one exponent evaluates the Hardy factor
         once per slice of nodes, whatever its size: once for all its members
         and all the integrands of the ledger together."""
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
         slices = []  # the distinct slice arrays handed to the integrands
         counts = {"calls": 0, "hardy": 0}
@@ -756,7 +753,6 @@ class TestCorpusLedger:
     ):
         """A ledger at three exponents evaluates W once per slice of nodes,
         for all its exponents and integrands together."""
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         w, p = WeightSpec.polyexp(gamma=0.5), derive_params(two_poles_n3, -0.6)
         slices = []  # the distinct slice arrays handed to the integrands
         calls = []  # the slice each potential_w call was made on
@@ -801,7 +797,6 @@ class TestCorpusLedger:
         once per exponent, and the value and gradient of each function
         whose integrands the slice serves once: every function on pole and
         mid slices, on a far-shell slice the functions of its support."""
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         cfg = two_poles_n3
         if weight == "unit":
             w, p = WeightSpec.unit(), derive_params(cfg, 0.0)
@@ -893,12 +888,11 @@ class TestCorpusLedger:
         assert any(len(supports) == 1 for _, _, supports in slices)
 
     def test_far_shells_evaluate_only_their_support(
-        self, two_poles_n3, lean_spec, far_slices, monkeypatch
+        self, two_poles_n3, lean_spec, far_slices
     ):
         """A far-shell pass runs only the integrands of its own support, so
         each far slice evaluates the value and gradient of exactly the
         functions whose support that pass runs to."""
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         p = derive_params(two_poles_n3, 0.0)
         functions = [GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)] + [
             OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)

@@ -4,12 +4,11 @@ Closed-form targets (Gaussian moments, power-law ball integrals, surface
 measures) never go through the package's own pipeline, so agreement is
 meaningful.  Determinism contracts are checked bitwise: the engine promises
 identical output for identical (spec, integrand) regardless of batch
-composition or worker count.
+composition.
 """
 
 import dataclasses
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from multipolar_hardy import quadrature
-from multipolar_hardy.quadrature import worker_count
 from multipolar_hardy import (
     BudgetExceeded,
     ConfigError,
@@ -204,6 +202,37 @@ class TestPoleBall:
                 lambda p: np.ones(len(p)), cfg, 0, 1.0, levels=8, exponent=3.0
             )
 
+    @staticmethod
+    def ball(**kwargs):
+        """integrate_pole_ball of 1 on a two-pole N = 3 config."""
+        args = dict(pole_index=0, radius=0.5, levels=8, exponent=0.0)
+        args.update(kwargs)
+        return integrate_pole_ball(lambda p: np.ones(len(p)), two_poles(3), **args)
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_rejects_levels_below_one(self, levels):
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            self.ball(levels=levels)
+
+    def test_rejects_negative_pole_index(self):
+        """-1 would otherwise pick the last pole."""
+        with pytest.raises(ValueError, match="pole_index"):
+            self.ball(pole_index=-1)
+
+    @pytest.mark.parametrize("pole_index", [2, 5])
+    def test_rejects_pole_index_past_the_poles(self, pole_index):
+        with pytest.raises(ValueError, match="pole_index"):
+            self.ball(pole_index=pole_index)
+
+    @pytest.mark.parametrize("radial_order", [1, 2, 3])
+    def test_rejects_radial_order_below_four(self, radial_order):
+        """An order below 4 would otherwise run as order 4."""
+        with pytest.raises(ValueError, match="radial_order must be >= 4"):
+            self.ball(radial_order=radial_order)
+        assert self.ball(radial_order=4).value == pytest.approx(
+            4.0 * math.pi / 3.0 * 0.5**3, rel=1e-12
+        )
+
     LADDER_WEIGHTS = {
         "unit": WeightSpec.unit(),
         "power": WeightSpec.polyexp(gamma=0.5),
@@ -386,6 +415,19 @@ class TestRadialAnnulus:
         with pytest.raises(ValueError):
             integrate_radial_annulus(lambda p: np.ones(len(p)), 3, 2.0, 1.0)
 
+    @pytest.mark.parametrize("radial_order", [1, 2, 3])
+    def test_rejects_radial_order_below_four(self, radial_order):
+        """Below 4 radial points the low level has more points than the
+        reported one: order 1 gave 29.0366 for the volume 28 pi / 3 =
+        29.3215 of 1 <= |x| <= 2 in N = 3."""
+        def one(p):
+            return np.ones(len(p))
+
+        with pytest.raises(ValueError, match="radial_order must be >= 4"):
+            integrate_radial_annulus(one, 3, 1.0, 2.0, radial_order=radial_order)
+        res = integrate_radial_annulus(one, 3, 1.0, 2.0, radial_order=4)
+        assert res.value == pytest.approx(28.0 * math.pi / 3.0, rel=1e-12)
+
 
 # --------------------------------------------------------------------------
 # full-space engine
@@ -453,19 +495,6 @@ class TestIntegrateMany:
         batch = integrate_many([gaussian, other], two_poles_n3, lean_spec)
         assert batch[0].value == solo.value
         assert batch[0].stderr == solo.stderr
-
-    def test_worker_count_env_override(self, two_poles_n3, lean_spec, monkeypatch):
-        monkeypatch.setenv("MHARDY_WORKERS", "3")
-        assert worker_count() == 3
-        res = integrate(gaussian, two_poles_n3, lean_spec)
-        monkeypatch.setenv("MHARDY_WORKERS", "1")
-        assert res.value == integrate(gaussian, two_poles_n3, lean_spec).value
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_worker_count_rejects_bad_env(self, raw, monkeypatch):
-        monkeypatch.setenv("MHARDY_WORKERS", raw)
-        with pytest.raises(ConfigError, match=f"MHARDY_WORKERS.*'{raw}'"):
-            worker_count()
 
     def test_linearity_within_rounding(self, two_poles_n3, lean_spec):
         def f(pts):
@@ -923,25 +952,16 @@ class TestMidRegionNodeSet:
         mid_region(weighted_bumps(cfg, WeightSpec.unit(), 1), cfg, spec)
         assert sum(seen) == 2 * n.sum()
 
-    def test_matches_reference_across_worker_counts(
-        self, two_poles_n3, lean_spec, monkeypatch
-    ):
-        import dataclasses
-
+    def test_matches_reference_over_several_slices(self, two_poles_n3, lean_spec):
         spec = dataclasses.replace(lean_spec, mc_samples=600_000)
         _, _, n = quadrature._mid_pairs(two_poles_n3, spec)
         # Region (b) is cut into at least 2 slices for one integrand.
         assert len(quadrature._slices(np.concatenate([[0], np.cumsum(n)]), 1)) >= 2
         integrands = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])]
-        runs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("MHARDY_WORKERS", workers)
-            new = mid_region(integrands, two_poles_n3, spec)
-            assert_same_region(
-                new, reference_mid_region(integrands, two_poles_n3, spec)
-            )
-            runs.append(new)
-        assert_same_region(*runs)
+        assert_same_region(
+            mid_region(integrands, two_poles_n3, spec),
+            reference_mid_region(integrands, two_poles_n3, spec),
+        )
 
     def test_geometry_is_built_once_per_call(
         self, two_poles_n3, lean_spec, unit_weight, monkeypatch
@@ -969,11 +989,10 @@ class TestMidRegionNodeSet:
             counts.append(sum(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_holds_no_array_of_all_its_points(self, two_poles_n3, lean_spec, monkeypatch):
+    def test_holds_no_array_of_all_its_points(self, two_poles_n3, lean_spec):
         """Region (b) builds each slice's points when it evaluates the
         slice: one call's traced peak stays below 3 times the bytes of its
         uniform draws, the one array it keeps for the whole call."""
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         spec = dataclasses.replace(lean_spec, mc_samples=2_000_000)
         pairs = quadrature._mid_pairs(two_poles_n3, spec)
         n = pairs[-1]
@@ -1076,13 +1095,11 @@ class TestBundle:
             mc_samples=200_000, seed=5,
         )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_rows_equal_separate_integrands(
-        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, workers
+        self, two_poles_n3, unit_weight, sliced_spec
     ):
         """Every integrand of a batch gives the value, errors, truncation
         flag and eta of the same integrand passed alone, bit for bit."""
-        monkeypatch.setenv("MHARDY_WORKERS", workers)
         batch = mixed_integrands(two_poles_n3, unit_weight)
         regions = []
 
@@ -1112,15 +1129,11 @@ class TestBundle:
         assert regions.count("pole") >= 4 * two_poles_n3.n_poles
         assert regions.count("mid") > 2
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_graded_pole_slices_keep_values_in_n4(
-        self, unit_weight, sliced_spec, monkeypatch, workers
-    ):
+    def test_graded_pole_slices_keep_values_in_n4(self, unit_weight, sliced_spec):
         """In N = 4 the full-order tier of a pole ball is cut into several
         slices for a batch of 7; every integrand of the mixed batch of
         bumps and truncated phi_eps still gives bit for bit what it gives
         alone."""
-        monkeypatch.setenv("MHARDY_WORKERS", workers)
         cfg = two_poles(4)
         spec = dataclasses.replace(sliced_spec, mc_samples=20_000)
         batch = mixed_integrands(cfg, unit_weight)
@@ -1142,20 +1155,18 @@ class TestBundle:
         # that means a tier was cut into several slices.
         assert sum(pole_calls) > 4 * cfg.n_poles
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_every_integrand_sees_each_slice_in_turn(
-        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, workers
+        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch
     ):
         """Evaluation is slice-major: on each slice of nodes every integrand
         of the batch that takes part in the rule is called once, in batch
-        order, on one thread, with the same array object, before the next
-        slice.  A far-shell slice calls exactly the integrands of its
-        support.  Every result still equals the same integrand alone."""
-        monkeypatch.setenv("MHARDY_WORKERS", workers)
+        order, with the same array object, before the next slice.  A
+        far-shell slice calls exactly the integrands of its support.  Every
+        result still equals the same integrand alone."""
         mixed = mixed_integrands(two_poles_n3, unit_weight)
         # Unbounded and compact integrands interleaved.
         batch = [mixed[k] for k in (0, 3, 4, 1, 5, 2, 6)]
-        calls = []  # (thread, slice array, batch index)
+        calls = []  # (slice array, batch index, in a far pass)
         # Mid-region cells may also lie wholly beyond the far onset, so far
         # slices are told apart by the rule that is running.
         far_pass = []
@@ -1172,7 +1183,7 @@ class TestBundle:
 
         def recorded(k, f):
             def func(pts):
-                calls.append((threading.get_ident(), pts, k, bool(far_pass)))
+                calls.append((pts, k, bool(far_pass)))
                 return f.func(pts)
 
             return dataclasses.replace(f, func=func)
@@ -1187,14 +1198,12 @@ class TestBundle:
             result_fields(r) for r in alone
         ]
 
-        runs, current = [], {}  # runs of calls on one thread with one array
-        for thread, pts, k, far in calls:
-            run = current.get(thread)
-            if run is None or run[0] is not pts:
-                run = current[thread] = (pts, [], far)
-                runs.append(run)
-            run[1].append(k)
-        # No array is visited twice: each slice is one run, on one thread.
+        runs = []  # runs of consecutive calls with one array
+        for pts, k, far in calls:
+            if not runs or runs[-1][0] is not pts:
+                runs.append((pts, [], far))
+            runs[-1][1].append(k)
+        # No array is visited twice: each slice is one run.
         assert len({id(pts) for pts, _, _ in runs}) == len(runs)
         by_region = {}
         for pts, order, far in runs:
@@ -1259,11 +1268,9 @@ class TestBundle:
             with pytest.raises(BudgetExceeded):
                 integrate_many(fields, two_poles_n3, spec)
 
-    def test_shell_pass_holds_no_array_of_all_its_nodes(self, monkeypatch):
+    def test_shell_pass_holds_no_array_of_all_its_nodes(self):
         """A pole-ball or far-shell pass builds each slice's nodes when it
         evaluates that slice."""
-        # One worker: each further one holds a slice of its own at once.
-        monkeypatch.delenv("MHARDY_WORKERS", raising=False)
         dim, levels = 4, 36
         edges = 0.9 * 2.0 ** -np.arange(levels + 1.0)
         batch = [
