@@ -670,10 +670,12 @@ class TestCorpusLedger:
         "truncated_n4_unit": (4, WeightSpec.unit(), 0.0, 0.7),
     }
 
+    @pytest.mark.parametrize("repeats", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_rows_equal_each_functions_own_report(self, case):
+    def test_rows_equal_each_functions_own_report(self, case, repeats):
         """One call for the corpus gives every function, at beta = p.beta and
-        away from it, the integrals of its own energy_report bit for bit."""
+        away from it, the integrals of its own energy_report bit for bit, on
+        the first call in a row and on a later one."""
         dim, w, k_mu, other = self.CASES[case]
         cfg = PoleConfig(dim=dim, poles=np.array([np.zeros(dim), 2.0 * np.eye(dim)[0]]))
         p = derive_params(cfg, k_mu)
@@ -685,9 +687,14 @@ class TestCorpusLedger:
         truncate = case.startswith("truncated")
         allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
         betas = [p.beta, other]
-        reports = energy_reports(
-            functions, cfg, w, p, spec, betas, allow_truncation=allow
-        )
+        runs = [
+            energy_reports(functions, cfg, w, p, spec, betas, allow_truncation=allow)
+            for _ in range(repeats)
+        ]
+        reports = runs[-1]
+        assert [[[integrals(r) for r in own] for own in run] for run in runs] == [
+            [[integrals(r) for r in own] for own in reports]
+        ] * repeats
         assert len(reports) == len(functions)
         for phi, flag, own in zip(functions, allow, reports):
             assert [integrals(r) for r in own] == [

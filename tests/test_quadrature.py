@@ -1085,6 +1085,16 @@ def result_fields(res):
     return (res.value, res.stderr, res.trunc_bound, res.truncated, res.eta)
 
 
+def earlier_runs(repeats, batch, cfg, spec):
+    """The result fields of repeats - 1 runs of the batch made before the run a
+    test checks: a later call must give the same bits as these, so nothing
+    one call leaves behind (the cached sphere rules) changes the next."""
+    return [
+        [result_fields(r) for r in integrate_many(batch, cfg, spec)]
+        for _ in range(repeats - 1)
+    ]
+
+
 class TestBundle:
     @pytest.fixture()
     def sliced_spec(self):
@@ -1095,12 +1105,15 @@ class TestBundle:
             mc_samples=200_000, seed=5,
         )
 
+    @pytest.mark.parametrize("repeats", [1, 2])
     def test_rows_equal_separate_integrands(
-        self, two_poles_n3, unit_weight, sliced_spec
+        self, two_poles_n3, unit_weight, sliced_spec, repeats
     ):
         """Every integrand of a batch gives the value, errors, truncation
-        flag and eta of the same integrand passed alone, bit for bit."""
+        flag and eta of the same integrand passed alone, bit for bit, on
+        the first call in a row and on a later one."""
         batch = mixed_integrands(two_poles_n3, unit_weight)
+        earlier = earlier_runs(repeats, batch, two_poles_n3, sliced_spec)
         regions = []
 
         def recorded(pts):
@@ -1122,6 +1135,7 @@ class TestBundle:
             result_fields(r) for r in alone
         ]
         assert [result_fields(r) for r in split] == [result_fields(r) for r in alone]
+        assert earlier == [[result_fields(r) for r in together]] * (repeats - 1)
         assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
         # Two angular tiers and two levels per pole ball, two antithetic
         # halves: more mid calls than that means the cells were cut into
@@ -1129,14 +1143,18 @@ class TestBundle:
         assert regions.count("pole") >= 4 * two_poles_n3.n_poles
         assert regions.count("mid") > 2
 
-    def test_graded_pole_slices_keep_values_in_n4(self, unit_weight, sliced_spec):
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_graded_pole_slices_keep_values_in_n4(
+        self, unit_weight, sliced_spec, repeats
+    ):
         """In N = 4 the full-order tier of a pole ball is cut into several
         slices for a batch of 7; every integrand of the mixed batch of
         bumps and truncated phi_eps still gives bit for bit what it gives
-        alone."""
+        alone, on the first call in a row and on a later one."""
         cfg = two_poles(4)
         spec = dataclasses.replace(sliced_spec, mc_samples=20_000)
         batch = mixed_integrands(cfg, unit_weight)
+        earlier = earlier_runs(repeats, batch, cfg, spec)
         pole_calls = []
 
         def recorded(pts):
@@ -1150,22 +1168,26 @@ class TestBundle:
         assert [result_fields(r) for r in together] == [
             result_fields(r) for r in alone
         ]
+        assert earlier == [[result_fields(r) for r in together]] * (repeats - 1)
         assert [r.truncated for r in alone] == [False] * 4 + [True, False, True]
         # Two angular tiers and two levels per pole ball: more calls than
         # that means a tier was cut into several slices.
         assert sum(pole_calls) > 4 * cfg.n_poles
 
+    @pytest.mark.parametrize("repeats", [1, 2])
     def test_every_integrand_sees_each_slice_in_turn(
-        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch
+        self, two_poles_n3, unit_weight, sliced_spec, monkeypatch, repeats
     ):
         """Evaluation is slice-major: on each slice of nodes every integrand
         of the batch that takes part in the rule is called once, in batch
         order, with the same array object, before the next slice.  A
         far-shell slice calls exactly the integrands of its support.  Every
-        result still equals the same integrand alone."""
+        result still equals the same integrand alone, on the first call in
+        a row and on a later one."""
         mixed = mixed_integrands(two_poles_n3, unit_weight)
         # Unbounded and compact integrands interleaved.
         batch = [mixed[k] for k in (0, 3, 4, 1, 5, 2, 6)]
+        earlier = earlier_runs(repeats, batch, two_poles_n3, sliced_spec)
         calls = []  # (slice array, batch index, in a far pass)
         # Mid-region cells may also lie wholly beyond the far onset, so far
         # slices are told apart by the rule that is running.
@@ -1197,6 +1219,7 @@ class TestBundle:
         assert [result_fields(r) for r in together] == [
             result_fields(r) for r in alone
         ]
+        assert earlier == [[result_fields(r) for r in together]] * (repeats - 1)
 
         runs = []  # runs of consecutive calls with one array
         for pts, k, far in calls:
