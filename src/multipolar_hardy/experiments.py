@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import (
     HardyParams,
@@ -200,7 +199,8 @@ class SpectralResult:
     """Smallest generalized Rayleigh quotient over a finite span.
 
     `witness` holds the coefficients of the minimizing combination in the
-    original basis order; `rank` is the dimension of the subspace that
+    original basis order, signed so that its largest-magnitude entry (the
+    first such on a tie) is positive; `rank` is the dimension of the subspace that
     survived the near-dependence screening of the V-Gram.
     `lambda_error` is the first-order perturbation bound obtained by
     pushing the per-entry quadrature errors of both Gram matrices through
@@ -669,11 +669,14 @@ def _pencil_minimum(a_mat, b_mat, a_err, b_err) -> SpectralResult:
 
     Works on fresh copies of the four matrices, so a leading block of a
     larger assembly is solved exactly as the same matrices assembled on
-    their own.
+    their own.  A non-finite entry of A or B raises ValueError.
     """
     a_mat, b_mat, a_err, b_err = (np.array(g) for g in (a_mat, b_mat, a_err, b_err))
+    for name, mat in (("A", a_mat), ("B", b_mat)):
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"Gram matrix {name} has a non-finite entry")
     m = a_mat.shape[0]
-    evals, evecs = scipy.linalg.eigh(b_mat)
+    evals, evecs = np.linalg.eigh(b_mat)
     top = evals[-1]
     if not top > 0:
         raise SingularGram(
@@ -687,8 +690,10 @@ def _pencil_minimum(a_mat, b_mat, a_err, b_err) -> SpectralResult:
     t_mat = evecs[:, keep] / np.sqrt(evals[keep])
     reduced = t_mat.T @ a_mat @ t_mat
     reduced = 0.5 * (reduced + reduced.T)
-    lam, vec = scipy.linalg.eigh(reduced)
+    lam, vec = np.linalg.eigh(reduced)
     witness = t_mat @ vec[:, 0]
+    if witness[np.argmax(np.abs(witness))] < 0:
+        witness = -witness
     lam_min = float(lam[0])
     absw = np.abs(witness)
     denom = float(witness @ b_mat @ witness)

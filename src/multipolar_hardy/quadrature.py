@@ -93,7 +93,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .config import PoleConfig, enclosing_radius, min_pole_gap, resolution_guard
 from .errors import BudgetExceeded, ConfigError, NonIntegrableSingularity
@@ -232,6 +231,45 @@ def sphere_surface_measure(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
+def _gauss_gegenbauer(order: int, alpha: float):
+    """Gauss rule of `order` nodes for the weight (1 - t^2)^alpha on [-1, 1].
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the weight, whose off-diagonal entries b_k satisfy
+    b_k^2 = 4k (k+alpha)^2 (k+2 alpha) / ((2k+2 alpha)^2 ((2k+2 alpha)^2 - 1)).
+    One Newton step on the orthonormal three-term recurrence polishes them,
+    and the same recurrence gives the weights, 1 / sum_{k<n} p_k(t)^2, with
+    p_0 = mu0^(-1/2) and mu0 = 2^(2 alpha+1) Gamma(alpha+1)^2 / Gamma(2 alpha+2)
+    the weight's mass.  Nodes and weights are then made exactly symmetric
+    about 0, so that an odd integrand sums to exactly 0.
+    """
+    k = np.arange(1, order + 1, dtype=float)
+    s = 2.0 * (k + alpha)
+    b = np.sqrt(4.0 * k * (k + alpha) ** 2 * (k + 2.0 * alpha) / (s**2 * (s**2 - 1.0)))
+    mu0 = (2.0 ** (2.0 * alpha + 1.0) * math.gamma(alpha + 1.0) ** 2
+           / math.gamma(2.0 * alpha + 2.0))
+
+    def recurrence(t):
+        """p_n(t), p_n'(t) and sum_{k<n} p_k(t)^2 of the orthonormal family."""
+        p_prev, p = np.zeros_like(t), np.full_like(t, 1.0 / math.sqrt(mu0))
+        dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+        norm2 = np.zeros_like(t)
+        for j in range(order):
+            norm2 += p * p
+            b_prev = b[j - 1] if j else 0.0
+            p_next = (t * p - b_prev * p_prev) / b[j]
+            dp_next = (p + t * dp - b_prev * dp_prev) / b[j]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        return p, dp, norm2
+
+    # eigvalsh reads only the lower triangle of the Jacobi matrix.
+    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    p, dp, _ = recurrence(t)
+    t = t - p / dp
+    w = 1.0 / recurrence(t)[2]
+    return 0.5 * (t - t[::-1]), 0.5 * (w + w[::-1])
+
+
 @lru_cache(maxsize=32)
 def _sphere_rule_cached(dim: int, order: int):
     """Product cubature on S^(dim-1); weights sum to omega_dim.
@@ -250,7 +288,7 @@ def _sphere_rule_cached(dim: int, order: int):
         wts = np.full(q, 2.0 * np.pi / q)
         return dirs, wts
     alpha = (dim - 3) / 2.0
-    t, wt = roots_jacobi(order, alpha, alpha)
+    t, wt = _gauss_gegenbauer(order, alpha)
     sub_dirs, sub_wts = _sphere_rule_cached(dim - 1, order)
     s = np.sqrt(1.0 - t**2)
     dirs = np.empty((order, sub_dirs.shape[0], dim))
@@ -431,15 +469,19 @@ def _shell_rule(center, edges, radial_order, angular_order,
     # panels[k] is the first panel of shell k; panels[-1] the panel count.
     panels = np.searchsorted(shell_of_panel, np.arange(n_shells + 1))
 
+    def shell_sums(integrands, i, j):
+        """Sums (K, j - i) of shells i:j; its arrays are freed on return."""
+        p, q = panels[i], panels[j]
+        pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
+        wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
+        vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
+        shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
+        return _binned(shells, j - i, vals)[0]
+
     def sums(integrands):
         out = np.empty((len(integrands), n_shells))
         for i, j in _slices(panels * per_panel, len(integrands)):
-            p, q = panels[i], panels[j]
-            pts = center[None, None, None, :] + r[p:q, :, None, None] * dirs[None, None]
-            wts = (w[p:q, :, None] * wa[None, None, :]).reshape(-1)
-            vals = _eval_batch(integrands, pts.reshape(-1, dim), wts)
-            shells = np.repeat(shell_of_panel[p:q] - i, per_panel)
-            out[:, i:j] = _binned(shells, j - i, vals)[0]
+            out[:, i:j] = shell_sums(integrands, i, j)
         return out
 
     return len(shell_of_panel) * per_panel, sums
@@ -757,7 +799,9 @@ def _mid_region(integrands, cfg, spec, pairs):
     K = len(integrands)
     means, var_means = np.empty((2, K, len(n)))
 
-    for i, j in _slices(bounds, K):
+    def stratum_moments(i, j):
+        """Means and mean variances (K, j - i) of strata i:j; its arrays are
+        freed on return."""
         a, b = bounds[i], bounds[j]
         n_s = n[i:j]
         corner = np.repeat(grid[i:j], n_s, axis=0)
@@ -770,9 +814,11 @@ def _mid_region(integrands, cfg, spec, pairs):
         sums, sumsq = _binned(stratum, j - i, vals, vals**2)
         mean = sums / n_s
         var = np.maximum(0.0, sumsq / n_s - mean**2)
-        means[:, i:j] = mean
         # Unbiased variance of the stratum mean over antithetic pairs.
-        var_means[:, i:j] = var / (n_s - 1)
+        return mean, var / (n_s - 1)
+
+    for i, j in _slices(bounds, K):
+        means[:, i:j], var_means[:, i:j] = stratum_moments(i, j)
 
     cell_vol = h**cfg.dim
     values, stderrs = np.empty(K), np.empty(K)

@@ -9,9 +9,11 @@ config, every numeric column has a ``*_error`` companion, and floats carry
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -540,3 +542,47 @@ class TestEntryPoint:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_runtime_runs_without_scipy(self, tmp_path):
+        """Every report subcommand runs on the shipped unit config with scipy
+        made unimportable, and leaves no scipy module loaded: the runtime
+        needs numpy alone."""
+        script = textwrap.dedent(
+            """
+            import json, sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ImportError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
+            from multipolar_hardy.cli import main
+
+            config, out, *commands = sys.argv[1:]
+            codes = {
+                cmd: main([cmd, "--config", config, "--quiet", "--out", out])
+                for cmd in commands
+            }
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(json.dumps({"codes": codes, "scipy": loaded}))
+            """
+        )
+        commands = ["verify", "optimality", "beta-sweep", "spectral", "certify"]
+        path = os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             str(REPO / "configs" / "unit_n3_two_poles.json"), str(tmp_path),
+             *commands],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == {cmd: EXIT_OK for cmd in commands}
+        assert result["scipy"] == []

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multipolar_hardy import (
     ConfigError,
@@ -40,6 +41,7 @@ from multipolar_hardy import functionals
 from multipolar_hardy.fields import potential_w
 from multipolar_hardy.experiments import (
     _certify_samples,
+    _pencil_minimum,
     BetaRecord,
     BetaSweepResult,
     HypothesisReport,
@@ -452,6 +454,51 @@ class TestSpectralBound:
         with pytest.raises(ConfigError):
             spectral_bound(
                 two_poles_n3, WeightSpec.unit(), p, bump_basis(201, 3), lean_spec
+            )
+
+
+def spd_pencil(m: int, seed: int):
+    """A seeded pair of well-conditioned symmetric positive definite matrices."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, m, m))
+    return x @ x.T + np.eye(m), y @ y.T + 0.5 * np.eye(m)
+
+
+class TestPencilMinimum:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scipy_generalized_eigh(self, seed):
+        """The smallest eigenvalue of A v = lambda B v, and its B-normalised
+        eigenvector up to sign, are scipy's generalized solution; the
+        witness's largest-magnitude entry is positive."""
+        a_mat, b_mat = spd_pencil(6, seed)
+        zero = np.zeros_like(a_mat)
+        res = _pencil_minimum(a_mat, b_mat, zero, zero)
+        lam, vec = scipy.linalg.eigh(a_mat, b_mat)
+        assert res.rank == 6
+        assert res.lambda_min == pytest.approx(lam[0], rel=1e-10)
+        sign = np.sign(res.witness @ b_mat @ vec[:, 0])
+        np.testing.assert_allclose(res.witness, sign * vec[:, 0], atol=1e-10)
+        assert res.witness[np.argmax(np.abs(res.witness))] > 0
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_non_finite_gram_raises(self, entry):
+        """A NaN in A or in B is refused, not passed on into lambda_min."""
+        mats = list(spd_pencil(4, 0))
+        mats[entry][1, 2] = mats[entry][2, 1] = np.nan
+        zero = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            _pencil_minimum(*mats, zero, zero)
+
+    def test_witness_sign_on_a_tie(self):
+        """When entries tie in magnitude, the first of them is positive,
+        whatever sign the eigensolver returns."""
+        zero = np.zeros((2, 2))
+        for off, expected in ((1.0, [1.0, -1.0]), (-1.0, [1.0, 1.0])):
+            res = _pencil_minimum(
+                np.array([[2.0, off], [off, 2.0]]), np.eye(2), zero, zero
+            )
+            assert res.witness.tolist() == pytest.approx(
+                [e / math.sqrt(2.0) for e in expected]
             )
 
 

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy.special import roots_jacobi
 
 from multipolar_hardy import quadrature
 from multipolar_hardy import (
@@ -92,6 +93,24 @@ class TestSphereRule:
         assert np.dot(wts, dirs[:, 0] * dirs[:, 1] ** 2) == pytest.approx(
             0.0, abs=1e-13
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_gauss_gegenbauer_against_scipy_and_beta_moments(self, alpha):
+        """The polar-angle factor, a Gauss rule for (1 - t^2)^alpha, agrees
+        with scipy's roots_jacobi to 1e-12, is exactly symmetric about 0,
+        and integrates t^(2k) to B(k + 1/2, alpha + 1) for every 2k <= 2n - 2."""
+        for order in range(1, 25):
+            t, w = quadrature._gauss_gegenbauer(order, alpha)
+            t_ref, w_ref = roots_jacobi(order, alpha, alpha)
+            assert np.max(np.abs(t - t_ref)) <= 1e-12
+            assert np.max(np.abs(w - w_ref)) <= 1e-12
+            assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+            for k in range(order):
+                exact = math.exp(
+                    math.lgamma(k + 0.5) + math.lgamma(alpha + 1.0)
+                    - math.lgamma(k + alpha + 1.5)
+                )
+                assert abs(np.dot(w, t ** (2 * k)) - exact) <= 5e-13 * exact
 
 
 class TestSphereFlux:
