@@ -242,7 +242,6 @@ _PROBLEM = {
     "poles": ([VECTOR], ...),
     "weight": (_WEIGHT, {"kind": "unit"}),
     "k_mu": (NUMBER, ...),
-    "c_mu": (NUMBER, 0.0),
 }
 
 _EXPERIMENTS = {name: (MAPPING, None) for name in _BLOCKS}
@@ -285,7 +284,7 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
     return RunConfig(
         cfg=cfg,
         weight=weight,
-        params=derive_params(cfg, prob["k_mu"], prob["c_mu"]),
+        params=derive_params(cfg, prob["k_mu"]),
         quadrature=QuadratureSpec(**quad),
         experiments=top["experiments"],
         out_dir=output["directory"],

@@ -113,16 +113,9 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class HardyParams:
-    """Constants derived from (N, n, K_mu); see module docstring.
-
-    c_mu is the upper bound for the perturbation W (sup W <= C_mu).  Like
-    K_mu it is an input certified numerically, not a derived quantity; it
-    rides along here because the pair (K_mu, C_mu) is what the boundedness
-    hypothesis on the weight actually asserts.
-    """
+    """Constants derived from (N, n, K_mu); see module docstring."""
 
     k_mu: float
-    c_mu: float
     beta: float
     c_n_mu: float
     c_nn_mu: float
@@ -169,10 +162,10 @@ def validate_config(cfg: PoleConfig, w: WeightSpec | None = None) -> None:
             raise BadExponentM(f"delta must be >= 0, got {w.delta}")
 
 
-def derive_params(cfg: PoleConfig, k_mu: float, c_mu: float = 0.0) -> HardyParams:
+def derive_params(cfg: PoleConfig, k_mu: float) -> HardyParams:
     """Derive (beta, c_n_mu, c_nn_mu) from the pole count and K_mu.
 
-    K_mu and C_mu are accepted as candidates (certified separately); the
+    K_mu is accepted as a candidate (certified separately); the
     exact formulas give beta = (N+K_mu-2)/n, c_n_mu = (N+K_mu-2)^2/n^2 and
     c_nn_mu = (N+K_mu-2)^2/(4n).  Raises NonpositiveBeta unless
     N + K_mu - 2 > 0.
@@ -185,7 +178,6 @@ def derive_params(cfg: PoleConfig, k_mu: float, c_mu: float = 0.0) -> HardyParam
         )
     return HardyParams(
         k_mu=float(k_mu),
-        c_mu=float(c_mu),
         beta=s / n,
         c_n_mu=s * s / (n * n),
         c_nn_mu=s * s / (4.0 * n),

@@ -39,8 +39,10 @@ from .config import (
 )
 from .errors import (
     ConfigError,
+    EpsilonInadmissible,
     MultipolarHardyError,
     NonIntegrableSingularity,
+    NonpositiveBeta,
     SinglePole,
     SingularGram,
     UnboundedSuspected,
@@ -62,6 +64,8 @@ from .functionals import (
 from .quadrature import (
     Integrand,
     QuadratureSpec,
+    _two_level,
+    _unclosed,
     integrate_many,
     integrate_pole_ball,
     sphere_flux,
@@ -325,22 +329,21 @@ def _sweep_flux(phi: OptimalityPhi, cfg, w, beta, eta) -> tuple[float, float]:
     small the field is the pole's power law times a factor constant to
     about eta over the distance to the other poles and to the test
     function's scale, so, as on the deep pole shells, a low angular order
-    resolves it: the flux is reported at order 3, and its error estimate
-    is the difference to order 7.
+    resolves it: the flux is reported at order 3 and checked against
+    order 7 (`quadrature._two_level`), whose difference is its error
+    estimate.
     """
 
     def field(x):
         v = phi.value(x)
         return (v * v)[:, None] * vector_field_f(x, cfg, w, beta)
 
-    def flux(order):
-        return math.fsum(
-            sphere_flux(field, cfg.poles[i], eta, cfg.dim, angular_order=order)
-            for i in range(cfg.n_poles)
-        )
-
-    value = flux(_FLUX_ORDER)
-    return value, abs(flux(_FLUX_CHECK_ORDER) - value)
+    reported, check = (
+        [[sphere_flux(field, a, eta, cfg.dim, angular_order=q) for a in cfg.poles]]
+        for q in (_FLUX_ORDER, _FLUX_CHECK_ORDER)
+    )
+    (value,), (diff,), _ = _two_level(reported, check, _unclosed)
+    return float(value), float(diff)
 
 
 def verify_identity(
@@ -437,6 +440,8 @@ def optimality_sweep(
     ------
     SinglePole
         If the configuration has fewer than two poles (V vanishes).
+    EpsilonInadmissible
+        If no ``eps`` of the grid is admissible.
     NonIntegrableSingularity
         If the candidate's local exponent exceeds the dimension.
     MultipolarHardyError
@@ -455,6 +460,10 @@ def optimality_sweep(
     limit = max_admissible_eps(cfg, R)
     grid = DEFAULT_EPS_GRID if eps_list is None else tuple(eps_list)
     eps_values = [e for e in grid if e <= limit]
+    if not eps_values:
+        raise EpsilonInadmissible(
+            f"no eps of {list(grid)} is <= max_admissible_eps(R={R:.6g}) = {limit:.6g}"
+        )
     if sorted(eps_values, reverse=True) != eps_values:
         raise ConfigError("eps_list must be decreasing")
 
@@ -753,7 +762,7 @@ def h2_certify(
     running supremum along the approach sequences, or failure of the
     supremum to stabilize when the sample is doubled, raises
     `UnboundedSuspected` — that is the numerical signature of a wrong
-    K_mu candidate.
+    K_mu candidate.  Raises `NonpositiveBeta` if ``beta <= 0``.
 
     Returns
     -------
@@ -762,11 +771,12 @@ def h2_certify(
         interleaved half-samples, and where the supremum was attained.
     """
     validate_config(cfg, w)
+    if not beta > 0:
+        raise NonpositiveBeta(f"beta must be positive, got {beta}")
     # Only beta and k_mu enter W; the companion constants are filled with
     # the values they would take if beta were optimal for this candidate.
     params = HardyParams(
         k_mu=k_mu_candidate,
-        c_mu=0.0,
         beta=beta,
         c_n_mu=beta**2,
         c_nn_mu=cfg.n_poles * beta**2 / 4.0,

@@ -73,10 +73,15 @@ weight, potentials) across integrands.  Each shell's or cell's sum is
 one in-order bincount, and no (K, n) array of the whole node set is ever
 held.  Every rule builds a slice's nodes and weights only when the slice
 is evaluated (region (b) keeps only its uniform draws for the whole
-call), so no rule holds an array of all its nodes either.  The
-deterministic rules (pole balls, far shells, integrate_radial_annulus)
-estimate their error as the difference between a high and a low order
-of the same rule.
+call), so no rule holds an array of all its nodes either.
+
+Every deterministic rule runs at two levels of `_level_orders`, reports
+one and is checked against the other (`_two_level`): its error estimate
+is the distance between the two, plus the reported level's closure
+error.  The pole balls and far shells of integrate_many, and
+integrate_radial_annulus, report the high level and check it against the
+low one; integrate_pole_ball reports the low level and checks it against
+a level one step higher.
 
 Determinism: region (b) is the only stochastic region; its stream is a
 Philox counter-based substream derived from (seed, region), and partial
@@ -195,13 +200,21 @@ class IntegralResult:
     """Value with separated error channels.
 
     stderr is the statistical error of the Monte Carlo mid region, the only
-    stochastic region; trunc_bound collects the deterministic estimates
-    (two-level differences of the product rules, the uncertainty of the
-    geometric closures of the pole balls and the far shells).  cells counts
-    the nodes of the whole integrate_many call, the same for every result
-    of the call; a node counts once however many integrands are evaluated
-    at it.  Region (b) counts both halves of every pair it draws, the
-    nodes that its partition mask drops (pole cores, zero weight) included,
+    stochastic region; trunc_bound collects the deterministic estimates:
+    each product rule's distance from its reported level to its check
+    level (`_two_level`), plus the reported level's closure uncertainty
+    (the geometric closures of the pole balls and the far shells).  The
+    pole balls and far shells of integrate_many, and
+    integrate_radial_annulus, report the high level of `_level_orders`
+    (radial_order points, the dimension's angular order) and are checked
+    against its low level (3 radial points fewer, a third off the angular
+    order); integrate_pole_ball reports its pass at radial_order and the
+    dimension's angular order, and is checked against one step higher (3
+    radial points more, half again the angular order).  cells counts the
+    nodes of the whole integrate_many call, the same for every result of
+    the call; a node counts once however many integrands are evaluated at
+    it.  Region (b) counts both halves of every pair it draws, the nodes
+    that its partition mask drops (pole cores, zero weight) included,
     though no integrand is evaluated there: the mask keeps about 88% of
     them at N = 3 (pole_radius 1, mc_samples 4e5) and 70% at N = 4
     (pole_radius 0.9, mc_samples 1e5), so cells, like the evaluation cap,
@@ -553,17 +566,44 @@ def _geometric_closure(shell_sums: np.ndarray, rho_decl: float):
     return rest, 0.5 * abs(rest)
 
 
-def _inner_closure(shell_sums: np.ndarray, p: float, dim: int, truncate: bool):
-    """Close the unresolved inner ball of a pole with exponent p.
+def _borderline(p: float, dim: int) -> bool:
+    """A declared pole exponent at the borderline p == N, whose pole ball is
+    integrated down to the innermost shell radius only (truncated)."""
+    return p >= dim - 1e-9
 
-    For p < N the octave shell sums decay with ratio 2^-(N-p), and the
-    inner ball is their geometric continuation.  The borderline p == N
-    diverges: the inner ball is left out and the result flagged as
-    truncated.  Returns (inner_value, error_estimate, truncated_flag).
+
+def _closed_sum(shells: np.ndarray, rho_decl: float, closed: bool = True):
+    """close() of a rule closed past its last shell: the fsum of its shell
+    sums plus, if `closed`, their geometric continuation and its error
+    (`_geometric_closure`), as (value, closure_error)."""
+    rest, err = _geometric_closure(shells, rho_decl) if closed else (0.0, 0.0)
+    return math.fsum(shells) + rest, err
+
+
+def _unclosed(row, shells: np.ndarray):
+    """close() of a rule with nothing past its last shell: (fsum, 0)."""
+    return math.fsum(shells), 0.0
+
+
+def _two_level(reported, check, close):
+    """The two-level estimate of every row of a deterministic rule.
+
+    reported and check hold each row's shell sums at the level the rule
+    reports and at the level it is checked against; close(row, shells)
+    gives (value, closure_error) of one row's sums at one level
+    (`_closed_sum`, `_unclosed`).  Returns an array (3, rows): the
+    reported values, their distances |reported - check| to the check
+    level's values, and the reported level's closure errors.  The caller
+    chooses the convention: checked against a finer level, the distance
+    estimates the error of the reported value; against a coarser one, it
+    is the error of the check level, which overstates that of a
+    convergent reported value.
     """
-    if truncate:
-        return 0.0, 0.0, True
-    return (*_geometric_closure(shell_sums, 2.0 ** (-(dim - p))), False)
+    out = np.empty((3, len(reported)))
+    for k, (shells, check_shells) in enumerate(zip(reported, check)):
+        value, err = close(k, shells)
+        out[:, k] = value, abs(value - close(k, check_shells)[0]), err
+    return out
 
 
 def _level_orders(dim: int, radial_order: int, angular_order: int | None = None):
@@ -571,12 +611,7 @@ def _level_orders(dim: int, radial_order: int, angular_order: int | None = None)
 
     The low level drops three radial points and a third of the angular
     order, which defaults to the dimension's.  Every deterministic rule
-    runs at both levels and takes the hi-minus-lo difference as its error
-    estimate.  A caller may report either level.  `_pole_region`,
-    `_far_region` and `integrate_radial_annulus` report the high level, so
-    the difference is the error of the coarser pass.  `integrate_pole_ball`
-    reports the low level, so the difference is the error of the reported
-    value.
+    runs at both levels, one reported and one checked (`_two_level`).
 
     `_pole_plan` applies the angular schedule at both levels: the outer
     shells get the level's order (10 and 6 at N = 3), the deep shells order
@@ -628,28 +663,21 @@ def _pole_plan(cfg, spec):
     ]
 
 
-def _pole_region(integrands, cfg, spec, plan):
-    """Region (a): all pole balls of `_pole_plan`, with a two-level error
-    estimate.  Returns (values, trunc_bounds, truncated, eta)."""
-    dim = cfg.dim
-    K = len(integrands)
-    values = np.zeros(K)
-    truncs = np.zeros(K)
-    truncated = [False] * K
+def _pole_region(integrands, cfg, plan):
+    """Region (a): all pole balls of `_pole_plan`, each reported at the high
+    level and checked against the low one.  Returns (values, trunc_bounds).
+    """
+    values, bounds = np.zeros((2, len(integrands)))
     for i, levels in enumerate(plan):
         hi, lo = (sums(integrands) for _, sums in levels)
-        for k, f in enumerate(integrands):
-            p = float(f.pole_exponents[i])
-            borderline = p >= dim - 1e-9
-            inner_hi, err_inner, trunc_flag = _inner_closure(hi[k], p, dim, borderline)
-            inner_lo, _, _ = _inner_closure(lo[k], p, dim, borderline)
-            val_hi = math.fsum(hi[k]) + inner_hi
-            val_lo = math.fsum(lo[k]) + inner_lo
-            values[k] += val_hi
-            truncs[k] += abs(val_hi - val_lo) + err_inner
-            truncated[k] = truncated[k] or trunc_flag
-    eta = spec.pole_radius * 2.0 ** (-spec.radial_levels)
-    return values, truncs, truncated, eta
+        p = [float(f.pole_exponents[i]) for f in integrands]
+        # The octave shell sums of exponent p decay with ratio 2^-(N-p).
+        value, diff, err = _two_level(hi, lo, lambda k, shells: _closed_sum(
+            shells, 2.0 ** (-(cfg.dim - p[k])), not _borderline(p[k], cfg.dim)
+        ))
+        values += value
+        bounds += diff + err
+    return values, bounds
 
 
 def _strata_grid(dim: int, mc_samples: int):
@@ -866,26 +894,22 @@ def _far_region(integrands, support, plan):
     support to _FAR_CUT * far_radius plus a geometric closure (`plan` is
     that support's `_far_plan`).  The caller passes the integrands of this
     support only, and each is integrated on these shells.  Returns
-    (values, trunc_bounds) per integrand; a trunc bound adds the collar's
+    (values, trunc_bounds) per integrand, each term reported at the high
+    level and checked against the low one; a trunc bound adds the collar's
     and the plateau's two-level differences and the closure uncertainty.
     """
-    K = len(integrands)
-    values, truncs = np.zeros(K), np.zeros(K)
     levels, rho_decl = plan
     if not levels:
-        return values, truncs
+        return np.zeros((2, len(integrands)))
     hi, lo = (sums(integrands) for _, sums in levels)
-    for k in range(K):
-        rest_hi = rest_lo = err = 0.0
-        if support is None:
-            # Plateau shells from the inside out; the collar is the last.
-            rest_hi, err = _geometric_closure(hi[k, -2::-1], rho_decl)
-            rest_lo, _ = _geometric_closure(lo[k, -2::-1], rho_decl)
-        plateau_hi = math.fsum(hi[k, :-1]) + rest_hi
-        plateau_lo = math.fsum(lo[k, :-1]) + rest_lo
-        values[k] = hi[k, -1] + plateau_hi
-        truncs[k] = abs(hi[k, -1] - lo[k, -1]) + abs(plateau_hi - plateau_lo) + err
-    return values, truncs
+    # The collar is the last shell; an unbounded plateau is closed from the
+    # inside out.
+    collar, collar_diff, _ = _two_level(hi[:, -1:], lo[:, -1:], _unclosed)
+    value, diff, err = _two_level(
+        hi[:, :-1], lo[:, :-1],
+        lambda k, shells: _closed_sum(shells[::-1], rho_decl, support is None),
+    )
+    return collar + value, collar_diff + diff + err
 
 
 def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
@@ -942,7 +966,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             f"about {est_evals:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
         )
 
-    pole_vals, pole_truncs, truncated, eta = _pole_region(integrands, cfg, spec, poles)
+    pole_vals, pole_truncs = _pole_region(integrands, cfg, poles)
     mid_vals, mid_errs = _mid_region(integrands, cfg, spec, pairs)
     far_vals, far_truncs = np.zeros((2, len(integrands)))
     for support, plan in far.items():
@@ -951,6 +975,8 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             [integrands[k] for k in at], support, plan
         )
     cells = shared + sum(far_nodes.values())
+    eta = spec.pole_radius * 2.0 ** (-spec.radial_levels)
+    truncated = [_borderline(max(f.pole_exponents), cfg.dim) for f in integrands]
 
     return [
         IntegralResult(
@@ -981,10 +1007,10 @@ def integrate_radial_annulus(
     """Deterministic product rule over the annulus r_in <= |x| <= r_out.
 
     Used for integrands supported on an origin-centred annulus (cutoff
-    gradients).  The value is the pass at `radial_order` (>= 4; the low
-    level of `_level_orders` keeps at least 4 radial points, so a smaller
-    order would report the coarser pass), and the error estimate is the
-    two-level difference.
+    gradients).  The reported level is the pass at `radial_order` (>= 4;
+    the low level of `_level_orders` keeps at least 4 radial points, so a
+    smaller order would report the coarser pass); the check level is that
+    low level, and the error estimate is their difference (`_two_level`).
     """
     if not 0 < r_in < r_out:
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
@@ -996,9 +1022,10 @@ def integrate_radial_annulus(
         _shell_rule(np.zeros(dim), edges, q, order)
         for q, order in _level_orders(dim, radial_order, angular_order)
     ]
-    value, coarse = (math.fsum(sums([f])[0]) for _, sums in levels)
+    fine, coarse = (sums([f]) for _, sums in levels)
+    (value,), (diff,), (err,) = _two_level(fine, coarse, _unclosed)
     return IntegralResult(
-        value=value, stderr=0.0, trunc_bound=abs(value - coarse),
+        value=float(value), stderr=0.0, trunc_bound=float(diff + err),
         cells=_plan_nodes(levels),
     )
 
@@ -1017,10 +1044,13 @@ def integrate_pole_ball(
     i is `pole_index`, in [0, n_poles).  Each ball gets `levels` (>= 1)
     octave shells.  The unresolved inner ball is closed by the
     geometric-tail rule for a strict exponent p < N, so the result
-    approximates the full ball.  The value is the pass at
-    `radial_order` (>= 4) and the default angular order, the low level
-    (`_level_orders`) under a refined high level, so their difference, plus
-    the inner-closure uncertainty, estimates the error of the value itself.
+    approximates the full ball.  The reported level is the pass at
+    `radial_order` (>= 4) and the default angular order; the check level
+    is the pass one step higher (3 more radial points, half again the
+    angular order), whose low level (`_level_orders`) is the reported one.
+    The bound is their difference plus the reported level's inner-closure
+    uncertainty (`_two_level`), so it estimates the error of the reported
+    value itself.
 
     radius is a float, which gives one IntegralResult, or a ladder of m
     nested radii r_0 * 2^-k, k = 0 .. m-1, which gives a list of m; each
@@ -1061,21 +1091,18 @@ def integrate_pole_ball(
         for q, angular in _level_orders(cfg.dim, radial_order + 3, (3 * order + 1) // 2)
     ]
 
-    def balls(sums):
-        out = []
-        for k in range(m):
-            shells = sums[0, k : k + levels]
-            inner, err, _ = _inner_closure(shells, exponent, cfg.dim, truncate=False)
-            out.append((math.fsum(shells) + inner, err))
-        return out
-
-    fine, coarse = (balls(sums([f])) for _, sums in passes)
+    # Ball k's shells are the window k .. k + levels - 1 of each pass.
+    fine, coarse = (
+        np.lib.stride_tricks.sliding_window_view(sums([f])[0], levels)
+        for _, sums in passes
+    )
     n = _plan_nodes(passes)
     results = [
-        IntegralResult(
-            value=value, stderr=0.0, trunc_bound=abs(hi - value) + err, cells=n
-        )
-        for (hi, _), (value, err) in zip(fine, coarse)
+        IntegralResult(value=value, stderr=0.0, trunc_bound=diff + err, cells=n)
+        for value, diff, err in _two_level(
+            coarse, fine,
+            lambda k, shells: _closed_sum(shells, 2.0 ** (-(cfg.dim - exponent))),
+        ).T
     ]
     return results[0] if np.ndim(radius) == 0 else results
 

@@ -121,8 +121,10 @@ class TestParseRunConfig:
             lambda d: d["experiments"].update({"bogus": {}}),
             lambda d: d["output"].update({"bogus": 1}),
             lambda d: d["experiments"]["verify"].update({"bogus": 1}),
+            lambda d: d["problem"].update({"c_mu": 0.0}),
         ],
-        ids=["top", "problem", "quadrature", "experiments", "output", "verify"],
+        ids=["top", "problem", "quadrature", "experiments", "output", "verify",
+             "problem-c_mu"],
     )
     def test_unknown_keys_rejected_at_any_depth(self, tmp_path, mutate):
         data = base_config(tmp_path)
@@ -323,6 +325,27 @@ class TestExitCodes:
         if argv[0] != "selftest":
             argv += ["--config", path]
         assert main(argv + ["--quiet"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_certify_rejects_nonpositive_beta(self, tmp_path, capsys, beta):
+        """W is defined for beta > 0 only: certify stops with a config error
+        instead of reporting H2 as bounded."""
+        data = base_config(tmp_path)
+        data["experiments"]["certify"] = {"beta": beta}
+        path = write_config(tmp_path, data)
+        assert main(["certify", "--config", path, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "beta must be positive" in err
+
+    def test_optimality_grid_with_no_admissible_eps(self, tmp_path, capsys):
+        """A grid above the admissibility bound is a config error that names
+        the bound, not a rate fit over no points."""
+        data = base_config(tmp_path)
+        data["experiments"]["optimality"] = {"eps_list": [0.9, 0.8]}
+        path = write_config(tmp_path, data)
+        assert main(["optimality", "--config", path, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "max_admissible_eps" in err
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE

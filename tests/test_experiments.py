@@ -17,8 +17,10 @@ from multipolar_hardy import (
     ConfigError,
     CutoffTheta,
     DEFAULT_EPS_GRID,
+    EpsilonInadmissible,
     GaussianBump,
     MultipolarHardyError,
+    NonpositiveBeta,
     OptimalityPhi,
     PoleConfig,
     QuadratureSpec,
@@ -206,6 +208,18 @@ class TestOptimalitySweep:
                 two_poles_n3, WeightSpec.unit(), p,
                 eps_list=(0.05, 0.1), spec=lean_spec,
             )
+
+    def test_grid_with_no_admissible_eps(self, two_poles_n3, lean_spec):
+        """A grid wholly above max_admissible_eps (0.25 at R = 1) is
+        rejected by name, whether or not the rate is fitted."""
+        p = derive_params(two_poles_n3, 0.0)
+        bound = r"max_admissible_eps\(R=1\) = 0.25"
+        for fit in (True, False):
+            with pytest.raises(EpsilonInadmissible, match=bound):
+                optimality_sweep(
+                    two_poles_n3, WeightSpec.unit(), p,
+                    eps_list=(0.9, 0.8), spec=lean_spec, R=1.0, fit=fit,
+                )
 
     def test_short_grid_needs_fit_false(self, two_poles_n3, borderline_spec):
         p = derive_params(two_poles_n3, 0.0)
@@ -541,6 +555,12 @@ class TestH2Certify:
         assert sup == vals.max()
         assert err == abs(vals[::2].max() - vals[1::2].max())
         assert 0.0 < err != 0.05 * abs(sup)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_rejects_nonpositive_beta(self, two_poles_n3, lean_spec, beta):
+        """W needs beta > 0, as the energy ledger does."""
+        with pytest.raises(NonpositiveBeta, match="beta must be positive"):
+            h2_certify(two_poles_n3, WeightSpec.unit(), beta, 0.0, lean_spec)
 
     @pytest.mark.parametrize("k_bad", [0.0, -0.5])
     def test_wrong_k_detected_as_unbounded(self, two_poles_n3, lean_spec, k_bad):

@@ -188,9 +188,8 @@ class TestPoleBall:
         n, rule = quadrature._pole_ball_pass(
             cfg.poles[0], radius, levels, radial_order, order, fade=False
         )
-        sums = rule([f])
-        inner, err, _ = quadrature._inner_closure(sums[0], exponent, cfg.dim, False)
-        return math.fsum(sums[0]) + inner, err, n
+        value, err = quadrature._closed_sum(rule([f])[0], 2.0 ** -(cfg.dim - exponent))
+        return value, err, n
 
     @pytest.mark.parametrize("dim, order", [(3, 10), (4, 8)])
     def test_error_is_a_two_level_difference(self, dim, order):
@@ -303,10 +302,9 @@ def uniform_pole_region(integrands, cfg, spec, order):
         sums = rule(integrands)
         for k, f in enumerate(integrands):
             p = float(f.pole_exponents[i])
-            inner, _, _ = quadrature._inner_closure(
-                sums[k], p, cfg.dim, p >= cfg.dim - 1e-9
-            )
-            values[k] += math.fsum(sums[k]) + inner
+            values[k] += quadrature._closed_sum(
+                sums[k], 2.0 ** -(cfg.dim - p), p < cfg.dim - 1e-9
+            )[0]
     return values
 
 
@@ -352,12 +350,11 @@ class TestGradedPoleBalls:
     @pytest.mark.parametrize("dim, order", [(3, 24), (4, 16)])
     def test_matches_high_order_balls(self, dim, order, power_weight, borderline_spec):
         cfg, integrands = self.integrands(dim, power_weight)
-        values, truncs, truncated, _ = quadrature._pole_region(
-            integrands, cfg, borderline_spec,
-            quadrature._pole_plan(cfg, borderline_spec),
+        values, truncs = quadrature._pole_region(
+            integrands, cfg, quadrature._pole_plan(cfg, borderline_spec)
         )
         reference = uniform_pole_region(integrands, cfg, borderline_spec, order)
-        assert truncated[-1]
+        assert quadrature._borderline(integrands[-1].pole_exponents[-1], dim)
         for f, value, trunc, ref in zip(integrands, values, truncs, reference):
             assert abs(value - ref) <= 1e-7 * abs(ref), f.name
             assert abs(value - ref) <= trunc, f.name
@@ -394,7 +391,7 @@ class TestGradedPoleBalls:
 
         plan = quadrature._pole_plan(cfg, borderline_spec)
         integrand = Integrand(func=ones, pole_exponents=[0.0, 0.0])
-        quadrature._pole_region([integrand], cfg, borderline_spec, plan)
+        quadrature._pole_region([integrand], cfg, plan)
         assert sum(quadrature._plan_nodes(ball) for ball in plan) == sum(points)
 
     def test_evaluates_fewer_nodes(self, borderline_spec):
@@ -433,6 +430,26 @@ class TestRadialAnnulus:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             integrate_radial_annulus(lambda p: np.ones(len(p)), 3, 2.0, 1.0)
+
+    def test_error_is_a_two_level_difference(self):
+        """The value is the pass at radial order 8 and angular order 10
+        (N = 3), bit for bit; its bound is the distance to the low level
+        of `_level_orders` (5 radial points, angular order 6), with no
+        closure error, recomputed from the rule's own passes."""
+        def func(pts):
+            r = np.linalg.norm(pts, axis=1)
+            return np.sin(r) * pts[:, 0] ** 2 + np.exp(-r) * pts[:, 1] ** 4
+
+        res = integrate_radial_annulus(func, dim=3, r_in=0.7, r_out=5.3)
+        f = Integrand(func=func, pole_exponents=[])
+        edges = quadrature._log_edges(0.7, 5.3)
+        fine, coarse = (
+            math.fsum(quadrature._shell_rule(np.zeros(3), edges, q, order)[1]([f])[0])
+            for q, order in ((8, 10), (5, 6))
+        )
+        assert res.value == fine
+        assert res.trunc_bound == abs(fine - coarse) + 0.0
+        assert res.trunc_bound > 0.0
 
     @pytest.mark.parametrize("radial_order", [1, 2, 3])
     def test_rejects_radial_order_below_four(self, radial_order):
@@ -691,6 +708,35 @@ class TestFarRule:
         res = integrate(func, two_poles_n3, lean_spec)
         assert res.stderr == 0.0
         assert abs(res.value - exact) <= 1e-9 * exact
+
+    @pytest.mark.parametrize("support", [None, 20.0])
+    def test_error_is_a_two_level_difference(self, two_poles_n3, lean_spec, support):
+        """The far shells report the high level of `_level_orders`.  Their
+        bound is the collar's and the plateau's distances to the low level,
+        plus the high level's closure error for unbounded support,
+        recomputed from the rule's own passes.  The integrand vanishes on
+        the pole balls, so the bound is the far region's alone."""
+        onset = 0.8 * lean_spec.far_radius
+
+        def func(pts):
+            r = np.linalg.norm(pts, axis=1)
+            shape = 1.0 + 0.5 * pts[:, 0] * pts[:, 1] / r**2 + (pts[:, 2] / r) ** 4
+            return np.where(r > onset, np.exp(-r / 3.0) * shape / r**2, 0.0)
+
+        f = Integrand(func=func, pole_exponents=[0.0, 0.0], support_radius=support)
+        res = integrate_many([f], two_poles_n3, lean_spec)[0]
+        levels, rho_decl = quadrature._far_plan(3, lean_spec, support)
+        (hi,), (lo,) = (sums([f]) for _, sums in levels)
+        rest_hi = rest_lo = err = 0.0
+        if support is None:
+            # Plateau shells from the inside out; the collar is the last.
+            rest_hi, err = quadrature._geometric_closure(hi[-2::-1], rho_decl)
+            rest_lo, _ = quadrature._geometric_closure(lo[-2::-1], rho_decl)
+            assert err > 0.0
+        collar = abs(hi[-1] - lo[-1])
+        plateau = abs(math.fsum(hi[:-1]) + rest_hi - (math.fsum(lo[:-1]) + rest_lo))
+        assert collar > 0.0 and plateau > 0.0
+        assert res.trunc_bound == collar + plateau + err
 
 
 # --------------------------------------------------------------------------
