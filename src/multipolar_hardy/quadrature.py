@@ -26,17 +26,24 @@ and summed with compensated summation in a fixed order:
 
 (b) the bounded complement B(0, far_radius) minus the pole balls, by
     stratified Monte Carlo over an axis-aligned grid of the enclosing box
-    with antithetic pairs.  Only live strata get pairs: a stratum whose
-    box lies outside the far ball or inside a pole core, by a test with a
-    rounding margin, could hold no node of nonzero mid weight.  The live
-    strata share the pair budget in proportion to (1 + d/pole_radius)^-2,
-    d the distance from the stratum's box to the nearest pole, at least
-    2 pairs each: the singular masses put almost all of the variance in
-    the strata next to a pole, so this (Neyman-type) allocation spends
-    the pairs where the variance is.  Each stratum's mean and variance
-    are taken over its own pairs.  The uniforms are drawn once per call;
-    the points are built from them a slice of whole strata at a time,
-    when the slice is evaluated.
+    with antithetic pairs.  The grid is fine: as many strata as get 6
+    samples each at N = 3, 12 at N = 4 (`_strata_grid`, up to 64 and 24
+    per axis), since a pair mean in a cube of side h errs by O(h^2), so
+    that at a fixed budget the variance falls like h^4 and many cells of
+    two pairs beat few cells of many.  Only live strata get pairs: a
+    stratum whose box lies outside the far ball or inside a pole core, by
+    a per-axis test with a rounding margin, could hold no node of nonzero
+    mid weight.  The S live strata of C spend the live share of
+    mc_samples / 2, B = round(mc_samples S / (2 C)) pairs, in proportion
+    to (1 + d/pole_radius)^-2, d the distance from the stratum's box to
+    the nearest pole, water-filled above a floor of 2 pairs each and
+    rounded down, so at most B in all: the singular
+    masses put almost all of the variance in the strata next to a pole,
+    so this (Neyman-type) allocation spends the pairs where the variance
+    is.  Each stratum's mean and variance are taken over its own pairs,
+    summed over fixed blocks of strata, and the blocks summed with
+    math.fsum.  The uniforms are drawn and the points built from them a
+    slice of whole blocks at a time, when the slice is evaluated.
 
 (c) the far field beyond 0.8 * far_radius, in origin-centred shells with
     the product angular rule at the dimension's full order: one collar
@@ -65,15 +72,15 @@ count and the function that integrates a batch on it, and the mid region
 is its per-stratum pair counts.  The evaluation cap, the reported cells
 and the run all read that one plan.  The work is slice by slice: each
 rule cuts its nodes once into slices of whole shells (pole balls, far
-shells) or whole cells (mid region), about CHUNK // K nodes (at least
-_SLICE_FLOOR) for the K integrands it evaluates, and on each slice
+shells) or whole blocks of cells (mid region), about CHUNK // K nodes (at
+least _SLICE_FLOOR) for the K integrands it evaluates, and on each slice
 calls each of them in batch order, with one and the same array of
 points; so evaluators may share the work of a slice (test functions,
-weight, potentials) across integrands.  Each shell's or cell's sum is
-one in-order bincount, and no (K, n) array of the whole node set is ever
-held.  Every rule builds a slice's nodes and weights only when the slice
-is evaluated (region (b) keeps only its uniform draws for the whole
-call), so no rule holds an array of all its nodes either.
+weight, potentials) across integrands.  Each shell's, cell's or block's
+sum is one in-order bincount, and no (K, n) array of the whole node set,
+nor of region (b)'s strata, is ever held.  Every rule builds a slice's
+nodes and weights only when the slice is evaluated, so no rule holds an
+array of all its nodes either.
 
 Every deterministic rule runs at two levels of `_level_orders`, reports
 one and is checked against the other (`_two_level`): its error estimate
@@ -84,17 +91,19 @@ low one; integrate_pole_ball reports the low level and checks it against
 a level one step higher.
 
 Determinism: region (b) is the only stochastic region; its stream is a
-Philox counter-based substream derived from (seed, region), and partial
-sums are reduced in a fixed order with math.fsum, so results are
-reproducible for a fixed seed.  A result depends only on the spec and its
-own integrand: it equals, bit for bit, the same integrand passed alone.
+Philox counter-based substream derived from (seed, region), drawn slice
+after slice in stratum order, and partial sums are reduced in a fixed
+order with math.fsum over blocks of strata that the plan fixes, so results
+are reproducible for a fixed seed.  A result depends only on the spec and
+its own integrand: it equals, bit for bit, the same integrand passed
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,9 +161,11 @@ class QuadratureSpec:
     pole_radius   radius of the graded ball around each pole (<= min_pole_gap)
     far_radius    outer radius of the mid region; the far field starts at 0.8x
     radial_levels geometric shell count per pole ball (>= 4)
-    mc_samples    sample budget of the stratified-MC region (>= 1e3): its
-                  S live strata of C share S * max(2, mc_samples // (2 C))
-                  antithetic pairs, weighted toward the poles
+    mc_samples    sample budget of the stratified-MC region (>= 1e3): it
+                  sets a grid of C strata of about 6 samples each at N = 3
+                  (12 at N = 4, 48 above), and the S live strata share at
+                  most round(mc_samples * S / (2 C)) antithetic pairs,
+                  weighted toward the poles, at least 2 each
     seed          64-bit seed of the mid region, the only stochastic one
     tail_exponent declared decay s > 0 in |x|^-(N+s) of unbounded integrands;
                   closes their far shells when the measured ratio is unstable
@@ -215,8 +226,8 @@ class IntegralResult:
     the call; a node counts once however many integrands are evaluated at
     it.  Region (b) counts both halves of every pair it draws, the nodes
     that its partition mask drops (pole cores, zero weight) included,
-    though no integrand is evaluated there: the mask keeps about 88% of
-    them at N = 3 (pole_radius 1, mc_samples 4e5) and 70% at N = 4
+    though no integrand is evaluated there: the mask keeps about 91% of
+    them at N = 3 (pole_radius 1, mc_samples 4e5) and 74% at N = 4
     (pole_radius 0.9, mc_samples 1e5), so cells, like the evaluation cap,
     overstates the mid region's evaluations by that margin.
     truncated is set when a borderline pole exponent left the innermost
@@ -319,15 +330,22 @@ def unit_sphere_rule(dim: int, order: int | None = None):
     return dirs, wts
 
 
+# Declared pole exponents within this distance of N count as the borderline
+# p == N, both where they are rejected (`local_integrability_check`) and
+# where the pole ball is truncated (`_borderline`), so that no exponent is
+# accepted as integrable and then truncated.
+_BORDERLINE_TOL = 1e-9
+
+
 def local_integrability_check(exponents: Sequence[float], dim: int) -> None:
     """Require r^(N-1-p) integrable at r = 0 for every declared exponent.
 
-    Passes iff p < N strictly for each pole; the borderline p == N already
-    diverges logarithmically and is rejected here (truncated evaluation is a
-    separate opt-in on the Integrand).
+    Passes iff p < N - _BORDERLINE_TOL for each pole; the borderline p == N
+    already diverges logarithmically and is rejected here (truncated
+    evaluation is a separate opt-in on the Integrand).
     """
     for i, p in enumerate(exponents):
-        if not p < dim - 1e-12:
+        if not p < dim - _BORDERLINE_TOL:
             raise NonIntegrableSingularity(
                 f"pole {i}: integrand grows like r^-{p} with N = {dim}; "
                 f"needs p < N"
@@ -567,9 +585,10 @@ def _geometric_closure(shell_sums: np.ndarray, rho_decl: float):
 
 
 def _borderline(p: float, dim: int) -> bool:
-    """A declared pole exponent at the borderline p == N, whose pole ball is
-    integrated down to the innermost shell radius only (truncated)."""
-    return p >= dim - 1e-9
+    """A declared pole exponent at the borderline p == N (within
+    _BORDERLINE_TOL), whose pole ball is integrated down to the innermost
+    shell radius only (truncated)."""
+    return p >= dim - _BORDERLINE_TOL
 
 
 def _closed_sum(shells: np.ndarray, rho_decl: float, closed: bool = True):
@@ -680,11 +699,25 @@ def _pole_region(integrands, cfg, plan):
     return values, bounds
 
 
+# Region (b)'s grid: the most strata per axis s for which each of the s^N
+# strata still gets _STRATUM_SAMPLES samples, up to _STRATA_CAP strata per
+# axis.  An antithetic pair mean in a cube of side h errs by O(h^2), so at a
+# fixed budget the variance falls like h^4: many cells of two pairs beat few
+# cells of many (Haber 1967).  The z check of the mid region set the
+# constants: at N = 3 six samples per stratum, at N = 4 twelve, where six
+# understated the bars.  N >= 5, which no z check covers, keep 48.
+_STRATUM_SAMPLES = {3: 6, 4: 12}
+_STRATA_CAP = {3: 64, 4: 24, 5: 8, 6: 6}
+
+
 def _strata_grid(dim: int, mc_samples: int):
-    caps = {3: 32, 4: 16, 5: 8, 6: 6}
-    cap = caps.get(dim, 4)
-    s = int(round((mc_samples / 48.0) ** (1.0 / dim)))
-    return int(np.clip(s, 2, cap))
+    """Strata per axis of region (b): the largest s with s^N strata of
+    _STRATUM_SAMPLES samples each in mc_samples, clipped to [2, cap]."""
+    per = _STRATUM_SAMPLES.get(dim, 48)
+    s = round((mc_samples / per) ** (1.0 / dim))
+    if s**dim * per > mc_samples:
+        s -= 1
+    return int(np.clip(s, 2, _STRATA_CAP.get(dim, 4)))
 
 
 # Rounding margin of the dead-stratum test, in units of far_radius: far
@@ -699,42 +732,50 @@ _DEAD_MARGIN = 1e-9
 # whose variance estimates then put more than 1% of the z-scores past 3.
 _PAIR_DECAY = 2
 
+# Region (b) sums its per-stratum moments over blocks of this many strata
+# (in stratum order), and only then over the blocks (math.fsum); slices of
+# the region are cut at block edges, so no block is ever split.  At N = 3
+# and 4e5 samples a block holds about 370 pairs, at most about 1000: half
+# the slice floor, so whole blocks keep the slices near their cap.
+_STRATA_BLOCK = 128
 
-def _live_strata(cfg, spec, grid, h):
-    """Indices of the strata whose box can hold a node of the mid region.
 
-    grid holds each stratum's integer coordinates, h the box side.  A
-    stratum is dead if its box lies outside B(0, far_radius), where the far
+def _grid_sum(terms):
+    """sum_d terms[d][k_d] at every grid point (k_1, .., k_N), as an array of
+    shape (len(terms[0]), .., len(terms[-1])): the 1-D terms broadcast
+    against each other and added in axis order."""
+    return reduce(np.add.outer, terms)
+
+
+def _live_strata(cfg, spec, s):
+    """Flat indices, in increasing (C) order, of the strata of an s^N grid
+    whose box can hold a node of the mid region.
+
+    A stratum is dead if its box lies outside B(0, far_radius), where the far
     weight is exactly 1 and every pole weight is 0 (the far ball encloses
     the pole balls), or inside a pole core B(a_i, 0.7 pole_radius), which
     the core mask drops.  Both tests keep a margin of _DEAD_MARGIN *
     far_radius, so no rounding of a node or of its distances can carry it
     across either boundary: every node of a dead stratum has
-    _mid_partition's mask False.
+    _mid_partition's mask False.  Both are built per axis: a box's nearest
+    point to the origin and its farthest corner from a pole are per-axis
+    choices, so their squared distances are sums of 1-D terms (`_grid_sum`).
+    A box inside a core has every coordinate range inside it, so each pole
+    is tested on that sub-grid only.
     """
     R = spec.far_radius
     slack = _DEAD_MARGIN * R
-    lo = -R + grid * h
-    hi = lo + h
-    # The box's nearest point to the origin; its farthest corner from a pole.
-    dead = _length(np.maximum(np.maximum(lo, -hi), 0.0)) >= R + slack
-    core = _POLE_FADE_START * spec.pole_radius
+    lo = -R + np.arange(s) * (2.0 * R / s)
+    hi = lo + 2.0 * R / s
+    near = np.maximum(np.maximum(lo, -hi), 0.0)
+    dead = np.sqrt(_grid_sum([near**2] * cfg.dim)) >= R + slack
+    core = _POLE_FADE_START * spec.pole_radius - slack
     for pole in cfg.poles:
-        far = _length(np.maximum(np.abs(lo - pole), np.abs(hi - pole)))
-        dead |= far <= core - slack
+        far = [np.maximum(np.abs(lo - a), np.abs(hi - a)) for a in pole]
+        axes = [np.flatnonzero(f <= core) for f in far]
+        inside = np.sqrt(_grid_sum([f[k] ** 2 for f, k in zip(far, axes)])) <= core
+        dead[np.ix_(*axes)] |= inside
     return np.flatnonzero(~dead)
-
-
-def _pole_box_distance(cfg, lo, hi):
-    """Distance from each box [lo, hi] (rows) to its nearest pole.
-
-    The distance from a box to a point is that of the box's nearest point,
-    so 0 for a box that holds a pole.
-    """
-    return np.min(
-        [_length(np.maximum(np.maximum(lo - pole, pole - hi), 0.0)) for pole in cfg.poles],
-        axis=0,
-    )
 
 
 def _mid_partition(pts, cfg, spec):
@@ -767,30 +808,48 @@ def _mid_pairs(cfg, spec):
 
     Returns (h, grid, n): the box side h, the integer coordinates of the
     live strata (`_live_strata`, in increasing stratum order) and their
-    pair counts.  The live strata share the budget of
-    S * max(2, mc_samples // (2 C)) pairs (S live strata of C) in
-    proportion to (1 + d_s / pole_radius)^-_PAIR_DECAY, d_s the distance
-    from the box to the nearest pole, rounded down, with at least 2 pairs
-    per stratum: so n_s falls with d_s, and the total is at most the
-    budget plus 2 S.
+    pair counts.  S live strata of the C of the grid (`_strata_grid`) spend
+    the live share of mc_samples / 2, B = round(mc_samples * S / (2 C))
+    pairs.  Stratum s gets n_s = max(2, floor(c * w_s)), with weight
+    w_s = (1 + d_s / pole_radius)^-_PAIR_DECAY, d_s the distance from its
+    box to the nearest pole, and c water-filled: sum_s max(2, c * w_s) = B,
+    so sum n_s <= B (unless B < 2 S, when every stratum gets 2).  c is
+    found by Newton's method from above on that convex, piecewise-linear
+    sum (the strata above the floor of 2 are its active set), and then
+    taken as (B - 2 (S - |active|)) / fsum(w_active), which no summation
+    order can change.  d_s is built per axis, from 1-D terms at each
+    live stratum's coordinates.
     """
     dim = cfg.dim
     R = spec.far_radius
     s = _strata_grid(dim, spec.mc_samples)
-    C = s**dim
     h = 2.0 * R / s
+    live = _live_strata(cfg, spec, s)
+    grid = np.stack(np.unravel_index(live, (s,) * dim), axis=1)
+    lo = -R + np.arange(s) * h
+    hi = lo + h
+    dist2 = None
+    for pole in cfg.poles:
+        gap2 = [np.maximum(np.maximum(lo - a, a - hi), 0.0) ** 2 for a in pole]
+        d2 = gap2[0][grid[:, 0]]
+        for axis in range(1, dim):
+            d2 = d2 + gap2[axis][grid[:, axis]]
+        dist2 = d2 if dist2 is None else np.minimum(dist2, d2)
+    w = (1.0 + np.sqrt(dist2) / spec.pole_radius) ** -_PAIR_DECAY
 
-    # Stratum index -> integer grid coordinates, fixed C-order.
-    grid = np.stack(
-        np.meshgrid(*([np.arange(s)] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    grid = grid[_live_strata(cfg, spec, grid, h)]
-    lo = -R + grid * h
-    d = _pole_box_distance(cfg, lo, lo + h)
-    share = (1.0 + d / spec.pole_radius) ** -_PAIR_DECAY
-    budget = grid.shape[0] * max(2, spec.mc_samples // (2 * C))
-    n = np.maximum(2, np.floor(budget * share / math.fsum(share)).astype(np.int64))
-    return h, grid, n
+    S = len(live)
+    budget = round(spec.mc_samples * S / (2 * s**dim))
+    if budget <= 2 * S:
+        return h, grid, np.full(S, 2, dtype=np.int64)
+    active = np.ones(S, dtype=bool)
+    while True:
+        c = (budget - 2 * (S - active.sum())) / w[active].sum()
+        above = active & (c * w > 2.0)
+        if above.sum() == active.sum():
+            break
+        active = above
+    c = (budget - 2 * (S - active.sum())) / math.fsum(w[active].tolist())
+    return h, grid, np.maximum(2, np.floor(c * w).astype(np.int64))
 
 
 def _mid_region(integrands, cfg, spec, pairs):
@@ -802,58 +861,65 @@ def _mid_region(integrands, cfg, spec, pairs):
     so the node set is a pure function of them: it does not depend on
     which integrands share the batch, and Gram-type computations reuse
     identical nodes across batch compositions.  The uniforms of every pair
-    are drawn once per call, stratum by stratum in stratum order, from one
-    Philox stream keyed by the seed.
+    come from one Philox stream keyed by the seed, stratum by stratum in
+    stratum order; each slice draws its own in turn, which gives the same
+    numbers as one draw for the whole call.
 
-    The work is a slice of whole strata at a time, and a slice builds its
-    points when it is evaluated: per antithetic half, the points of the
-    slice's pairs, their `_mid_partition`, and every integrand in turn on
-    the kept ones (`_eval_batch`).  Each half's values are added at their
-    pairs' positions into the slice's zeroed pair values, so a pair holds
-    the sum of its two halves, a dropped node counting as 0 (adding into
-    +0 can at most turn a -0 into +0, which no bin sum, started at +0, can
-    see).  Antithetic pairs cancel the linear part of smooth integrands;
-    the variance estimate treats pair averages as the iid unit, each
-    stratum's mean and variance taken over its own n_s pairs, both from
-    one bincount index per slice, each bin in node order.  The per-stratum
-    means and variances of every integrand are summed with math.fsum.
-    Returns (values, stderrs).
+    The work is a slice of whole blocks of _STRATA_BLOCK strata at a time,
+    and a slice builds its points when it is evaluated: per antithetic
+    half, the points of the slice's pairs, their `_mid_partition`, and
+    every integrand in turn on the kept ones (`_eval_batch`).  Each half's
+    values are added at their pairs' positions into the slice's zeroed
+    pair values, so a pair holds the sum of its two halves, a dropped node
+    counting as 0 (adding into +0 can at most turn a -0 into +0, which no
+    bin sum, started at +0, can see).  Antithetic pairs cancel the linear
+    part of smooth integrands; the variance estimate treats pair averages
+    as the iid unit, each stratum's mean and variance taken over its own
+    n_s pairs, both from one bincount index per slice, each bin in node
+    order.  A second bincount sums the strata's means and mean variances
+    over each block, in stratum order, and math.fsum sums each integrand's
+    block sums: the blocks are fixed by the plan and never split, so the
+    batch size, which sets the slices, changes no bit, and no array of
+    one entry per integrand and stratum is held.  Returns (values,
+    stderrs).
     """
     R = spec.far_radius
     h, grid, n = pairs
     bounds = np.concatenate([[0], np.cumsum(n)])
+    # edges[b] is the first stratum of block b; edges[-1] the stratum count.
+    edges = np.append(np.arange(0, len(n), _STRATA_BLOCK), len(n))
     rng = np.random.Generator(np.random.Philox(key=spec.seed ^ _REGION_MID))
-    u = rng.random((int(bounds[-1]), cfg.dim))
     K = len(integrands)
-    means, var_means = np.empty((2, K, len(n)))
+    blocks = np.empty((2, K, len(edges) - 1))
 
-    def stratum_moments(i, j):
-        """Means and mean variances (K, j - i) of strata i:j; its arrays are
-        freed on return."""
-        a, b = bounds[i], bounds[j]
-        n_s = n[i:j]
-        corner = np.repeat(grid[i:j], n_s, axis=0)
+    def block_moments(i, j):
+        """Sums (K, j - i) over each of blocks i:j of its strata's means and
+        mean variances; its arrays are freed on return."""
+        first, last = edges[i], edges[j]
+        a, b = bounds[first], bounds[last]
+        n_s = n[first:last]
+        u = rng.random((b - a, cfg.dim))
+        corner = np.repeat(grid[first:last], n_s, axis=0)
         vals = np.zeros((K, b - a))
-        for half in (u[a:b], 1.0 - u[a:b]):
+        for half in (u, 1.0 - u):
             mask, pts, weight = _mid_partition(-R + (corner + half) * h, cfg, spec)
             vals[:, mask] += _eval_batch(integrands, pts, weight)
         vals *= 0.5
-        stratum = np.repeat(np.arange(j - i), n_s)
-        sums, sumsq = _binned(stratum, j - i, vals, vals**2)
+        stratum = np.repeat(np.arange(last - first), n_s)
+        sums, sumsq = _binned(stratum, last - first, vals, vals**2)
         mean = sums / n_s
         var = np.maximum(0.0, sumsq / n_s - mean**2)
         # Unbiased variance of the stratum mean over antithetic pairs.
-        return mean, var / (n_s - 1)
+        block = np.repeat(np.arange(j - i), np.diff(edges[i : j + 1]))
+        return _binned(block, j - i, mean, var / (n_s - 1))
 
-    for i, j in _slices(bounds, K):
-        means[:, i:j], var_means[:, i:j] = stratum_moments(i, j)
+    for i, j in _slices(bounds[edges], K):
+        blocks[:, :, i:j] = block_moments(i, j)
 
     cell_vol = h**cfg.dim
-    values, stderrs = np.empty(K), np.empty(K)
-    for k in range(K):
-        values[k] = cell_vol * math.fsum(means[k].tolist())
-        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_means[k].tolist()))
-    return values, stderrs
+    values = [cell_vol * math.fsum(row.tolist()) for row in blocks[0]]
+    stderrs = [cell_vol * math.sqrt(math.fsum(row.tolist())) for row in blocks[1]]
+    return np.array(values), np.array(stderrs)
 
 
 def _far_plan(dim, spec, support):
@@ -938,7 +1004,7 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     for f in integrands:
         if f.allow_truncation:
             for i, p in enumerate(f.pole_exponents):
-                if p > cfg.dim + 1e-9:
+                if p > cfg.dim + _BORDERLINE_TOL:
                     raise NonIntegrableSingularity(
                         f"pole {i}: exponent {p} exceeds N = {cfg.dim}; "
                         f"divergence is polynomial, not truncatable"

@@ -220,6 +220,15 @@ class TestPoleBall:
                 lambda p: np.ones(len(p)), cfg, 0, 1.0, levels=8, exponent=3.0
             )
 
+    def test_rejects_near_borderline_exponent(self):
+        """N - 1e-10 is the borderline, which a whole ball cannot close."""
+        cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
+        with pytest.raises(NonIntegrableSingularity):
+            integrate_pole_ball(
+                lambda p: np.ones(len(p)), cfg, 0, 0.9, levels=20,
+                exponent=3.0 - 1e-10,
+            )
+
     @staticmethod
     def ball(**kwargs):
         """integrate_pole_ball of 1 on a two-pole N = 3 config."""
@@ -590,6 +599,24 @@ class TestIntegrateMany:
         with pytest.raises(NonIntegrableSingularity):
             integrate(bad, two_poles_n3, lean_spec)
 
+    def test_near_borderline_is_the_borderline(self, two_poles_n3):
+        """An exponent of N - 1e-10 is the borderline: without the opt-in it
+        is rejected, not truncated with a wrong value, and with it the pole
+        ball is truncated and flagged like p == N."""
+        spec = QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=20,
+            mc_samples=20_000, seed=3,
+        )
+        p = 3.0 - 1e-10
+        bad = Integrand(func=gaussian, pole_exponents=[p, 0.0])
+        with pytest.raises(NonIntegrableSingularity):
+            integrate_many([bad], two_poles_n3, spec)
+        res = integrate_many(
+            [dataclasses.replace(bad, allow_truncation=True)], two_poles_n3, spec
+        )[0]
+        assert res.truncated
+        assert res.eta == 0.9 * 2.0**-20
+
     def test_rejects_super_borderline_even_truncated(self, two_poles_n3, lean_spec):
         bad = Integrand(
             func=gaussian, pole_exponents=[3.5, 0.0], allow_truncation=True
@@ -744,19 +771,44 @@ class TestFarRule:
 # --------------------------------------------------------------------------
 
 
+def reference_live(cfg, spec, grid, h):
+    """The live strata by the box test on every stratum's coordinates: a box
+    is dead if its nearest point to the origin lies beyond the far radius,
+    or its farthest corner from a pole inside that pole's core, each by a
+    margin of 1e-9 far radii."""
+    R = spec.far_radius
+    slack = 1e-9 * R
+    lo = -R + grid * h
+    hi = lo + h
+    dead = np.linalg.norm(np.maximum(np.maximum(lo, -hi), 0.0), axis=1) >= R + slack
+    core = quadrature._POLE_FADE_START * spec.pole_radius
+    for pole in cfg.poles:
+        far = np.maximum(np.abs(lo - pole), np.abs(hi - pole))
+        dead |= np.linalg.norm(far, axis=1) <= core - slack
+    return np.flatnonzero(~dead)
+
+
 def reference_pairs(cfg, spec, grid, h):
     """Live strata and their pair counts, from the allocation rule: the
-    budget S * max(2, mc_samples // (2 C)) split in proportion to
-    (1 + d / pole_radius)^-2, d the distance from a stratum's box to the
-    nearest pole, rounded down, with at least 2 pairs."""
+    live share B = round(mc_samples * S / (2 C)) of the pairs, n_s =
+    max(2, floor(c * w_s)) with w_s = (1 + d_s / pole_radius)^-2, d_s the
+    distance from a stratum's box to the nearest pole, and c water-filled
+    so that sum max(2, c * w_s) = B.  The water level is found by sorting:
+    with the m heaviest strata above the floor, c = (B - 2 (S - m)) / (the
+    fsum of their weights), and m is the count that c keeps above it."""
     R = spec.far_radius
-    live = quadrature._live_strata(cfg, spec, grid, h)
+    live = reference_live(cfg, spec, grid, h)
     lo = -R + grid[live] * h
     nearest = np.clip(cfg.poles[None, :, :], lo[:, None, :], lo[:, None, :] + h)
     d = np.linalg.norm(nearest - cfg.poles[None, :, :], axis=2).min(axis=1)
-    share = (1.0 + d / spec.pole_radius) ** -2.0
-    budget = live.size * max(2, spec.mc_samples // (2 * grid.shape[0]))
-    n = np.maximum(2, np.floor(budget * share / math.fsum(share)).astype(int))
+    w = (1.0 + d / spec.pole_radius) ** -2.0
+    S = live.size
+    budget = round(spec.mc_samples * S / (2 * grid.shape[0]))
+    heavy = np.sort(w)[::-1]
+    level = (budget - 2 * (S - np.arange(1, S + 1))) / np.cumsum(heavy)
+    m = 1 + int(np.flatnonzero(level * heavy > 2.0)[-1])
+    c = (budget - 2 * (S - m)) / math.fsum(heavy[:m].tolist())
+    n = np.maximum(2, np.floor(c * w).astype(int))
     return live, n, d, budget
 
 
@@ -772,7 +824,9 @@ def strata_grid(cfg, spec):
 def reference_mid_region(integrands, cfg, spec):
     """Region (b) with the node geometry rebuilt for every integrand and
     antithetic half: the per-integrand loop the shared node set replaced,
-    on the pole-weighted pairs of the live strata."""
+    on the pole-weighted pairs of the live strata, with one draw of all
+    the uniforms, and each stratum's moments summed per block of
+    _STRATA_BLOCK strata before math.fsum sums the blocks."""
     dim = cfg.dim
     R = spec.far_radius
     K = len(integrands)
@@ -800,6 +854,7 @@ def reference_mid_region(integrands, cfg, spec):
     u = rng.random((n.sum(), dim))
     reps = np.repeat(np.arange(live.size), n)
     corners = grid[live][reps]
+    block = np.arange(live.size) // quadrature._STRATA_BLOCK
     values = np.zeros(K)
     stderrs = np.zeros(K)
     for k, f in enumerate(integrands):
@@ -811,8 +866,9 @@ def reference_mid_region(integrands, cfg, spec):
         mean = sums / n
         var = np.maximum(0.0, sumsq / n - mean**2)
         var_mean = var / (n - 1)
-        values[k] = cell_vol * math.fsum(mean)
-        stderrs[k] = cell_vol * math.sqrt(math.fsum(var_mean))
+        block_var = np.bincount(block, weights=var_mean)
+        values[k] = cell_vol * math.fsum(np.bincount(block, weights=mean))
+        stderrs[k] = cell_vol * math.sqrt(math.fsum(block_var))
     return values, stderrs
 
 
@@ -894,12 +950,13 @@ def mid_geometry(case):
             mc_samples=80_000, seed=3,
         )
     if case == "n6":
+        # 2e5 samples give a 4^6 grid, some of whose strata are dead.
         cfg = PoleConfig(dim=6, poles=np.array(
             [[0.0] * 6, [1.5, 0.4, 0.0, 0.0, 0.0, 0.0]]
         ))
         return cfg, QuadratureSpec(
             pole_radius=min_pole_gap(cfg), far_radius=3.5, radial_levels=10,
-            mc_samples=100_000, seed=3,
+            mc_samples=200_000, seed=3,
         )
     if case == "nine_poles":
         # numpy sums a pole axis of length >= 8 pairwise, not in order.
@@ -910,6 +967,18 @@ def mid_geometry(case):
             radial_levels=10, mc_samples=300_000, seed=9,
         )
     raise ValueError(case)
+
+
+# Strata per axis, live strata and pairs of each `mid_geometry` case.
+PINNED_PAIRS = {
+    "mc_bump": (40, 37252, 108436),
+    "odd_grid": (21, 5832, 17695),
+    "enclosing": (25, 9604, 28124),
+    "core_strata": (40, 36768, 104212),
+    "n4": (9, 3753, 21146),
+    "n6": (4, 3648, 86288),
+    "nine_poles": (36, 27520, 84656),
+}
 
 
 class TestMidRegionNodeSet:
@@ -962,8 +1031,9 @@ class TestMidRegionNodeSet:
         cfg, spec = mid_geometry(case)
         dim, R = cfg.dim, spec.far_radius
         grid, h = strata_grid(cfg, spec)
+        s = quadrature._strata_grid(dim, spec.mc_samples)
         dead = np.setdiff1d(
-            np.arange(grid.shape[0]), quadrature._live_strata(cfg, spec, grid, h)
+            np.arange(grid.shape[0]), quadrature._live_strata(cfg, spec, s)
         )
         assert dead.size > 0
         if case == "core_strata":
@@ -999,29 +1069,48 @@ class TestMidRegionNodeSet:
     )
     def test_pairs_fall_with_pole_distance(self, case, monkeypatch):
         """n_s is non-increasing in the distance from the stratum's box to
-        the nearest pole, at least 2, and the total stays within the
-        budget plus 2 per live stratum.  The rule draws both halves of
-        every pair, 2 * sum(n_s) nodes, the mid count of the cap."""
+        the nearest pole and at least 2, and the total is at most the
+        budget B and loses less than one pair per live stratum to the
+        rounding down.  The grid side, the live strata and the total are
+        pinned.  The rule draws both halves of every pair, 2 * sum(n_s)
+        nodes, the mid count of the cap."""
         cfg, spec = mid_geometry(case)
         grid, h = strata_grid(cfg, spec)
         live, n_ref, d, budget = reference_pairs(cfg, spec, grid, h)
         _, live_grid, n = quadrature._mid_pairs(cfg, spec)
         assert live_grid.tolist() == grid[live].tolist()
         assert n.tolist() == n_ref.tolist()
+        assert (round(2.0 * spec.far_radius / h), n.size, n.sum()) == PINNED_PAIRS[case]
         order = np.argsort(d, kind="stable")
         assert np.all(np.diff(n[order]) <= 0)
         assert n.min() >= 2
-        assert budget - n.size < n.sum() <= budget + 2 * n.size
+        assert budget - n.size < n.sum() <= budget
         assert n.max() > n.min()
         seen = partitioned_points(monkeypatch)
         mid_region(weighted_bumps(cfg, WeightSpec.unit(), 1), cfg, spec)
         assert sum(seen) == 2 * n.sum()
 
+    def test_budget_below_the_floor_gives_two_pairs_each(self):
+        """With 1e3 samples on the 2^8 grid of N = 8 the budget B is less
+        than 2 pairs per live stratum, and every live stratum gets 2."""
+        cfg = two_poles(8)
+        spec = QuadratureSpec(
+            pole_radius=0.9, far_radius=6.0, radial_levels=10,
+            mc_samples=1000, seed=1,
+        )
+        h, grid, n = quadrature._mid_pairs(cfg, spec)
+        assert h == 6.0 and n.size > 0
+        assert round(1000 * n.size / (2 * 2**8)) < 2 * n.size
+        assert n.tolist() == [2] * n.size
+
     def test_matches_reference_over_several_slices(self, two_poles_n3, lean_spec):
         spec = dataclasses.replace(lean_spec, mc_samples=600_000)
         _, _, n = quadrature._mid_pairs(two_poles_n3, spec)
-        # Region (b) is cut into at least 2 slices for one integrand.
-        assert len(quadrature._slices(np.concatenate([[0], np.cumsum(n)]), 1)) >= 2
+        # Region (b) is cut into at least 2 slices of whole blocks of strata
+        # for one integrand.
+        bounds = np.concatenate([[0], np.cumsum(n)])
+        edges = np.append(np.arange(0, n.size, quadrature._STRATA_BLOCK), n.size)
+        assert len(quadrature._slices(bounds[edges], 1)) >= 2
         integrands = [Integrand(func=gaussian, pole_exponents=[0.0, 0.0])]
         assert_same_region(
             mid_region(integrands, two_poles_n3, spec),
@@ -1074,6 +1163,31 @@ class TestMidRegionNodeSet:
         assert peak < 3 * n.sum() * two_poles_n3.dim * 8
 
 
+    def test_peak_does_not_grow_with_the_batch(self, two_poles_n3, lean_spec):
+        """Region (b) holds nothing of one entry per integrand and stratum:
+        from 16 to 64 integrands at 4e5 samples, the traced peak of one call
+        grows by less than 1 MB.  Every slice evaluates about CHUNK values
+        (CHUNK // K pairs for each of K integrands), so only what the call
+        keeps per integrand could grow; a mean and a variance per integrand
+        and stratum would add 48 * 16 bytes per live stratum, 29 MB here."""
+        spec = dataclasses.replace(lean_spec, mc_samples=400_000)
+        pairs = quadrature._mid_pairs(two_poles_n3, spec)
+        peaks = []
+        for k in (16, 64):
+            batch = [
+                Integrand(func=lambda x: np.ones(x.shape[0]), pole_exponents=[0.0, 0.0])
+                for _ in range(k)
+            ]
+            tracemalloc.start()
+            try:
+                quadrature._mid_region(batch, two_poles_n3, spec, pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
+        assert pairs[-1].size * 48 * 16 > 20e6
+
+
 class TestMidRegionCalibration:
     def test_z_scores_of_closed_forms_over_seeds(self, two_poles_n3):
         """Over 40 seeds at 1e5 samples, the L2 mass, the Dirichlet energy
@@ -1107,6 +1221,33 @@ class TestMidRegionCalibration:
             for res, ref in zip(integrate_many(integrands, two_poles_n3, spec), exact):
                 z.append(abs(res.value - ref) / res.error)
         assert len(z) == 120
+        assert sum(v > 3.0 for v in z) <= 2
+
+    def test_z_scores_in_n4_over_seeds(self):
+        """In N = 4, with two poles, over 40 seeds at 1e5 samples, the L2
+        mass and the second moment of a Gaussian near both poles lie within
+        three reported errors of their closed forms in all but at most 2 of
+        the 80 draws (the bound was fixed before the first run)."""
+        cfg = two_poles(4)
+        dim, width = 4, 0.7
+        center = np.array([1.0, 0.3, 0.0, 0.0])
+        a = 2.0 / width**2
+        mass = (math.pi / a) ** (dim / 2)
+        exact = [mass, (dim / (2.0 * a) + center @ center) * mass]
+
+        def phi2(x):
+            return np.exp(-a * np.sum((x - center) ** 2, axis=1))
+
+        integrands = [phi2, lambda x: np.sum(x**2, axis=1) * phi2(x)]
+        z = []
+        for seed in range(40):
+            spec = QuadratureSpec(
+                pole_radius=0.9, far_radius=6.0, radial_levels=14,
+                mc_samples=100_000, seed=seed,
+            )
+            for res, ref in zip(integrate_many(integrands, cfg, spec), exact):
+                z.append(abs(res.value - ref) / res.error)
+        assert len(z) == 80
         assert sum(v > 3.0 for v in z) <= 2
 
 
