@@ -247,15 +247,12 @@ _PROBLEM = {
 _EXPERIMENTS = {name: (MAPPING, None) for name in _BLOCKS}
 _EXPERIMENTS["certify"] = (MAPPING, {})  # the one subcommand that needs no block
 
-#: A missing optional key (default None) keeps the `QuadratureSpec` default.
 _QUADRATURE = {
     "pole_radius": (NUMBER, ...),
     "far_radius": (NUMBER, ...),
     "radial_levels": (INTEGER, ...),
     "mc_samples": (INTEGER, ...),
     "seed": (SEED, 0),
-    "tail_exponent": (NUMBER, None),
-    "radial_order": (INTEGER, None),
 }
 
 #: The whole config; the experiments blocks are read by their subcommands.
@@ -275,7 +272,7 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
     """Build a RunConfig from a parsed JSON tree read against `_CONFIG`."""
     top = _read(data, _CONFIG)
     prob, output = top["problem"], top["output"]
-    quad = {k: v for k, v in top["quadrature"].items() if v is not None}
+    quad = top["quadrature"]
     if top["seed"] is not None:
         quad["seed"] = top["seed"]
     cfg = PoleConfig(dim=prob["dim"], poles=prob["poles"])
@@ -369,7 +366,7 @@ def _check_gaussian(seed: int):
     cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
     spec = QuadratureSpec(
         pole_radius=4.0, far_radius=6.0, radial_levels=12, mc_samples=20_000,
-        seed=seed, tail_exponent=4.0,
+        seed=seed,
     )
     integrand = Integrand(
         func=lambda x: np.exp(-np.sum(x * x, axis=1)),

@@ -53,12 +53,12 @@ from .functionals import (
     EnergyReport,
     OptimalityPhi,
     TestFunction,
+    _derived,
+    _residual,
     _slice_nodes,
     energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
     energy_reports,
     hardy_ratio,
-    identity_residual,
-    identity_residual_error,
     max_admissible_eps,
 )
 from .quadrature import (
@@ -206,12 +206,13 @@ class SpectralResult:
     original basis order, signed so that its largest-magnitude entry (the
     first such on a tie) is positive; `rank` is the dimension of the subspace that
     survived the near-dependence screening of the V-Gram.
-    `lambda_error` is the first-order perturbation bound obtained by
-    pushing the per-entry quadrature errors of both Gram matrices through
-    the Rayleigh quotient at the witness.  `gram` holds the assembled
-    matrices ``(A, B, A_error, B_error)`` (None for a result built by
-    hand); `prefix` solves the pencil of a leading part of the basis on
-    their leading blocks.
+    `lambda_error` is the first-order perturbation bound of lambda_min as
+    the root of ``w^T (A - lambda B) w`` at the witness w: the derived-bar
+    rule (`functionals._derived`) over the entries, with coefficients
+    ``w_i w_j`` on A and ``-lambda w_i w_j`` on B, divided by ``w^T B w``.
+    `gram` holds the assembled matrices ``(A, B, A_error, B_error)`` (None
+    for a result built by hand); `prefix` solves the pencil of a leading
+    part of the basis on their leading blocks.
     """
 
     basis_size: int
@@ -346,6 +347,17 @@ def _sweep_flux(phi: OptimalityPhi, cfg, w, beta, eta) -> tuple[float, float]:
     return float(value), float(diff)
 
 
+def _gap(report: EnergyReport, x: float) -> tuple[float, float]:
+    """``dirichlet + w_mass - x v_mass`` and its bar (`_derived`): the
+    optimality deficit at ``x = c_n_mu``, and at the Hardy ratio the
+    combination whose root it is."""
+    return _derived(
+        (c, r.value, r.error)
+        for c, r in ((1.0, report.dirichlet), (1.0, report.w_mass),
+                     (-x, report.v_mass))
+    )
+
+
 def verify_identity(
     cfg: PoleConfig, w: WeightSpec, p: HardyParams, functions, spec: QuadratureSpec
 ) -> list[IdentityRecord]:
@@ -365,31 +377,25 @@ def verify_identity(
     records = []
     for phi, (rep,) in zip(functions, reports):
         truncated = rep.v_mass.truncated or rep.dirichlet.truncated
-        residual = identity_residual(rep, p)
-        residual_error = identity_residual_error(rep, p)
-        flux, flux_error = 0.0, 0.0
-        if truncated:
-            flux, flux_error = _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
-            scale = max(rep.dirichlet.value, 1.0)
-            residual -= flux / scale
-            residual_error += flux_error / scale
+        flux = (
+            _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
+            if truncated else (0.0, 0.0)
+        )
+        # The flux closes the identity of a truncated row: one more term.
+        residual, residual_error = _residual(rep, p, [(-1.0, *flux)])
         try:
             ratio = hardy_ratio(rep)
         except ZeroVMass:
             ratio = ratio_error = None
         else:
-            energy = rep.dirichlet.value + rep.w_mass.value
-            ratio_error = abs(ratio) * (
-                (rep.dirichlet.error + rep.w_mass.error) / abs(energy)
-                + rep.v_mass.error / rep.v_mass.value
-            )
+            ratio_error = _gap(rep, ratio)[1] / rep.v_mass.value
         records.append(
             IdentityRecord(
                 report=rep,
                 residual=residual,
                 residual_error=residual_error,
-                flux=flux,
-                flux_error=flux_error,
+                flux=flux[0],
+                flux_error=flux[1],
                 truncated=truncated,
                 hardy_ratio=ratio,
                 ratio_error=ratio_error,
@@ -480,16 +486,7 @@ def optimality_sweep(
         if rec.hardy_ratio is None:
             raise ZeroVMass(f"optimality candidate at eps = {eps:g} has no V-mass")
         rep = rec.report
-        deficit = math.fsum(
-            [
-                rep.dirichlet.value,
-                rep.w_mass.value,
-                -p.c_n_mu * rep.v_mass.value,
-            ]
-        )
-        deficit_error = (
-            rep.dirichlet.error + rep.w_mass.error + p.c_n_mu * rep.v_mass.error
-        )
+        deficit, deficit_error = _gap(rep, p.c_n_mu)
         records.append(
             SweepRecord(
                 eps=eps,
@@ -564,12 +561,7 @@ def beta_sweep(
     n = cfg.n_poles
     shift = cfg.dim + k_mu - 2.0
     records = [
-        BetaRecord(
-            beta=b,
-            coefficient=b * shift - n * b * b,
-            residual=identity_residual(rep, p),
-            residual_error=identity_residual_error(rep, p),
-        )
+        BetaRecord(b, b * shift - n * b * b, *_residual(rep, p))
         for b, rep in zip(betas, energy_reports([phi], cfg, w, p, spec, betas)[0])
     ]
     best = max(records, key=lambda r: r.coefficient)
@@ -704,11 +696,11 @@ def _pencil_minimum(a_mat, b_mat, a_err, b_err) -> SpectralResult:
     if witness[np.argmax(np.abs(witness))] < 0:
         witness = -witness
     lam_min = float(lam[0])
-    absw = np.abs(witness)
-    denom = float(witness @ b_mat @ witness)
-    lam_err = float(absw @ (a_err + abs(lam_min) * b_err) @ absw) / max(
-        denom, 1e-300
-    )
+    # lambda_min is the root of w^T (A - lambda B) w at the witness.
+    ww = np.outer(witness, witness)
+    _, bar = _derived([*zip(ww.flat, a_mat.flat, a_err.flat),
+                       *zip((-lam_min * ww).flat, b_mat.flat, b_err.flat)])
+    lam_err = float(bar) / max(float(witness @ b_mat @ witness), 1e-300)
     return SpectralResult(
         basis_size=m,
         lambda_min=lam_min,

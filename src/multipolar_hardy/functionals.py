@@ -479,7 +479,7 @@ def energy_reports(
                 l2_mass=got["l2_mass", None][j],
                 w_mass=got["w_mass", b][j],
                 remainder=(
-                    _annulus_remainder(phi, cfg, w, spec)
+                    _annulus_remainder(phi, cfg, w)
                     if reduced(phi, b) else got["remainder", b][j]
                 ),
             )
@@ -616,7 +616,7 @@ def _slice_nodes(cfg: PoleConfig, w: WeightSpec, p: HardyParams):
 
 
 def _annulus_remainder(
-    phi: OptimalityPhi, cfg: PoleConfig, w: WeightSpec, spec: QuadratureSpec
+    phi: OptimalityPhi, cfg: PoleConfig, w: WeightSpec
 ) -> IntegralResult:
     """Remainder of `phi` at its own exponent: ``|grad theta_eps|^2 f^2 mu``
     over the cutoff annulus, by the deterministic annulus rule."""
@@ -633,12 +633,31 @@ def _annulus_remainder(
         cfg.dim,
         phi.R / phi.eps,
         2.0 * phi.R / phi.eps,
-        radial_order=spec.radial_order,
     )
 
 
+def _derived(terms) -> tuple[float, float]:
+    """Value and error bar of a derived quantity ``sum_k c_k value_k``.
+
+    `terms` are (coefficient, value, error) triples.  The value is the
+    `math.fsum` of ``c_k value_k``, the bar ``sum_k |c_k| error_k``, added
+    in term order, so it treats the terms' errors as independent.  This is
+    the one rule of every derived bar.  The linear quantities, the identity
+    residual and the optimality deficit ``dirichlet + w_mass - c v_mass``,
+    take it directly.  The roots take the bar of the combination they zero
+    divided by its slope in the root: the Hardy ratio r, of
+    ``dirichlet + w_mass - r v_mass``, over ``v_mass``, and lambda_min, of
+    ``w^T (A - lambda B) w`` at the witness w, over ``w^T B w``.
+    """
+    terms = list(terms)
+    error = 0.0
+    for c, _, e in terms:
+        error += abs(c) * e
+    return math.fsum([c * v for c, v, _ in terms]), error
+
+
 def _identity_terms(report: EnergyReport, p: HardyParams):
-    """(coefficient, integral) pairs of ``dirichlet - right-hand side``."""
+    """(coefficient, value, error) terms of ``dirichlet - right-hand side``."""
     if report.inv_sq_mass is None:
         middle = [(-p.c_n_mu, report.v_mass)]
     else:
@@ -646,8 +665,17 @@ def _identity_terms(report: EnergyReport, p: HardyParams):
             (-report.inv_sq_coefficient, report.inv_sq_mass),
             (-(report.beta**2), report.v_mass),
         ]
-    return [(1.0, report.dirichlet), (-1.0, report.remainder), *middle,
-            (1.0, report.w_mass)]
+    terms = [(1.0, report.dirichlet), (-1.0, report.remainder), *middle,
+             (1.0, report.w_mass)]
+    return [(c, r.value, r.error) for c, r in terms]
+
+
+def _residual(report: EnergyReport, p: HardyParams, extra=()):
+    """`identity_residual` and its bar (`_derived`), with the `extra`
+    terms (the flux of a truncated row) after the identity's own."""
+    value, error = _derived([*_identity_terms(report, p), *extra])
+    scale = max(report.dirichlet.value, 1.0)
+    return value / scale, error / scale
 
 
 def identity_residual(report: EnergyReport, p: HardyParams) -> float:
@@ -667,17 +695,13 @@ def identity_residual(report: EnergyReport, p: HardyParams) -> float:
     ``max(dirichlet, 1)``.  It vanishes up to quadrature error for every
     admissible test function.
     """
-    num = math.fsum([c * r.value for c, r in _identity_terms(report, p)])
-    return num / max(report.dirichlet.value, 1.0)
+    return _residual(report, p)[0]
 
 
 def identity_residual_error(report: EnergyReport, p: HardyParams) -> float:
-    """Error estimate of `identity_residual`: the same combination of the
-    integrals' ``error`` terms, with absolute coefficients."""
-    total = 0.0
-    for c, r in _identity_terms(report, p):
-        total += abs(c) * r.error
-    return total / max(report.dirichlet.value, 1.0)
+    """Error estimate of `identity_residual`: the bar of the same terms by
+    the derived-bar rule (`_derived`), with the same normalization."""
+    return _residual(report, p)[1]
 
 
 def hardy_ratio(report: EnergyReport) -> float:

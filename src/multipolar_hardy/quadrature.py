@@ -51,8 +51,7 @@ and summed with compensated summation in a fixed order:
     an octave out to the integrand's support radius, or to _FAR_CUT *
     far_radius for unbounded support.  The unbounded remainder beyond that
     cut is closed from the last shell sums as the pole balls close their
-    inner ball, with the declared decay |x|^-(N+tail_exponent) as the
-    fallback ratio.
+    inner ball, with the declared decay |x|^-(N+2) as the fallback ratio.
 
 The regions are joined by a smooth partition of unity rather than sharp
 indicators: a quintic collar fades each pole ball out over the outer 30%
@@ -150,8 +149,14 @@ _POLE_DEEP_ORDER = 3
 _REGION_MID = 13
 
 # Unbounded integrands get far shells out to this multiple of far_radius;
-# the remainder beyond is closed geometrically.
+# the remainder beyond is closed geometrically, with the declared decay
+# |x|^-(N + _TAIL_EXPONENT) as the fallback ratio.
 _FAR_CUT = 64.0
+_TAIL_EXPONENT = 2.0
+
+# Gauss-Legendre points per radial shell of every deterministic rule's
+# high level (`_level_orders`).
+_RADIAL_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,10 @@ class QuadratureSpec:
                   most round(mc_samples * S / (2 C)) antithetic pairs,
                   weighted toward the poles, at least 2 each
     seed          64-bit seed of the mid region, the only stochastic one
-    tail_exponent declared decay s > 0 in |x|^-(N+s) of unbounded integrands;
-                  closes their far shells when the measured ratio is unstable
-    radial_order  Gauss-Legendre points per radial shell (>= 4)
+
+    The radial order of the shell rules (_RADIAL_ORDER, 8 points) and the
+    declared far decay |x|^-(N+2) of unbounded integrands (_TAIL_EXPONENT)
+    are fixed.
     """
 
     pole_radius: float
@@ -177,8 +183,6 @@ class QuadratureSpec:
     radial_levels: int
     mc_samples: int
     seed: int
-    tail_exponent: float = 2.0
-    radial_order: int = 8
 
 
 @dataclass
@@ -217,7 +221,7 @@ class IntegralResult:
     (the geometric closures of the pole balls and the far shells).  The
     pole balls and far shells of integrate_many, and
     integrate_radial_annulus, report the high level of `_level_orders`
-    (radial_order points, the dimension's angular order) and are checked
+    (_RADIAL_ORDER points, the dimension's angular order) and are checked
     against its low level (3 radial points fewer, a third off the angular
     order); integrate_pole_ball reports its pass at radial_order and the
     dimension's angular order, and is checked against one step higher (3
@@ -373,8 +377,6 @@ def _validate_spec(cfg: PoleConfig, spec: QuadratureSpec) -> None:
         )
     if spec.radial_levels < 4:
         raise ConfigError(f"radial_levels must be >= 4, got {spec.radial_levels}")
-    if spec.radial_order < 4:
-        raise ConfigError(f"radial_order must be >= 4, got {spec.radial_order}")
     if spec.mc_samples < 1000:
         raise ConfigError(f"mc_samples must be >= 1e3, got {spec.mc_samples}")
     if spec.far_radius < enclosing_radius(cfg, spec.pole_radius):
@@ -564,19 +566,25 @@ def _geometric_closure(shell_sums: np.ndarray, rho_decl: float):
 
     The per-shell sums S_k of a power-law integrand approach a geometric
     sequence; the unresolved remainder is the sum of its continuation.
-    The measured ratio of the last shells is used when it is stable and
-    contracting, the declared ratio rho_decl otherwise.  Returns
-    (remainder, error_estimate).
+    The measured ratios r1, r2 of the last three shells are used when both
+    lie in (0, 1), the declared ratio rho_decl in (0, 1) otherwise, and the
+    one-shell fallback (remainder 0, bound |last shell|) when neither does.
+    A ratio near 1 (an exponent p near N) gives a long continuation: at
+    p = 2.99 in N = 3 it holds most of the ball.  A ratio that rounds to 1
+    fails its test: a measured one falls to the declared ratio, a declared
+    one to the fallback.  No exponent that `local_integrability_check`
+    accepts declares one, since p < N - _BORDERLINE_TOL makes 2^-(N-p)
+    less than 1 - 6.9e-10.  Returns (remainder, error_estimate).
     """
     s_last = shell_sums[-1]
     if len(shell_sums) >= 3 and shell_sums[-2] != 0.0 and shell_sums[-3] != 0.0:
         r1 = shell_sums[-1] / shell_sums[-2]
         r2 = shell_sums[-2] / shell_sums[-3]
-        if 0.0 < r1 < 0.95 and 0.0 < r2 < 0.95:
+        if 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0:
             rest = s_last * r1 / (1.0 - r1)
             alt = s_last * r2 / (1.0 - r2)
             return rest, abs(rest - alt)
-    if not 0.0 < rho_decl < 0.95:
+    if not 0.0 < rho_decl < 1.0:
         # Sign-changing or non-contracting shells with a benign declared
         # decay: the remainder is at most one more shell's worth.
         return 0.0, abs(s_last)
@@ -676,7 +684,7 @@ def _pole_plan(cfg, spec):
     return [
         [
             _graded_pole_ball(center, spec, q, order)
-            for q, order in _level_orders(cfg.dim, spec.radial_order)
+            for q, order in _level_orders(cfg.dim, _RADIAL_ORDER)
         ]
         for center in cfg.poles
     ]
@@ -931,8 +939,8 @@ def _far_plan(dim, spec, support):
     levels holds that shell rule at the high and the low level of
     `_level_orders`, each a (nodes, sums) pair, and is empty when the
     support ends inside the onset, so that region (c) is empty.  rho_decl
-    is the declared ratio q^-tail_exponent of successive plateau sums of an
-    unbounded integrand, q the shell ratio.
+    is the declared ratio q^-_TAIL_EXPONENT of successive plateau sums of
+    an unbounded integrand, q the shell ratio.
     """
     R = spec.far_radius
     r_t = _TAIL_RISE_START * R
@@ -947,9 +955,9 @@ def _far_plan(dim, spec, support):
         _shell_rule(
             np.zeros(dim), edges, q, order, lambda r: _tail_partition_weight(r, R)
         )
-        for q, order in _level_orders(dim, spec.radial_order)
+        for q, order in _level_orders(dim, _RADIAL_ORDER)
     ]
-    return levels, (edges[0] / edges[1]) ** -spec.tail_exponent
+    return levels, (edges[0] / edges[1]) ** -_TAIL_EXPONENT
 
 
 def _far_region(integrands, support, plan):
@@ -1011,11 +1019,6 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
                     )
         else:
             local_integrability_check(f.pole_exponents, cfg.dim)
-        if f.support_radius is None and not spec.tail_exponent > 0:
-            raise ConfigError(
-                f"tail_exponent must be > 0 for unbounded integrands, "
-                f"got {spec.tail_exponent}"
-            )
 
     # One plan of every rule's nodes: the cap, the cells and the run all
     # read it.  Every integrand is evaluated on the pole and mid nodes and
@@ -1067,8 +1070,7 @@ def integrate_radial_annulus(
     dim: int,
     r_in: float,
     r_out: float,
-    radial_order: int = 8,
-    angular_order: int | None = None,
+    radial_order: int = _RADIAL_ORDER,
 ) -> IntegralResult:
     """Deterministic product rule over the annulus r_in <= |x| <= r_out.
 
@@ -1086,7 +1088,7 @@ def integrate_radial_annulus(
     edges = _log_edges(r_in, r_out)
     levels = [
         _shell_rule(np.zeros(dim), edges, q, order)
-        for q, order in _level_orders(dim, radial_order, angular_order)
+        for q, order in _level_orders(dim, radial_order)
     ]
     fine, coarse = (sums([f]) for _, sums in levels)
     (value,), (diff,), (err,) = _two_level(fine, coarse, _unclosed)
@@ -1103,7 +1105,7 @@ def integrate_pole_ball(
     radius: float | Sequence[float],
     levels: int,
     exponent: float,
-    radial_order: int = 8,
+    radial_order: int = _RADIAL_ORDER,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate over the ball B(a_i, radius), or a dyadic ladder of balls.
 

@@ -214,7 +214,6 @@ def test_03_quadrature_selftest():
         radial_levels=12,
         mc_samples=20_000,
         seed=5,
-        tail_exponent=4.0,
     )
     res_g = integrate(
         lambda x: np.exp(-np.sum(x * x, axis=1)), origin, spec_g

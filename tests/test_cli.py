@@ -289,15 +289,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"'{where}'" in err
 
-    def test_radial_order_below_floor_is_config_error(self, tmp_path, capsys):
-        """radial_order 0 (or anything below the 4-point floor) is a config
-        error with exit 2, not a traceback from the Gauss-Legendre rule."""
+    @pytest.mark.parametrize(
+        "key, value", [("radial_order", 8), ("tail_exponent", 2.0)]
+    )
+    def test_fixed_quadrature_settings_are_unknown_keys(
+        self, tmp_path, capsys, key, value
+    ):
+        """The radial order and the far decay are fixed, not settings: a
+        config that sets either, even to its value, is a config error with
+        exit 2 that names the key."""
         data = base_config(tmp_path)
-        data["quadrature"]["radial_order"] = 0
+        data["quadrature"][key] = value
         path = write_config(tmp_path, data)
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "radial_order" in err
+        assert err.startswith("config error: unknown key") and key in err
 
     def test_selftest_reads_its_seed(self, capsys):
         argv = ["selftest", "--filter", "sphere_measures", "--quiet", "--seed"]

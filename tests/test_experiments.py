@@ -517,6 +517,132 @@ class TestPencilMinimum:
 
 
 # --------------------------------------------------------------------------
+# derived error bars
+# --------------------------------------------------------------------------
+
+
+def derived_rule(terms):
+    """The derived-bar rule from its definition, on (coefficient, value,
+    error) triples: the fsum of coefficient x value, and |coefficient| x
+    error added in term order."""
+    error = 0.0
+    for c, _, e in terms:
+        error += abs(c) * e
+    return math.fsum([c * v for c, v, _ in terms]), error
+
+
+def terms_of(*pairs):
+    """(coefficient, value, error) triples of (coefficient, IntegralResult)."""
+    return [(c, r.value, r.error) for c, r in pairs]
+
+
+class TestDerivedBars:
+    """Every derived bar equals the rule recomputed from its own terms: the
+    residual (with the flux of a truncated row as one more term) and the
+    deficit directly, the Hardy ratio and lambda_min as roots."""
+
+    def test_verify_residual_flux_and_ratio(self, two_poles_n3, lean_spec):
+        """A bump row and a truncated `OptimalityPhi` row on the borderline
+        unit config, whose excised-sphere flux is a term of coefficient -1."""
+        p = derive_params(two_poles_n3, 0.0)
+        functions = bump_basis(1, 3) + [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
+        ]
+        records = verify_identity(
+            two_poles_n3, WeightSpec.unit(), p, functions, lean_spec
+        )
+        assert [r.truncated for r in records] == [False, True]
+        assert records[0].flux == records[0].flux_error == 0.0
+        assert records[1].flux > 0.0 and records[1].flux_error > 0.0
+        for rec in records:
+            rep = rec.report
+            scale = max(rep.dirichlet.value, 1.0)
+            identity = terms_of(
+                (1.0, rep.dirichlet), (-1.0, rep.remainder),
+                (-p.c_n_mu, rep.v_mass), (1.0, rep.w_mass),
+            )
+            value, error = derived_rule(identity + [(-1.0, rec.flux, rec.flux_error)])
+            assert (rec.residual, rec.residual_error) == (value / scale, error / scale)
+            if not rec.truncated:
+                value, error = derived_rule(identity)
+                assert functionals.identity_residual(rep, p) == value / scale
+                assert functionals.identity_residual_error(rep, p) == error / scale
+            _, gap_error = derived_rule(terms_of(
+                (1.0, rep.dirichlet), (1.0, rep.w_mass),
+                (-rec.hardy_ratio, rep.v_mass),
+            ))
+            assert rec.ratio_error == gap_error / rep.v_mass.value
+
+    def test_general_exponent_residual(self, two_poles_n3, lean_spec):
+        """Away from the optimal exponent the inverse-square mass is a term."""
+        p = derive_params(two_poles_n3, 0.0)
+        rep = energy_report(
+            bump_basis(1, 3)[0], two_poles_n3, WeightSpec.unit(), p, lean_spec,
+            beta=0.3,
+        )
+        value, error = derived_rule(terms_of(
+            (1.0, rep.dirichlet), (-1.0, rep.remainder),
+            (-rep.inv_sq_coefficient, rep.inv_sq_mass), (-0.09, rep.v_mass),
+            (1.0, rep.w_mass),
+        ))
+        scale = max(rep.dirichlet.value, 1.0)
+        assert functionals.identity_residual(rep, p) == value / scale
+        assert functionals.identity_residual_error(rep, p) == error / scale
+
+    def test_optimality_deficit_and_ratio(self, two_poles_n3, lean_spec):
+        """The sweep's rows against the reports of the same candidates on
+        the same spec, which are the sweep's own bit for bit."""
+        p, w = derive_params(two_poles_n3, 0.0), WeightSpec.unit()
+        eps_list = (0.25, 0.2)
+        records, _ = optimality_sweep(
+            two_poles_n3, w, p, eps_list=eps_list, spec=lean_spec, R=1.0,
+            fit=False,
+        )
+        phis = [OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=e, beta=p.beta)
+                for e in eps_list]
+        idents = verify_identity(two_poles_n3, w, p, phis, lean_spec)
+        for rec, ident in zip(records, idents):
+            rep = ident.report
+            deficit = derived_rule(terms_of(
+                (1.0, rep.dirichlet), (1.0, rep.w_mass), (-p.c_n_mu, rep.v_mass)
+            ))
+            assert (rec.deficit, rec.deficit_error) == deficit
+            _, gap_error = derived_rule(terms_of(
+                (1.0, rep.dirichlet), (1.0, rep.w_mass),
+                (-rec.hardy_ratio, rep.v_mass),
+            ))
+            assert rec.ratio_error == gap_error / rep.v_mass.value
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lambda_min_is_a_root(self, seed):
+        """bar(w^T (A - lambda B) w) / w^T B w, with coefficients w_i w_j on
+        the A entries and -lambda w_i w_j on the B entries."""
+        a_mat, b_mat = spd_pencil(5, seed)
+        rng = np.random.default_rng(seed + 10)
+        a_err, b_err = (np.abs(e + e.T) for e in rng.standard_normal((2, 5, 5)))
+        res = _pencil_minimum(a_mat, b_mat, a_err, b_err)
+        w, lam = res.witness, res.lambda_min
+        pairs = [(i, j) for i in range(5) for j in range(5)]
+        _, error = derived_rule(
+            [(w[i] * w[j], a_mat[i, j], a_err[i, j]) for i, j in pairs]
+            + [(-lam * (w[i] * w[j]), b_mat[i, j], b_err[i, j]) for i, j in pairs]
+        )
+        assert res.lambda_error == error / float(w @ b_mat @ w)
+
+    def test_one_function_gram(self, two_poles_n3, lean_spec):
+        """With one basis function the witness is 1/sqrt(B), so the bar is
+        (a_err + |lambda| b_err) / B."""
+        phi = GaussianBump(center=np.array([1.0, 0.2, 0.1]), width=0.7)
+        p = derive_params(two_poles_n3, 0.0)
+        res = spectral_bound(two_poles_n3, WeightSpec.unit(), p, [phi], lean_spec)
+        _, (b,), (a_err,), (b_err,) = (m.ravel() for m in res.gram)
+        assert res.lambda_error == pytest.approx(
+            (a_err + abs(res.lambda_min) * b_err) / b, rel=1e-14
+        )
+        assert res.lambda_error > 0.0
+
+
+# --------------------------------------------------------------------------
 # hypothesis certification
 # --------------------------------------------------------------------------
 

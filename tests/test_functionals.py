@@ -572,7 +572,6 @@ def reference_energy_report(phi, cfg, w, p, spec, *, beta=None, allow_truncation
 
         results["remainder"] = integrate_radial_annulus(
             annulus_remainder, cfg.dim, phi.R / phi.eps, 2.0 * phi.R / phi.eps,
-            radial_order=spec.radial_order,
         )
     coefficient = beta * (cfg.dim + p.k_mu - 2.0) - cfg.n_poles * beta**2
     return EnergyReport(beta=beta, inv_sq_coefficient=coefficient, **results)

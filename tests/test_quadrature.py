@@ -220,6 +220,21 @@ class TestPoleBall:
                 lambda p: np.ones(len(p)), cfg, 0, 1.0, levels=8, exponent=3.0
             )
 
+    @pytest.mark.parametrize("p", [2.93, 2.99])
+    def test_closes_near_borderline_power(self, p):
+        """int_{B(0,1)} |x|^-p dx = 4 pi / (3 - p) in N = 3 for p within
+        0.074 of N, where the octave ratio 2^-(3-p) exceeds 0.95: the
+        geometric closure restores the inner ball, most of the integral at
+        p = 2.99, within its bar, and the bar stays at rounding scale."""
+        cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
+        res = integrate_pole_ball(
+            lambda x: np.sum(x * x, axis=1) ** (-0.5 * p), cfg, 0, 1.0,
+            levels=20, exponent=p,
+        )
+        exact = 4.0 * math.pi / (3.0 - p)
+        assert abs(res.value - exact) <= 3 * res.error
+        assert res.error < 1e-10 * exact
+
     def test_rejects_near_borderline_exponent(self):
         """N - 1e-10 is the borderline, which a whole ball cannot close."""
         cfg = PoleConfig(dim=3, poles=np.zeros((1, 3)))
@@ -306,7 +321,8 @@ def uniform_pole_region(integrands, cfg, spec, order):
     values = np.zeros(len(integrands))
     for i, center in enumerate(cfg.poles):
         _, rule = quadrature._pole_ball_pass(
-            center, spec.pole_radius, spec.radial_levels, spec.radial_order, order
+            center, spec.pole_radius, spec.radial_levels, quadrature._RADIAL_ORDER,
+            order,
         )
         sums = rule(integrands)
         for k, f in enumerate(integrands):
@@ -617,6 +633,19 @@ class TestIntegrateMany:
         assert res.truncated
         assert res.eta == 0.9 * 2.0**-20
 
+    @pytest.mark.parametrize("p", [2.93, 2.99])
+    def test_near_borderline_power_gaussian(self, two_poles_n3, lean_spec, p):
+        """int |x|^-p e^(-|x|^2) dx = 2 pi Gamma((3 - p)/2) in N = 3: the
+        pole ball's geometric closure carries most of it near p = N."""
+        f = Integrand(
+            func=lambda x: np.sum(x * x, axis=1) ** (-0.5 * p)
+            * np.exp(-np.sum(x * x, axis=1)),
+            pole_exponents=[p, 0.0],
+        )
+        res = integrate(f, two_poles_n3, lean_spec)
+        exact = 2.0 * math.pi * math.gamma(0.5 * (3.0 - p))
+        assert abs(res.value - exact) <= 3 * res.error
+
     def test_rejects_super_borderline_even_truncated(self, two_poles_n3, lean_spec):
         bad = Integrand(
             func=gaussian, pole_exponents=[3.5, 0.0], allow_truncation=True
@@ -678,7 +707,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("radial_levels", 3), ("mc_samples", 10), ("radial_order", 3)],
+        [("radial_levels", 3), ("mc_samples", 10)],
     )
     def test_minimum_resolution_floors(self, two_poles_n3, field, value):
         base = dict(
@@ -1532,7 +1561,7 @@ class TestBundle:
         results = integrate_many(batch, two_poles_n3, sliced_spec)
         assert len(results) == k
         # The outermost pole shell is split in two panels at the fade onset.
-        shell = 2 * sliced_spec.radial_order * unit_sphere_rule(3)[0].shape[0]
+        shell = 2 * quadrature._RADIAL_ORDER * unit_sphere_rule(3)[0].shape[0]
         pairs = quadrature._mid_pairs(two_poles_n3, sliced_spec)[2]
         assert max(sizes) <= max(quadrature.CHUNK // k, 2048, shell, pairs.max())
 
