@@ -54,6 +54,7 @@ from .functionals import (
     OptimalityPhi,
     TestFunction,
     _derived,
+    _plateau_clears,
     _residual,
     _slice_nodes,
     energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
@@ -367,20 +368,28 @@ def verify_identity(
     call on one node set.  Optimality candidates on a configuration that
     does not satisfy H4 i) strictly are integrated with inner truncation;
     the identity is then closed by the outward flux through the excised
-    pole spheres.
+    pole spheres.  The excised spheres |x - a_i| = eta lie inside the
+    plateau of every admissible member (`_plateau_clears`), where each
+    member of one exponent is the Hardy factor, so the flux is computed
+    once per (exponent, eta) and shared by those members.
     """
     truncate = h4i_status(cfg, w, p.k_mu) != "strict"
     allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
     reports = energy_reports(
         functions, cfg, w, p, spec, [p.beta], allow_truncation=allow
     )
+    reach = float(np.max(np.linalg.norm(cfg.poles, axis=1)))
+    fluxes = {}
     records = []
     for phi, (rep,) in zip(functions, reports):
         truncated = rep.v_mass.truncated or rep.dirichlet.truncated
-        flux = (
-            _sweep_flux(phi, cfg, w, p.beta, rep.v_mass.eta)
-            if truncated else (0.0, 0.0)
-        )
+        flux = (0.0, 0.0)
+        if truncated:
+            eta = rep.v_mass.eta
+            key = (phi.beta, eta) if _plateau_clears(phi, reach + eta) else phi
+            if key not in fluxes:
+                fluxes[key] = _sweep_flux(phi, cfg, w, p.beta, eta)
+            flux = fluxes[key]
         # The flux closes the identity of a truncated row: one more term.
         residual, residual_error = _residual(rep, p, [(-1.0, *flux)])
         try:
@@ -597,7 +606,11 @@ def spectral_bound(
     evaluated once per node, from one pole frame per slice; the
     `OptimalityPhi` members of one exponent share one Hardy factor per
     slice, and a far-shell slice evaluates only the members of its
-    support.  The minimum is an upper bound
+    support.  A member whose plateau clears far_radius is the Hardy factor
+    at every pole and mid node, so the entries whose ordered pair of such
+    effective members agree share one `Integrand.inner` key: the pole
+    balls and the mid region integrate the first of them only, and each
+    entry its own far shells.  The minimum is an upper bound
     for the infimum of the Rayleigh quotient over all functions, so it
     approaches the optimal constant from above as the span is enriched
     with near-optimal members.  The result keeps the Gram matrices, and
@@ -641,6 +654,10 @@ def spectral_bound(
 
         return func
 
+    # A member whose plateau clears far_radius is the Hardy factor of its
+    # exponent at every pole and mid node: its effective member there.
+    flat = [_plateau_clears(b, spec.far_radius) for b in basis]
+    effective = [("f", b.beta) if c else b for b, c in zip(basis, flat)]
     integrands = []
     for i, j in pairs:
         # A pair vanishes wherever either function does.
@@ -654,6 +671,13 @@ def spectral_bound(
                     support_radius=min(bounded, default=None),
                     allow_truncation=allow_truncation,
                     name=f"{kind}_{i}_{j}",
+                    # Ordered: an entry multiplies its members' values in
+                    # pair order, and rounding does not commute over three
+                    # factors.
+                    inner=(
+                        (kind, effective[i], effective[j])
+                        if flat[i] or flat[j] else None
+                    ),
                 )
             )
     results = integrate_many(integrands, cfg, spec)

@@ -34,7 +34,9 @@ distances and their log sum, computed once); the Hardy factor once per
 exponent; and each test function's value and gradient once.  The
 `OptimalityPhi` members of one exponent (the sharpness family
 ``theta_eps f``) share |x| and the Hardy factor ``f``, read from the same
-frame.  A far-shell slice evaluates only the functions of its support.
+frame, and the members whose plateau clears far_radius are integrated
+once on the pole balls and the mid region, where each equals ``f``.  A
+far-shell slice evaluates only the functions of its support.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .fields import (
     weight_value,
 )
 from .quadrature import (
+    _DEAD_MARGIN,
     Integrand,
     IntegralResult,
     QuadratureSpec,
@@ -266,6 +269,21 @@ class OptimalityPhi:
         return out[0] if squeeze else out
 
 
+def _plateau_clears(phi, radius: float) -> bool:
+    """Whether `phi` is an `OptimalityPhi` whose plateau R/eps clears
+    `radius` by the rounding margin _DEAD_MARGIN * radius.
+
+    On |x| <= radius its cutoff is then exactly 1.0 and its gradient
+    exactly 0, so its value and gradient there are those of the Hardy
+    factor at its exponent, bit for bit, whatever eps: the members of one
+    exponent are equal there.
+    """
+    return (
+        isinstance(phi, OptimalityPhi)
+        and phi.R / phi.eps > radius * (1.0 + _DEAD_MARGIN)
+    )
+
+
 #: Union of the supported test-function kinds.  All expose ``value``,
 #: ``gradient``, ``support_radius`` and ``pole_singularity``.
 TestFunction = GaussianBump | CutoffTheta | OptimalityPhi
@@ -398,9 +416,15 @@ def energy_reports(
     once per node for the whole call, and the `OptimalityPhi` members of
     one exponent share |x| and the Hardy factor.  W is evaluated once per
     node for all exponents: it is linear in beta, so each exponent's W is
-    that multiple of the one at beta = 1.  Every report equals, bit for
-    bit, the `energy_report` of its function at its exponent alone (apart
-    from ``cells``, the node count of the whole call).
+    that multiple of the one at beta = 1.  The `OptimalityPhi` members of
+    one exponent and truncation flag whose plateau R/eps clears
+    far_radius (`_plateau_clears`) equal the Hardy factor at every pole
+    and mid node, so each kind's integrands of theirs share one
+    `Integrand.inner` key, ``(kind, beta, phi.beta, flag)``: the pole
+    balls and the mid region integrate the first member only, and each
+    member its own far shells.  Every report equals, bit for bit, the
+    `energy_report` of its function at its exponent alone (apart from
+    ``cells``, the node count of the whole call).
 
     `allow_truncation` is one flag for every function or a sequence of
     one flag per function.  Raises as `energy_report`.
@@ -451,12 +475,16 @@ def energy_reports(
 
     def integrand(kind, beta, j):
         phi, extra = functions[j], () if beta is None else (beta,)
+        # The members of one exponent whose plateau clears far_radius are
+        # the Hardy factor on every pole and mid node: one inner key.
+        flat = _plateau_clears(phi, spec.far_radius)
         return Integrand(
             func=lambda x: getattr(nodes_of(x), kind)(phi, *extra),
             pole_exponents=[exponent(kind, phi)] * cfg.n_poles,
             support_radius=phi.support_radius,
             allow_truncation=allow[j],
             name=kind,
+            inner=(kind, beta, phi.beta, allow[j]) if flat else None,
         )
 
     integrands = [

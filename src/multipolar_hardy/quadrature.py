@@ -65,7 +65,10 @@ Each region's geometry -- nodes, quadrature weights, partition-of-unity
 weights and the pole-core mask of region (b) -- is built once per
 integrate_many call and shared by every integrand of the batch (the far
 shells once per distinct support radius, for the integrands of that
-support only).  integrate_many plans every rule once before it
+support only).  Integrands that declare one `Integrand.inner` key are
+equal inside B(0, far_radius), so regions (a) and (b) evaluate only the
+first of them and hand its sums to the others; each still runs on the far
+shells of its own support.  integrate_many plans every rule once before it
 evaluates anything: each shell rule is a (nodes, sums) pair, its node
 count and the function that integrates a batch on it, and the mid region
 is its per-stratum pair counts.  The evaluation cap, the reported cells
@@ -95,7 +98,8 @@ after slice in stratum order, and partial sums are reduced in a fixed
 order with math.fsum over blocks of strata that the plan fixes, so results
 are reproducible for a fixed seed.  A result depends only on the spec and
 its own integrand: it equals, bit for bit, the same integrand passed
-alone.
+alone, and so does a member of an inner-key group, whose pole and mid
+values are its own at every node.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -201,6 +205,13 @@ class Integrand:
                     then integrated only down to the innermost shell radius
                     and the result flagged as truncated
     name            label for the caller and for error messages
+    inner           None, or a hashable key: the integrands of one
+                    integrate_many batch that share a key are declared equal
+                    at every node inside B(0, far_radius), so the pole balls
+                    and the mid region evaluate only the first of them in
+                    batch order and give its values, trunc bounds and
+                    stderrs to the others (`_inner_groups`); they must agree
+                    in pole exponents and truncation flag
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -208,6 +219,7 @@ class Integrand:
     support_radius: float | None = None
     allow_truncation: bool = False
     name: str = ""
+    inner: Hashable | None = None
 
 
 @dataclass
@@ -986,6 +998,35 @@ def _far_region(integrands, support, plan):
     return collar + value, collar_diff + diff + err
 
 
+def _inner_groups(integrands):
+    """The integrands evaluated on the pole balls and the mid region.
+
+    Returns (inner, rep): inner lists, in batch order, the integrands with
+    no `Integrand.inner` key and the first integrand of each key; the
+    pole and mid values of integrand k are those of inner[rep[k]].  Raises
+    ValueError for a key whose integrands differ in pole exponents or
+    truncation flag, which would close or flag the shared sums differently.
+    """
+    first, inner, rep = {}, [], []
+    for f in integrands:
+        k = None if f.inner is None else first.get(f.inner)
+        if k is None:
+            k = len(inner)
+            inner.append(f)
+            if f.inner is not None:
+                first[f.inner] = k
+        elif (
+            list(map(float, f.pole_exponents)) != list(map(float, inner[k].pole_exponents))
+            or f.allow_truncation != inner[k].allow_truncation
+        ):
+            raise ValueError(
+                f"integrands {inner[k].name!r} and {f.name!r} share the inner "
+                f"key {f.inner!r} but differ in pole exponents or truncation flag"
+            )
+        rep.append(k)
+    return inner, np.array(rep, dtype=np.intp)
+
+
 def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     """Integrate several integrands on one shared domain decomposition.
 
@@ -993,9 +1034,13 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
     batch; the far shells run once per distinct support_radius, for the
     integrands of that support, so every value depends only on the spec
     and its own integrand.  Pole exponents and support radii may differ per
-    integrand.  A field may be a callable or an Integrand.  Returns a list
-    of IntegralResult in input order; no fields give an empty list, once
-    the spec is validated.
+    integrand.  Integrands that share an `Integrand.inner` key are
+    evaluated once on the pole balls and the mid region, by the first of
+    them, and each on the far shells of its own support; a member of such
+    a group gives what it gives passed alone, if it equals the first at
+    every node inside B(0, far_radius), as the key declares.  A field may
+    be a callable or an Integrand.  Returns a list of IntegralResult in
+    input order; no fields give an empty list, once the spec is validated.
 
     Evaluation is slice-major.  Each rule (a pole ball or far-shell pass,
     the mid region) cuts its nodes once into slices for the integrands
@@ -1021,22 +1066,23 @@ def integrate_many(fields, cfg: PoleConfig, spec: QuadratureSpec):
             local_integrability_check(f.pole_exponents, cfg.dim)
 
     # One plan of every rule's nodes: the cap, the cells and the run all
-    # read it.  Every integrand is evaluated on the pole and mid nodes and
-    # on the far shells of its own support.
+    # read it.  The inner integrands are evaluated on the pole and mid
+    # nodes, every integrand on the far shells of its own support.
+    inner, rep = _inner_groups(integrands)
     poles = _pole_plan(cfg, spec)
     pairs = _mid_pairs(cfg, spec)
     supports = [f.support_radius for f in integrands]
     far = {s: _far_plan(cfg.dim, spec, s) for s in dict.fromkeys(supports)}
     shared = sum(_plan_nodes(ball) for ball in poles) + 2 * int(pairs[2].sum())
     far_nodes = {s: _plan_nodes(levels) for s, (levels, _) in far.items()}
-    est_evals = sum(shared + far_nodes[s] for s in supports)
+    est_evals = len(inner) * shared + sum(far_nodes[s] for s in supports)
     if est_evals > MAX_EVALS:
         raise BudgetExceeded(
             f"about {est_evals:.2e} evaluations requested; cap is {MAX_EVALS:.2e}"
         )
 
-    pole_vals, pole_truncs = _pole_region(integrands, cfg, poles)
-    mid_vals, mid_errs = _mid_region(integrands, cfg, spec, pairs)
+    pole_vals, pole_truncs = (a[rep] for a in _pole_region(inner, cfg, poles))
+    mid_vals, mid_errs = (a[rep] for a in _mid_region(inner, cfg, spec, pairs))
     far_vals, far_truncs = np.zeros((2, len(integrands)))
     for support, plan in far.items():
         at = [k for k, f in enumerate(integrands) if f.support_radius == support]

@@ -61,6 +61,10 @@ from multipolar_hardy.experiments import (
 )
 
 
+def result_fields(res):
+    return (res.value, res.stderr, res.trunc_bound, res.truncated, res.eta)
+
+
 def bump_basis(count: int, dim: int, seed: int = 3) -> list[GaussianBump]:
     rng = np.random.default_rng(seed)
     return [
@@ -103,6 +107,34 @@ class TestOneLedgerCall:
         )
         assert len(ledger_calls) == 1
         assert [r.truncated for r in records] == [False, False, False, True]
+
+    def test_flux_once_per_family(self, two_poles_n3, lean_spec, monkeypatch):
+        """The excised spheres lie inside every member's plateau, so a
+        truncated family of one exponent computes its flux once, and every
+        member gets the flux it gets alone."""
+        import multipolar_hardy.experiments as experiments_module
+
+        p, w = derive_params(two_poles_n3, 0.0), WeightSpec.unit()
+        family = [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
+            for eps in (0.25, 0.2, 0.125)
+        ]
+        calls = []
+        original = experiments_module._sweep_flux
+
+        def counted(phi, *args):
+            calls.append(phi)
+            return original(phi, *args)
+
+        monkeypatch.setattr(experiments_module, "_sweep_flux", counted)
+        records = verify_identity(two_poles_n3, w, p, family, lean_spec)
+        assert calls == family[:1]
+        eta = lean_spec.pole_radius * 2.0**-lean_spec.radial_levels
+        for phi, rec in zip(family, records):
+            assert rec.truncated and rec.report.v_mass.eta == eta
+            assert (rec.flux, rec.flux_error) == original(
+                phi, two_poles_n3, w, p.beta, eta
+            )
 
     def test_optimality_sweep(self, two_poles_n3, lean_spec, ledger_calls):
         p = derive_params(two_poles_n3, 0.0)
@@ -429,6 +461,46 @@ class TestSpectralBound:
             seen.add(support)
             assert evaluated == {basis[k] for k in members[support]}
         assert seen == set(members)
+
+    def test_grouped_entries_equal_entries_alone(
+        self, two_poles_n3, lean_spec, monkeypatch
+    ):
+        """Gram entries whose ordered pair of members agrees on the pole
+        balls and the mid region, the members whose plateau clears
+        far_radius counting as the Hardy factor, share those regions'
+        evaluation; each entry still equals, bit for bit, the same integrand
+        integrated alone.  An entry's products run in pair order, so pairs
+        (phi, bump) and (bump, phi) are not grouped."""
+        import multipolar_hardy.experiments as experiments_module
+
+        p = derive_params(two_poles_n3, 0.0)
+        phis = [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=e, beta=p.beta)
+            for e in (0.1, 0.05)
+        ]
+        bumps = bump_basis(2, 3)
+        basis = [bumps[0], phis[0], bumps[1], phis[1]]
+        batches = []
+        original = experiments_module.integrate_many
+
+        def captured(integrands, cfg, spec):
+            results = original(integrands, cfg, spec)
+            batches.append((integrands, results))
+            return results
+
+        monkeypatch.setattr(experiments_module, "integrate_many", captured)
+        res = spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
+                             allow_truncation=True)
+        ((integrands, results),) = batches
+        keys = [f.inner for f in integrands if f.inner is not None]
+        # Of the 20 entries, bump x bump (6) have no key; (0,1) and (0,3),
+        # and (1,1), (1,3) and (3,3), share one per kind, which saves 6.
+        assert len(keys) == 14 and len(set(keys)) == 8
+        for f, got in zip(integrands, results):
+            alone = original([f], two_poles_n3, lean_spec)[0]
+            assert result_fields(got) == result_fields(alone)
+        a_mat, b_mat, *_ = res.gram
+        assert a_mat[0, 1] != a_mat[0, 3] and b_mat[1, 1] != b_mat[3, 3]
 
     def test_prefixes_of_one_assembly_equal_separate_bounds(
         self, two_poles_n3, lean_spec

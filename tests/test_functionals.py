@@ -36,7 +36,7 @@ from multipolar_hardy import (
     max_admissible_eps,
     weight_value,
 )
-from multipolar_hardy import fields, functionals
+from multipolar_hardy import fields, functionals, quadrature
 from multipolar_hardy.fields import _as_batch, potential_v, potential_w
 from multipolar_hardy.quadrature import (
     Integrand,
@@ -674,7 +674,10 @@ class TestCorpusLedger:
     def test_rows_equal_each_functions_own_report(self, case, repeats):
         """One call for the corpus gives every function, at beta = p.beta and
         away from it, the integrals of its own energy_report bit for bit, on
-        the first call in a row and on a later one."""
+        the first call in a row and on a later one.  Besides the corpus, two
+        families of a second exponent: one whose plateaus R/eps = 8, 10, 16
+        clear far_radius, so that its members share their pole and mid
+        integrals, and one whose plateaus 4 and 5 do not."""
         dim, w, k_mu, other = self.CASES[case]
         cfg = PoleConfig(dim=dim, poles=np.array([np.zeros(dim), 2.0 * np.eye(dim)[0]]))
         p = derive_params(cfg, k_mu)
@@ -682,7 +685,13 @@ class TestCorpusLedger:
             pole_radius=0.9, far_radius=6.0, radial_levels=10, mc_samples=20_000,
             seed=17,
         )
-        functions = corpus(cfg, p)
+        second = 0.75 * p.beta
+        functions = corpus(cfg, p) + [
+            OptimalityPhi(cfg=cfg, R=1.0, eps=eps, beta=second)
+            for eps in (0.125, 0.1, 0.0625, 0.25, 0.2)
+        ]
+        assert [functionals._plateau_clears(phi, spec.far_radius)
+                for phi in functions[-5:]] == [True] * 3 + [False] * 2
         truncate = case.startswith("truncated")
         allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
         betas = [p.beta, other]
@@ -702,7 +711,10 @@ class TestCorpusLedger:
                 ))
                 for b in betas
             ]
-        assert [r[0].v_mass.truncated for r in reports] == allow
+        # The second exponent's masses are integrable: none is truncated.
+        assert [r[0].v_mass.truncated for r in reports] == [
+            flag and phi.beta == p.beta for phi, flag in zip(functions, allow)
+        ]
 
     def test_hardy_factor_once_per_slice_per_bundle(
         self, two_poles_n3, lean_spec, monkeypatch
@@ -892,6 +904,63 @@ class TestCorpusLedger:
             assert Counter(e for _, e in events if e not in ("call", "frame")) == once
         # Far-shell slices serve one support each.
         assert any(len(supports) == 1 for _, _, supports in slices)
+
+    def test_family_core_once_per_slice(self, two_poles_n3, lean_spec, monkeypatch):
+        """A family of four members whose plateaus clear far_radius runs each
+        kind's integrand once per pole and mid slice, the first member's,
+        and on the far shells every member's integrands of its support."""
+        p = derive_params(two_poles_n3, 0.0)
+        family = [
+            OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=eps, beta=p.beta)
+            for eps in (0.125, 0.1, 0.0625, 0.05)
+        ]
+        slices = []  # (in a far pass, Counter of (kind, support) of its calls)
+        last, far_pass = [None], []
+        original_far = quadrature._far_region
+        original_many = functionals.integrate_many
+
+        def in_far_pass(*args):
+            far_pass.append(True)
+            try:
+                return original_far(*args)
+            finally:
+                far_pass.pop()
+
+        def counted(f):
+            def wrapper(x):
+                if last[0] is not x:
+                    last[0] = x
+                    slices.append((bool(far_pass), Counter()))
+                slices[-1][1][f.name, f.support_radius] += 1
+                return f.func(x)
+
+            return wrapper
+
+        def counted_many(integrands, cfg, spec):
+            return original_many(
+                [dataclasses.replace(f, func=counted(f)) for f in integrands],
+                cfg, spec,
+            )
+
+        monkeypatch.setattr(quadrature, "_far_region", in_far_pass)
+        monkeypatch.setattr(functionals, "integrate_many", counted_many)
+        energy_reports(
+            family, two_poles_n3, WeightSpec.unit(), p, lean_spec, [p.beta],
+            allow_truncation=True,
+        )
+        kinds = ("dirichlet", "v_mass", "l2_mass", "w_mass")
+        supports = [phi.support_radius for phi in family]
+        inner = [calls for far, calls in slices if not far]
+        far = [calls for far, calls in slices if far]
+        assert len(inner) >= 4 and len(far) >= 4
+        assert all(
+            calls == Counter({(kind, supports[0]): 1 for kind in kinds})
+            for calls in inner
+        )
+        for calls in far:
+            (support,) = {s for _, s in calls}
+            assert calls == Counter({(kind, support): 1 for kind in kinds})
+        assert set().union(*far) == {(k, s) for k in kinds for s in supports}
 
     def test_far_shells_evaluate_only_their_support(
         self, two_poles_n3, lean_spec, far_slices

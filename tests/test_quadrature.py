@@ -1636,3 +1636,96 @@ class TestBundle:
         shallow = dataclasses.replace(lean_spec, radial_levels=2)
         with pytest.raises(ConfigError, match="radial_levels"):
             integrate_many([], two_poles_n3, shallow)
+
+
+# --------------------------------------------------------------------------
+# integrands that share an inner key
+# --------------------------------------------------------------------------
+
+
+def slow_bump(pts: np.ndarray) -> np.ndarray:
+    """(1 + |x|^2)^-3: its far tail moves the value at rounding scale and
+    above, so a far shell run on the wrong support would show."""
+    return (1.0 + np.sum(pts * pts, axis=1)) ** -3
+
+
+def far_only(func, spec):
+    """func, asserting that every slice it is called on is a far-shell one."""
+
+    def wrapper(pts):
+        assert np.all(
+            np.linalg.norm(pts, axis=1)
+            >= quadrature._TAIL_RISE_START * spec.far_radius * (1 - 1e-9)
+        )
+        return func(pts)
+
+    return wrapper
+
+
+class TestInnerKey:
+    @staticmethod
+    def members():
+        """Three integrands equal inside B(0, 6) and different beyond it: one
+        unbounded as is, one doubled beyond |x| = 7, one cut at |x| = 8."""
+
+        def beyond(pts):
+            return slow_bump(pts) * np.where(np.linalg.norm(pts, axis=1) > 7.0, 2.0, 1.0)
+
+        def cut(pts):
+            return slow_bump(pts) * (np.linalg.norm(pts, axis=1) <= 8.0)
+
+        return [
+            Integrand(func=slow_bump, pole_exponents=[0.0, 0.0], name="base"),
+            Integrand(func=beyond, pole_exponents=[0.0, 0.0], name="beyond"),
+            Integrand(func=cut, pole_exponents=[0.0, 0.0], support_radius=8.0,
+                      name="cut"),
+        ]
+
+    def test_member_equals_itself_alone(self, two_poles_n3, lean_spec):
+        """A group is evaluated on the pole balls and the mid region by its
+        first member only, and every member on its own far shells: each
+        result equals, bit for bit, that member passed alone."""
+        base, beyond, cut = self.members()
+        alone = [result_fields(integrate(f, two_poles_n3, lean_spec))
+                 for f in (base, beyond, cut)]
+        assert len({a[0] for a in alone}) == 3
+        lone = Integrand(func=gaussian, pole_exponents=[0.0, 0.0], inner=None)
+        batch = [
+            dataclasses.replace(base, inner="g"),
+            lone,
+            dataclasses.replace(beyond, func=far_only(beyond.func, lean_spec), inner="g"),
+            dataclasses.replace(cut, func=far_only(cut.func, lean_spec), inner="g"),
+        ]
+        got = [result_fields(r) for r in integrate_many(batch, two_poles_n3, lean_spec)]
+        assert got == [alone[0], result_fields(integrate(lone, two_poles_n3, lean_spec)),
+                       alone[1], alone[2]]
+
+    @pytest.mark.parametrize("change", [
+        {"pole_exponents": [1.0, 0.0]}, {"allow_truncation": True},
+    ])
+    def test_rejects_a_mixed_group(self, two_poles_n3, lean_spec, change):
+        """A key's integrands must agree in pole exponents and truncation
+        flag, which close and flag the shared sums."""
+        base, beyond, _ = self.members()
+        batch = [dataclasses.replace(base, inner="g"),
+                 dataclasses.replace(beyond, inner="g", **change)]
+        with pytest.raises(ValueError, match="inner key"):
+            integrate_many(batch, two_poles_n3, lean_spec)
+        # The same integrands with keys of their own are accepted.
+        batch[1] = dataclasses.replace(batch[1], inner="h")
+        assert len(integrate_many(batch, two_poles_n3, lean_spec)) == 2
+
+    def test_budget_counts_a_group_once(self, two_poles_n3, lean_spec, monkeypatch):
+        """The evaluation cap counts a group's pole and mid nodes once and
+        the far shells of every member."""
+        one = Integrand(func=slow_bump, pole_exponents=[0.0, 0.0], inner="g")
+        poles = quadrature._pole_plan(two_poles_n3, lean_spec)
+        shared = sum(quadrature._plan_nodes(ball) for ball in poles) + 2 * int(
+            quadrature._mid_pairs(two_poles_n3, lean_spec)[2].sum()
+        )
+        far = integrate(one, two_poles_n3, lean_spec).cells - shared
+        monkeypatch.setattr(quadrature, "MAX_EVALS", shared + 3 * far)
+        integrate_many([one] * 3, two_poles_n3, lean_spec)
+        monkeypatch.setattr(quadrature, "MAX_EVALS", shared + 3 * far - 1)
+        with pytest.raises(BudgetExceeded):
+            integrate_many([one] * 3, two_poles_n3, lean_spec)
