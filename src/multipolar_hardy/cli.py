@@ -264,7 +264,6 @@ _CONFIG = {
         {"directory": (STRING, "out"), "formats": ([{"csv", "json"}], ["csv", "json"])},
         {},
     ),
-    "seed": (SEED, None),
 }
 
 
@@ -272,9 +271,6 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
     """Build a RunConfig from a parsed JSON tree read against `_CONFIG`."""
     top = _read(data, _CONFIG)
     prob, output = top["problem"], top["output"]
-    quad = top["quadrature"]
-    if top["seed"] is not None:
-        quad["seed"] = top["seed"]
     cfg = PoleConfig(dim=prob["dim"], poles=prob["poles"])
     weight = WeightSpec(**prob["weight"])
     validate_config(cfg, weight)
@@ -282,7 +278,7 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
         cfg=cfg,
         weight=weight,
         params=derive_params(cfg, prob["k_mu"]),
-        quadrature=QuadratureSpec(**quad),
+        quadrature=QuadratureSpec(**top["quadrature"]),
         experiments=top["experiments"],
         out_dir=output["directory"],
         formats=tuple(output["formats"]),
@@ -291,7 +287,8 @@ def parse_run_config(data: dict, source: str = "<memory>") -> RunConfig:
 
 
 def load_run_config(path: str, *, seed: int | None = None) -> RunConfig:
-    """Load a JSON run config from disk, applying the seed override."""
+    """Load a JSON run config from disk; `seed` (--seed) overrides
+    quadrature.seed."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -299,8 +296,10 @@ def load_run_config(path: str, *, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if seed is not None and isinstance(data, dict):
-        data = {**data, "seed": _value(SEED, seed, "--seed", None)}
+    if seed is not None:
+        seed = _value(SEED, seed, "--seed", None)
+        if isinstance(data, dict) and isinstance(data.get("quadrature"), dict):
+            data = {**data, "quadrature": {**data["quadrature"], "seed": seed}}
     return parse_run_config(data, source=path)
 
 

@@ -53,17 +53,16 @@ from .functionals import (
     EnergyReport,
     OptimalityPhi,
     TestFunction,
+    _core,
     _derived,
-    _plateau_clears,
+    _entries,
     _residual,
-    _slice_nodes,
     energy_report,  # unused here; mhbench/tracer.py rebinds this module attribute
     energy_reports,
     hardy_ratio,
     max_admissible_eps,
 )
 from .quadrature import (
-    Integrand,
     QuadratureSpec,
     _two_level,
     _unclosed,
@@ -369,9 +368,9 @@ def verify_identity(
     does not satisfy H4 i) strictly are integrated with inner truncation;
     the identity is then closed by the outward flux through the excised
     pole spheres.  The excised spheres |x - a_i| = eta lie inside the
-    plateau of every admissible member (`_plateau_clears`), where each
-    member of one exponent is the Hardy factor, so the flux is computed
-    once per (exponent, eta) and shared by those members.
+    plateau of every admissible member, where each member of one exponent
+    is the Hardy factor, so the flux is computed once per (`_core`, eta)
+    and shared by those members.
     """
     truncate = h4i_status(cfg, w, p.k_mu) != "strict"
     allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
@@ -386,7 +385,7 @@ def verify_identity(
         flux = (0.0, 0.0)
         if truncated:
             eta = rep.v_mass.eta
-            key = (phi.beta, eta) if _plateau_clears(phi, reach + eta) else phi
+            key = (_core(phi, reach + eta), eta)
             if key not in fluxes:
                 fluxes[key] = _sweep_flux(phi, cfg, w, p.beta, eta)
             flux = fluxes[key]
@@ -601,21 +600,22 @@ def spectral_bound(
     dmu`` and ``B_ij = integral V phi_i phi_j dmu`` on shared nodes (one
     set for the pole balls and the mid region, far shells out to each
     pair's support) and solves ``A v = lambda B v``.  Each entry is one
-    `Integrand`, and all of them share one `functionals._Nodes` per slice
-    of nodes, so every basis function, its gradient, mu, V and W are
+    `Integrand`, built by `functionals._entries` from the ledger's kinds
+    of the pair: ``dirichlet + w_mass`` at ``p.beta`` for A, ``v_mass``
+    for B.  All of them share one `functionals._Nodes` per slice of
+    nodes, so every basis function, its gradient, mu, V and W are
     evaluated once per node, from one pole frame per slice; the
     `OptimalityPhi` members of one exponent share one Hardy factor per
     slice, and a far-shell slice evaluates only the members of its
     support.  A member whose plateau clears far_radius is the Hardy factor
-    at every pole and mid node, so the entries whose ordered pair of such
-    effective members agree share one `Integrand.inner` key: the pole
-    balls and the mid region integrate the first of them only, and each
-    entry its own far shells.  The minimum is an upper bound
-    for the infimum of the Rayleigh quotient over all functions, so it
-    approaches the optimal constant from above as the span is enriched
-    with near-optimal members.  The result keeps the Gram matrices, and
-    its `prefix` method gives the bound of every leading part of the
-    basis from this one assembly.
+    at every pole and mid node, so the entries whose members agree there
+    share one `Integrand.inner` key: the pole balls and the mid region
+    integrate the first of them only, and each entry its own far shells.
+    The minimum is an upper bound for the infimum of the Rayleigh quotient
+    over all functions, so it approaches the optimal constant from above
+    as the span is enriched with near-optimal members.  The result keeps
+    the Gram matrices, and its `prefix` method gives the bound of every
+    leading part of the basis from this one assembly.
 
     The V-Gram is screened for near-dependence: eigendirections below
     1e-10 of the largest eigenvalue are dropped before the (Cholesky-type)
@@ -632,54 +632,13 @@ def spectral_bound(
     m = len(basis)
     if m == 0 or m > 200:
         raise ConfigError(f"basis size must be in 1..200, got {m}")
-    gamma = 0.0 if w.is_unit else w.gamma
-    supports = [b.support_radius for b in basis]
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-
-    nodes_of = _slice_nodes(cfg, w, p)
-
-    def a_entry(fi, fj):
-        def func(x):
-            nodes = nodes_of(x)
-            dots = np.einsum("ij,ij->i", nodes.gradient(fi), nodes.gradient(fj))
-            wv = nodes.w_pot(p.beta) * nodes.value(fi) * nodes.value(fj)
-            return (dots + wv) * nodes.mu
-
-        return func
-
-    def b_entry(fi, fj):
-        def func(x):
-            nodes = nodes_of(x)
-            return nodes.v_pot * nodes.value(fi) * nodes.value(fj) * nodes.mu
-
-        return func
-
-    # A member whose plateau clears far_radius is the Hardy factor of its
-    # exponent at every pole and mid node: its effective member there.
-    flat = [_plateau_clears(b, spec.far_radius) for b in basis]
-    effective = [("f", b.beta) if c else b for b, c in zip(basis, flat)]
-    integrands = []
-    for i, j in pairs:
-        # A pair vanishes wherever either function does.
-        bounded = [s for s in (supports[i], supports[j]) if s is not None]
-        sig = basis[i].pole_singularity + basis[j].pole_singularity
-        for kind, entry in (("a", a_entry), ("b", b_entry)):
-            integrands.append(
-                Integrand(
-                    func=entry(basis[i], basis[j]),
-                    pole_exponents=[sig + 2.0 + gamma] * cfg.n_poles,
-                    support_radius=min(bounded, default=None),
-                    allow_truncation=allow_truncation,
-                    name=f"{kind}_{i}_{j}",
-                    # Ordered: an entry multiplies its members' values in
-                    # pair order, and rounding does not commute over three
-                    # factors.
-                    inner=(
-                        (kind, effective[i], effective[j])
-                        if flat[i] or flat[j] else None
-                    ),
-                )
-            )
+    entry = _entries(cfg, w, p, spec)
+    integrands = [
+        entry(f"{kind}_{i}_{j}", kinds, basis[i], basis[j], p.beta, allow_truncation)
+        for i, j in pairs
+        for kind, kinds in (("a", ("dirichlet", "w_mass")), ("b", ("v_mass",)))
+    ]
     results = integrate_many(integrands, cfg, spec)
 
     gram = np.zeros((4, m, m))

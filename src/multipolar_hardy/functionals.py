@@ -25,6 +25,9 @@ from the ledger alone.
 
 The ledger is one `integrate_many` call however many functions and
 exponents it covers, with one `Integrand` per integral kind and function.
+`_entries` builds them, and the Gram entries of
+`experiments.spectral_bound` too: every kind is bilinear in a pair of
+test functions, and a ledger integral is the pair (phi, phi).
 `integrate_many` hands every integrand the same array of each slice of
 nodes in turn, and they all share one `_Nodes` of that slice.  So each
 field is evaluated once per node for the whole ledger: mu, V, W (once
@@ -269,19 +272,20 @@ class OptimalityPhi:
         return out[0] if squeeze else out
 
 
-def _plateau_clears(phi, radius: float) -> bool:
-    """Whether `phi` is an `OptimalityPhi` whose plateau R/eps clears
-    `radius` by the rounding margin _DEAD_MARGIN * radius.
+def _core(phi, radius: float):
+    """What `phi` is on |x| <= radius, as a key: ``("f", beta)`` for an
+    `OptimalityPhi` whose plateau R/eps clears `radius` by the rounding
+    margin _DEAD_MARGIN * radius, `phi` itself otherwise.
 
-    On |x| <= radius its cutoff is then exactly 1.0 and its gradient
-    exactly 0, so its value and gradient there are those of the Hardy
-    factor at its exponent, bit for bit, whatever eps: the members of one
-    exponent are equal there.
+    On |x| <= radius such a member's cutoff is exactly 1.0 and its
+    gradient exactly 0, so its value and gradient there are those of the
+    Hardy factor at its exponent, bit for bit, whatever eps: the members
+    of one exponent are equal there.
     """
-    return (
-        isinstance(phi, OptimalityPhi)
-        and phi.R / phi.eps > radius * (1.0 + _DEAD_MARGIN)
-    )
+    cleared = radius * (1.0 + _DEAD_MARGIN)
+    if isinstance(phi, OptimalityPhi) and phi.R / phi.eps > cleared:
+        return ("f", phi.beta)
+    return phi
 
 
 #: Union of the supported test-function kinds.  All expose ``value``,
@@ -410,19 +414,19 @@ def energy_reports(
     that do not depend on the exponent (Dirichlet, V-mass, L2-mass and, if
     any exponent is not ``p.beta``, the inverse-square mass) are
     integrated once; the W-mass and the remainder once per distinct
-    exponent.  The integrands share one `_Nodes` per slice of nodes
-    (`_slice_nodes`), so mu, V, the inverse-square sum, the Hardy factor
-    at each exponent and each function's value and gradient are evaluated
-    once per node for the whole call, and the `OptimalityPhi` members of
-    one exponent share |x| and the Hardy factor.  W is evaluated once per
-    node for all exponents: it is linear in beta, so each exponent's W is
-    that multiple of the one at beta = 1.  The `OptimalityPhi` members of
-    one exponent and truncation flag whose plateau R/eps clears
-    far_radius (`_plateau_clears`) equal the Hardy factor at every pole
-    and mid node, so each kind's integrands of theirs share one
-    `Integrand.inner` key, ``(kind, beta, phi.beta, flag)``: the pole
-    balls and the mid region integrate the first member only, and each
-    member its own far shells.  Every report equals, bit for bit, the
+    exponent.  Each integrand is the `_entries` entry of one kind and the
+    pair (phi, phi), and they share one `_Nodes` per slice of nodes, so
+    mu, V, the inverse-square sum, the Hardy factor at each exponent and
+    each function's value and gradient are evaluated once per node for
+    the whole call, and the `OptimalityPhi` members of one exponent share
+    |x| and the Hardy factor.  W is evaluated once per node for all
+    exponents: it is linear in beta, so each exponent's W is that
+    multiple of the one at beta = 1.  The `OptimalityPhi` members of one
+    exponent and truncation flag whose plateau R/eps clears far_radius
+    equal the Hardy factor at every pole and mid node, so each kind's
+    integrands of theirs share one `Integrand.inner` key (`_core`): the
+    pole balls and the mid region integrate the first member only, and
+    each member its own far shells.  Every report equals, bit for bit, the
     `energy_report` of its function at its exponent alone (apart from
     ``cells``, the node count of the whole call).
 
@@ -447,19 +451,6 @@ def energy_reports(
     def reduced(phi, beta):
         return isinstance(phi, OptimalityPhi) and phi.beta == beta
 
-    # Per-pole singularity exponents: phi^2 contributes 2 sigma, the
-    # gradient adds 2 when phi is singular, the potentials add 2, and the
-    # weight adds gamma.
-    gamma = 0.0 if w.is_unit else w.gamma
-
-    def exponent(kind, phi):
-        sigma = phi.pole_singularity
-        if kind == "dirichlet":
-            return 2.0 * sigma + gamma + (2.0 if sigma > 0 else 0.0)
-        if kind == "l2_mass":
-            return 2.0 * sigma + gamma
-        return 2.0 * sigma + 2.0 + gamma
-
     everyone = range(len(functions))
     table = [("dirichlet", None, everyone), ("v_mass", None, everyone),
              ("l2_mass", None, everyone)]
@@ -471,24 +462,10 @@ def energy_reports(
             ("remainder", b, [j for j in everyone if not reduced(functions[j], b)])
         )
 
-    nodes_of = _slice_nodes(cfg, w, p)
-
-    def integrand(kind, beta, j):
-        phi, extra = functions[j], () if beta is None else (beta,)
-        # The members of one exponent whose plateau clears far_radius are
-        # the Hardy factor on every pole and mid node: one inner key.
-        flat = _plateau_clears(phi, spec.far_radius)
-        return Integrand(
-            func=lambda x: getattr(nodes_of(x), kind)(phi, *extra),
-            pole_exponents=[exponent(kind, phi)] * cfg.n_poles,
-            support_radius=phi.support_radius,
-            allow_truncation=allow[j],
-            name=kind,
-            inner=(kind, beta, phi.beta, allow[j]) if flat else None,
-        )
-
+    entry = _entries(cfg, w, p, spec)
     integrands = [
-        integrand(kind, b, j) for kind, b, members in table for j in members
+        entry(kind, (kind,), functions[j], functions[j], b, allow[j])
+        for kind, b, members in table for j in members
     ]
     results = iter(integrate_many(integrands, cfg, spec))
     got = {
@@ -507,7 +484,7 @@ def energy_reports(
                 l2_mass=got["l2_mass", None][j],
                 w_mass=got["w_mass", b][j],
                 remainder=(
-                    _annulus_remainder(phi, cfg, w)
+                    _annulus_remainder(phi, cfg, w, p)
                     if reduced(phi, b) else got["remainder", b][j]
                 ),
             )
@@ -519,9 +496,11 @@ def energy_reports(
 class _Nodes:
     """The fields of one slice of quadrature nodes, each evaluated once.
 
-    `_slice_nodes` makes one per slice, shared by every integrand of an
+    `_entries` makes one per slice, shared by every integrand of an
     `energy_reports` or `experiments.spectral_bound` call; the methods
-    named after the integral kinds give one function's integrand.  mu,
+    named after the integral kinds give the integrand of a pair of test
+    functions, bilinear and symmetric in the pair: (phi, phi) for a
+    ledger integral, (phi_i, phi_j) for a Gram entry.  mu,
     V, W and the inverse-square sum are evaluated once, on first use, the
     Hardy factor once per exponent, and each test function's value and
     gradient once per function.  W is linear in beta, so it is evaluated
@@ -536,8 +515,9 @@ class _Nodes:
     `value` and `gradient`; a `GaussianBump`'s gradient comes from the
     value already held, through the `_gradient_at` its own `gradient`
     uses, so its exponential is evaluated once per node; every other test
-    function is evaluated by its own `value` and `gradient`.  Values and gradients are kept by the
-    identity of the function, which the caller keeps alive for the slice.
+    function is evaluated by its own `value` and `gradient`.  Values and
+    gradients are kept by the identity of the function, which the caller
+    keeps alive for the slice.
     """
 
     def __init__(self, x, cfg: PoleConfig, w: WeightSpec, p: HardyParams):
@@ -600,38 +580,53 @@ class _Nodes:
             self._gradients[id(phi)] = g
         return self._gradients[id(phi)]
 
-    def l2_mass(self, phi):
-        v = self.value(phi)
-        return v * v * self.mu
+    # The integral kinds of a pair (phi, psi).  Each multiplies the two
+    # members once, by one product or one dot product, which commutes:
+    # swapping them changes no bit.
 
-    def dirichlet(self, phi):
-        g = self.gradient(phi)
-        return np.einsum("ij,ij->i", g, g) * self.mu
+    def l2_mass(self, phi, psi, beta):
+        return self.value(phi) * self.value(psi) * self.mu
 
-    def v_mass(self, phi):
-        return self.v_pot * self.l2_mass(phi)
+    def dirichlet(self, phi, psi, beta):
+        return np.einsum("ij,ij->i", self.gradient(phi), self.gradient(psi)) * self.mu
 
-    def inv_sq_mass(self, phi):
-        return self.inv_sq_sum * self.l2_mass(phi)
+    def v_mass(self, phi, psi, beta):
+        return self.v_pot * self.l2_mass(phi, psi, beta)
 
-    def w_mass(self, phi, beta):
-        return self.w_pot(beta) * self.l2_mass(phi)
+    def inv_sq_mass(self, phi, psi, beta):
+        return self.inv_sq_sum * self.l2_mass(phi, psi, beta)
 
-    def remainder(self, phi, beta):
-        g = self.gradient(phi)
-        v = self.value(phi)
+    def w_mass(self, phi, psi, beta):
+        return self.w_pot(beta) * self.l2_mass(phi, psi, beta)
+
+    def remainder(self, phi, psi, beta):
         _, grad_ratio = self.hardy(beta)
-        d = g - v[:, None] * grad_ratio
-        return np.einsum("ij,ij->i", d, d) * self.mu
+
+        def defect(f):
+            return self.gradient(f) - self.value(f)[:, None] * grad_ratio
+
+        d = defect(phi)
+        return np.einsum("ij,ij->i", d, d if psi is phi else defect(psi)) * self.mu
 
 
-def _slice_nodes(cfg: PoleConfig, w: WeightSpec, p: HardyParams):
-    """nodes_of(x): the `_Nodes` of slice x, one per slice for every caller.
+def _entries(cfg: PoleConfig, w: WeightSpec, p: HardyParams, spec: QuadratureSpec):
+    """entry(name, kinds, phi, psi, beta, allow): the `Integrand` of the
+    sum of the `_Nodes` kinds named in `kinds` (a tuple) for the pair
+    (phi, psi) at exponent `beta`, with truncation flag `allow`.
 
-    integrate_many calls every integrand of a rule on one slice, with the
-    same array, before the next slice: one entry holds the _Nodes of the
-    current slice.
+    This is the one code that turns test functions into integrands.  The
+    entries of one `_entries` read one `_Nodes` per slice: integrate_many
+    calls every integrand of a rule on one slice, with the same array,
+    before the next slice, so one cell holds the `_Nodes` of the current
+    slice.  An entry's pole exponent is the largest of its kinds', its
+    support the smaller of its members' (a pair vanishes wherever either
+    function does), and its `Integrand.inner` key is
+    ``(kinds, beta, _core(phi), _core(psi), allow)`` at far_radius, so
+    the entries whose members agree on the pole balls and the mid region
+    are integrated there once.  The kinds commute, so the entry of
+    (phi, psi) equals that of (psi, phi) at every node, bit for bit.
     """
+    gamma = 0.0 if w.is_unit else w.gamma
     current = (None, None)  # (slice array, its _Nodes)
 
     def nodes_of(x):
@@ -640,21 +635,48 @@ def _slice_nodes(cfg: PoleConfig, w: WeightSpec, p: HardyParams):
             current = (x, _Nodes(x, cfg, w, p))
         return current[1]
 
-    return nodes_of
+    def exponent(kind, s):
+        # Per-pole singularity exponents: phi psi contributes s, the
+        # gradients add 2 when the pair is singular, the potentials add 2,
+        # and the weight adds gamma.
+        if kind == "dirichlet":
+            return s + gamma + (2.0 if s > 0 else 0.0)
+        if kind == "l2_mass":
+            return s + gamma
+        return s + 2.0 + gamma
+
+    def entry(name, kinds, phi, psi, beta, allow):
+        def func(x):
+            nodes = nodes_of(x)
+            terms = [getattr(nodes, kind)(phi, psi, beta) for kind in kinds]
+            return sum(terms[1:], terms[0])
+
+        s = phi.pole_singularity + psi.pole_singularity
+        bounded = [f.support_radius for f in (phi, psi) if f.support_radius is not None]
+        return Integrand(
+            func=func,
+            pole_exponents=[max(exponent(kind, s) for kind in kinds)] * cfg.n_poles,
+            support_radius=min(bounded, default=None),
+            allow_truncation=allow,
+            name=name,
+            inner=(kinds, beta, _core(phi, spec.far_radius),
+                   _core(psi, spec.far_radius), allow),
+        )
+
+    return entry
 
 
 def _annulus_remainder(
-    phi: OptimalityPhi, cfg: PoleConfig, w: WeightSpec
+    phi: OptimalityPhi, cfg: PoleConfig, w: WeightSpec, p: HardyParams
 ) -> IntegralResult:
     """Remainder of `phi` at its own exponent: ``|grad theta_eps|^2 f^2 mu``
     over the cutoff annulus, by the deterministic annulus rule."""
-    theta = phi._theta
 
     def annulus_remainder(x):
-        g = theta.gradient(x)
-        frame = PoleFrame(x, cfg)
-        f, _ = hardy_factor(frame, cfg, phi.beta)
-        return np.einsum("ij,ij->i", g, g) * f * f * weight_value(frame, cfg, w)
+        nodes = _Nodes(x, cfg, w, p)
+        g = phi._theta._gradient_at(x, nodes.radius)
+        f, _ = nodes.hardy(phi.beta)
+        return np.einsum("ij,ij->i", g, g) * f * f * nodes.mu
 
     return integrate_radial_annulus(
         annulus_remainder,

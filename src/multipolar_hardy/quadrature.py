@@ -235,7 +235,7 @@ class IntegralResult:
     integrate_radial_annulus, report the high level of `_level_orders`
     (_RADIAL_ORDER points, the dimension's angular order) and are checked
     against its low level (3 radial points fewer, a third off the angular
-    order); integrate_pole_ball reports its pass at radial_order and the
+    order); integrate_pole_ball reports its pass at _RADIAL_ORDER and the
     dimension's angular order, and is checked against one step higher (3
     radial points more, half again the angular order).  cells counts the
     nodes of the whole integrate_many call, the same for every result of
@@ -1116,25 +1116,21 @@ def integrate_radial_annulus(
     dim: int,
     r_in: float,
     r_out: float,
-    radial_order: int = _RADIAL_ORDER,
 ) -> IntegralResult:
     """Deterministic product rule over the annulus r_in <= |x| <= r_out.
 
     Used for integrands supported on an origin-centred annulus (cutoff
-    gradients).  The reported level is the pass at `radial_order` (>= 4;
-    the low level of `_level_orders` keeps at least 4 radial points, so a
-    smaller order would report the coarser pass); the check level is that
-    low level, and the error estimate is their difference (`_two_level`).
+    gradients).  The reported level is the pass at _RADIAL_ORDER; the
+    check level is the low level of `_level_orders`, and the error
+    estimate is their difference (`_two_level`).
     """
     if not 0 < r_in < r_out:
         raise ValueError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
-    if radial_order < 4:
-        raise ValueError(f"radial_order must be >= 4, got {radial_order}")
     f = Integrand(func=func, pole_exponents=[])
     edges = _log_edges(r_in, r_out)
     levels = [
         _shell_rule(np.zeros(dim), edges, q, order)
-        for q, order in _level_orders(dim, radial_order)
+        for q, order in _level_orders(dim, _RADIAL_ORDER)
     ]
     fine, coarse = (sums([f]) for _, sums in levels)
     (value,), (diff,), (err,) = _two_level(fine, coarse, _unclosed)
@@ -1151,7 +1147,6 @@ def integrate_pole_ball(
     radius: float | Sequence[float],
     levels: int,
     exponent: float,
-    radial_order: int = _RADIAL_ORDER,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate over the ball B(a_i, radius), or a dyadic ladder of balls.
 
@@ -1159,7 +1154,7 @@ def integrate_pole_ball(
     octave shells.  The unresolved inner ball is closed by the
     geometric-tail rule for a strict exponent p < N, so the result
     approximates the full ball.  The reported level is the pass at
-    `radial_order` (>= 4) and the default angular order; the check level
+    _RADIAL_ORDER and the default angular order; the check level
     is the pass one step higher (3 more radial points, half again the
     angular order), whose low level (`_level_orders`) is the reported one.
     The bound is their difference plus the reported level's inner-closure
@@ -1181,8 +1176,6 @@ def integrate_pole_ball(
         raise ValueError(f"pole_index must be in [0, {cfg.n_poles}), got {pole_index}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if radial_order < 4:
-        raise ValueError(f"radial_order must be >= 4, got {radial_order}")
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
     m = radii.size
     if (
@@ -1197,12 +1190,12 @@ def integrate_pole_ball(
     f = Integrand(func=func, pole_exponents=[exponent] * cfg.n_poles)
     order = _ANGULAR_ORDER.get(cfg.dim, 4)
     # The high level one step up, whose derived low level is exactly
-    # (radial_order, order).
+    # (_RADIAL_ORDER, order).
     passes = [
         _pole_ball_pass(
             cfg.poles[pole_index], radii[0], levels + m - 1, q, angular, fade=False
         )
-        for q, angular in _level_orders(cfg.dim, radial_order + 3, (3 * order + 1) // 2)
+        for q, angular in _level_orders(cfg.dim, _RADIAL_ORDER + 3, (3 * order + 1) // 2)
     ]
 
     # Ball k's shells are the window k .. k + levels - 1 of each pass.

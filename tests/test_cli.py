@@ -147,10 +147,15 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError):
             parse_run_config(data)
 
-    def test_top_level_seed_overrides_quadrature(self, tmp_path):
-        data = base_config(tmp_path, seed=123456)
-        run = parse_run_config(data)
-        assert run.quadrature.seed == 123456
+    def test_top_level_seed_is_an_unknown_key(self, tmp_path, capsys):
+        """The seed is `quadrature.seed`, which --seed overrides: a
+        top-level seed is a config error with exit 2 that names the key."""
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seed'\]"):
+            parse_run_config(base_config(tmp_path, seed=123456))
+        path = write_config(tmp_path, base_config(tmp_path, seed=123456))
+        assert main(["verify", "--config", path, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown key") and "'seed'" in err
 
     def test_weight_kinds(self, tmp_path):
         data = base_config(tmp_path)
@@ -235,7 +240,7 @@ class TestExitCodes:
         [
             ("verify", ("problem", "poles"), [["x", 0, 0], [2, 0, 0]],
              "problem.poles[0][0]"),
-            ("verify", ("seed",), "x", "seed"),
+            ("verify", ("quadrature", "seed"), "x", "quadrature.seed"),
             ("verify", None, "-1", "--seed"),
             ("verify", ("quadrature", "mc_samples"), "20000", "quadrature.mc_samples"),
             ("verify", ("quadrature", "radial_levels"), 10.5,
@@ -253,7 +258,7 @@ class TestExitCodes:
              "experiments.spectral.basis"),
             ("verify", ("problem", "dim"), "3", "problem.dim"),
             ("verify", ("problem", "dim"), 3.7, "problem.dim"),
-            ("verify", ("seed",), 7.9, "seed"),
+            ("verify", ("quadrature", "seed"), 7.9, "quadrature.seed"),
             ("verify", ("output", "directory"), 5, "output.directory"),
             ("verify", ("output", "formats"), "csv", "output.formats"),
             ("verify", ("experiments", "verify", "residual_tol"), float("nan"),

@@ -465,12 +465,10 @@ class TestSpectralBound:
     def test_grouped_entries_equal_entries_alone(
         self, two_poles_n3, lean_spec, monkeypatch
     ):
-        """Gram entries whose ordered pair of members agrees on the pole
-        balls and the mid region, the members whose plateau clears
-        far_radius counting as the Hardy factor, share those regions'
-        evaluation; each entry still equals, bit for bit, the same integrand
-        integrated alone.  An entry's products run in pair order, so pairs
-        (phi, bump) and (bump, phi) are not grouped."""
+        """Gram entries whose pair of members agrees on the pole balls and
+        the mid region, the members whose plateau clears far_radius counting
+        as the Hardy factor, share those regions' evaluation; each entry
+        still equals, bit for bit, the same integrand integrated alone."""
         import multipolar_hardy.experiments as experiments_module
 
         p = derive_params(two_poles_n3, 0.0)
@@ -492,15 +490,77 @@ class TestSpectralBound:
         res = spectral_bound(two_poles_n3, WeightSpec.unit(), p, basis, lean_spec,
                              allow_truncation=True)
         ((integrands, results),) = batches
-        keys = [f.inner for f in integrands if f.inner is not None]
-        # Of the 20 entries, bump x bump (6) have no key; (0,1) and (0,3),
-        # and (1,1), (1,3) and (3,3), share one per kind, which saves 6.
-        assert len(keys) == 14 and len(set(keys)) == 8
+        keys = [f.inner for f in integrands]
+        # Every one of the 20 entries has a key; (0,1) and (0,3), and (1,1),
+        # (1,3) and (3,3), share one per kind, which saves 6.
+        assert len(keys) == 20 and None not in keys and len(set(keys)) == 14
         for f, got in zip(integrands, results):
             alone = original([f], two_poles_n3, lean_spec)[0]
             assert result_fields(got) == result_fields(alone)
         a_mat, b_mat, *_ = res.gram
         assert a_mat[0, 1] != a_mat[0, 3] and b_mat[1, 1] != b_mat[3, 3]
+
+    @pytest.mark.parametrize("weight", ["unit", "power"])
+    def test_entries_commute_and_the_diagonal_is_the_ledger(
+        self, two_poles_n3, lean_spec, monkeypatch, weight
+    ):
+        """The Gram's entries and the ledger's integrands come from one
+        builder.  On one random slice of nodes, node by node and bit for
+        bit: the A and B entries of (bump, phi) equal those of (phi, bump);
+        the B entry of (f, f) is the ledger's v_mass integrand of f, and
+        the A entry its dirichlet plus its w_mass integrand."""
+        import multipolar_hardy.experiments as experiments_module
+
+        w, k_mu = WeightSpec.unit(), 0.0
+        if weight == "power":
+            w, k_mu = WeightSpec.polyexp(gamma=0.5), -0.6
+        p = derive_params(two_poles_n3, k_mu)
+        bump = GaussianBump(center=np.array([1.0, 0.3, 0.0]), width=0.8)
+        phi = OptimalityPhi(cfg=two_poles_n3, R=1.0, eps=0.25, beta=p.beta)
+        args = (two_poles_n3, w, p)
+
+        class Captured(Exception):
+            pass
+
+        def integrands_of(module, run):
+            def captured(integrands, cfg, spec):
+                raise Captured(integrands)
+
+            monkeypatch.setattr(module, "integrate_many", captured)
+            with pytest.raises(Captured) as caught:
+                run()
+            return caught.value.args[0]
+
+        def gram(basis):
+            integrands = integrands_of(experiments_module, lambda: spectral_bound(
+                *args, basis, lean_spec, allow_truncation=True
+            ))
+            return {f.name: f for f in integrands}
+
+        forward, backward = gram([bump, phi]), gram([phi, bump])
+        ledger = {}
+        for f in integrands_of(functionals, lambda: functionals.energy_reports(
+            [bump, phi], *args, lean_spec, [p.beta], allow_truncation=True
+        )):
+            ledger.setdefault(f.name, []).append(f)
+        assert [len(ledger[k]) for k in ("dirichlet", "v_mass", "w_mass")] == [2] * 3
+        x = np.random.default_rng(11).standard_normal((500, 3)) * 3.0
+
+        def at(f):
+            return f.func(x).tolist()
+
+        for name in ("a_0_1", "b_0_1"):
+            assert at(forward[name]) == at(backward[name])
+            assert any(v != 0.0 for v in at(forward[name]))
+            assert forward[name].pole_exponents == backward[name].pole_exponents
+            assert forward[name].support_radius == backward[name].support_radius
+        # ledger[kind][j] is the integrand of [bump, phi][j].
+        for entries, order in ((forward, (0, 1)), (backward, (1, 0))):
+            for k, j in enumerate(order):
+                assert at(entries[f"b_{k}_{k}"]) == at(ledger["v_mass"][j])
+                assert at(entries[f"a_{k}_{k}"]) == (
+                    ledger["dirichlet"][j].func(x) + ledger["w_mass"][j].func(x)
+                ).tolist()
 
     def test_prefixes_of_one_assembly_equal_separate_bounds(
         self, two_poles_n3, lean_spec

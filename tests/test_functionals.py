@@ -690,8 +690,8 @@ class TestCorpusLedger:
             OptimalityPhi(cfg=cfg, R=1.0, eps=eps, beta=second)
             for eps in (0.125, 0.1, 0.0625, 0.25, 0.2)
         ]
-        assert [functionals._plateau_clears(phi, spec.far_radius)
-                for phi in functions[-5:]] == [True] * 3 + [False] * 2
+        assert [functionals._core(phi, spec.far_radius)
+                for phi in functions[-5:]] == [("f", second)] * 3 + functions[-2:]
         truncate = case.startswith("truncated")
         allow = [truncate and isinstance(phi, OptimalityPhi) for phi in functions]
         betas = [p.beta, other]

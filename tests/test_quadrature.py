@@ -266,15 +266,6 @@ class TestPoleBall:
         with pytest.raises(ValueError, match="pole_index"):
             self.ball(pole_index=pole_index)
 
-    @pytest.mark.parametrize("radial_order", [1, 2, 3])
-    def test_rejects_radial_order_below_four(self, radial_order):
-        """An order below 4 would otherwise run as order 4."""
-        with pytest.raises(ValueError, match="radial_order must be >= 4"):
-            self.ball(radial_order=radial_order)
-        assert self.ball(radial_order=4).value == pytest.approx(
-            4.0 * math.pi / 3.0 * 0.5**3, rel=1e-12
-        )
-
     LADDER_WEIGHTS = {
         "unit": WeightSpec.unit(),
         "power": WeightSpec.polyexp(gamma=0.5),
@@ -475,19 +466,6 @@ class TestRadialAnnulus:
         assert res.value == fine
         assert res.trunc_bound == abs(fine - coarse) + 0.0
         assert res.trunc_bound > 0.0
-
-    @pytest.mark.parametrize("radial_order", [1, 2, 3])
-    def test_rejects_radial_order_below_four(self, radial_order):
-        """Below 4 radial points the low level has more points than the
-        reported one: order 1 gave 29.0366 for the volume 28 pi / 3 =
-        29.3215 of 1 <= |x| <= 2 in N = 3."""
-        def one(p):
-            return np.ones(len(p))
-
-        with pytest.raises(ValueError, match="radial_order must be >= 4"):
-            integrate_radial_annulus(one, 3, 1.0, 2.0, radial_order=radial_order)
-        res = integrate_radial_annulus(one, 3, 1.0, 2.0, radial_order=4)
-        assert res.value == pytest.approx(28.0 * math.pi / 3.0, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
